@@ -194,6 +194,30 @@ fn sample_cannot_fail_on_degenerate_graphs() {
     }
 }
 
+/// 64-bit FNV-1a over a graph's canonical CSR bytes (the `u64` LE offsets
+/// length, the `u32` LE offsets, then the `u32` LE neighbor lists) — the
+/// same digest the serving transcript pins per sample.
+fn csr_digest(g: &Graph) -> u64 {
+    let (offsets, neighbors) = g.csr();
+    let words = offsets.iter().chain(neighbors).flat_map(|w| w.to_le_bytes());
+    let bytes = (offsets.len() as u64).to_le_bytes().into_iter().chain(words);
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+#[test]
+fn privhrg_output_bytes_are_pinned() {
+    // The golden CSV covers TmF, DER and DGG only; this pins PrivHRG's
+    // full measure → sample path (MCMC, Laplace noise, edge realisation)
+    // at its default chain length, so any drift in its bytes fails here.
+    let g = pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024));
+    for (epsilon, pinned) in [(0.5, 0x91a7_4058_062d_5426), (2.0, 0xd8de_6bda_2c15_1fed)] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let m = PrivHrg::default().measure(&g, epsilon, &mut rng).unwrap();
+        let digest = csr_digest(&m.sample(&mut rng));
+        assert_eq!(digest, pinned, "PrivHRG at ε={epsilon}: digest {digest:#018x}");
+    }
+}
+
 #[test]
 fn heap_bytes_reflects_the_intermediate_footprint() {
     // heap_bytes is an estimate, but it must be sane: zero-allocation

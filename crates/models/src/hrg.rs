@@ -47,11 +47,12 @@ pub struct Dendrogram {
     /// Edges of the source graph whose LCA is this internal node.
     e: Vec<u64>,
     root: u32,
-    /// Timestamped scratch marks for LCA queries (per internal node).
+    /// Timestamped scratch marks on internal nodes, for LCA queries and
+    /// subtree membership.
     mark: Vec<u64>,
-    /// Timestamped scratch marks for leaf-set membership (per leaf).
-    leaf_mark: Vec<u64>,
     stamp: u64,
+    /// Scratch leaf list reused by [`Dendrogram::edges_between`].
+    scratch: Vec<u32>,
 }
 
 impl Dendrogram {
@@ -79,8 +80,8 @@ impl Dendrogram {
             e: vec![0; internal],
             root: 0,
             mark: vec![0; internal],
-            leaf_mark: vec![0; n],
             stamp: 0,
+            scratch: Vec::new(),
         };
         let mut next = 0u32;
         let root = d.build_balanced(&perm, &mut next);
@@ -102,8 +103,7 @@ impl Dendrogram {
         let r = self.build_balanced(&leaves[mid..], next);
         self.left[id as usize] = l;
         self.right[id as usize] = r;
-        for (child, side) in [(l, true), (r, false)] {
-            let _ = side;
+        for child in [l, r] {
             match child {
                 Child::Leaf(u) => self.leaf_parent[u as usize] = id,
                 Child::Internal(c) => self.parent[c as usize] = id,
@@ -143,7 +143,7 @@ impl Dendrogram {
             + vb(&self.leaves)
             + vb(&self.e)
             + vb(&self.mark)
-            + vb(&self.leaf_mark)
+            + vb(&self.scratch)
     }
 
     /// Edge count `E_r` at internal node `r`.
@@ -233,29 +233,69 @@ impl Dendrogram {
         }
     }
 
+    /// The two children `(left, right)` of internal node `r`.
+    pub fn children(&self, r: u32) -> (Child, Child) {
+        (self.left[r as usize], self.right[r as usize])
+    }
+
     /// Number of graph edges between the leaf sets of two disjoint
-    /// subtrees.
-    fn edges_between(&mut self, g: &Graph, x: Child, y: Child) -> u64 {
-        let mut lx = Vec::new();
-        let mut ly = Vec::new();
-        self.collect_leaves(x, &mut lx);
-        self.collect_leaves(y, &mut ly);
-        // Mark the side we probe against; iterate the other.
-        let (iter_side, mark_side) = if lx.len() <= ly.len() { (&lx, &ly) } else { (&ly, &lx) };
+    /// subtrees `x` and `y`.
+    ///
+    /// Only the smaller side's leaves are collected. Each of their
+    /// neighbours is tested for membership in the larger side `t` by
+    /// walking parent pointers up while the current node has fewer leaves
+    /// than `t`: every proper descendant of `t` has strictly fewer leaves
+    /// than `t`, so the walk reaches `t` exactly when the neighbour lies
+    /// under it. Once the walks have visited as many nodes as `t` has
+    /// leaves (the cost of stamping `t`'s internal nodes instead), the
+    /// count restarts against such stamps, so a step on a dense graph or
+    /// a deep dendrogram never costs much more than visiting both sides.
+    pub fn edges_between(&mut self, g: &Graph, x: Child, y: Child) -> u64 {
+        let (s, t) = if self.child_leaves(x) <= self.child_leaves(y) { (x, y) } else { (y, x) };
+        let mut leaves = std::mem::take(&mut self.scratch);
+        leaves.clear();
+        self.collect_leaves(s, &mut leaves);
+        let neighbours = || leaves.iter().flat_map(|&u| g.neighbors(u));
+        let count = match t {
+            Child::Leaf(w) => neighbours().filter(|&&v| v == w).count(),
+            Child::Internal(t) => {
+                let size = self.leaves[t as usize];
+                let mut budget = size as usize;
+                let walked = neighbours().try_fold(0, |count, &v| {
+                    budget = budget.checked_sub(1)?;
+                    let mut cur = self.leaf_parent[v as usize];
+                    while cur != t && self.leaves[cur as usize] < size {
+                        cur = self.parent[cur as usize];
+                        budget = budget.checked_sub(1)?;
+                    }
+                    Some(count + usize::from(cur == t))
+                });
+                walked.unwrap_or_else(|| {
+                    let stamp = self.stamp_subtree(t);
+                    neighbours()
+                        .filter(|&&v| self.mark[self.leaf_parent[v as usize] as usize] == stamp)
+                        .count()
+                })
+            }
+        };
+        self.scratch = leaves;
+        count as u64
+    }
+
+    /// Stamps every internal node of the subtree rooted at `t` in `mark`
+    /// and returns the stamp: a leaf lies under `t` iff its parent bears it.
+    fn stamp_subtree(&mut self, t: u32) -> u64 {
         self.stamp += 1;
-        let stamp = self.stamp;
-        for &u in mark_side {
-            self.leaf_mark[u as usize] = stamp;
-        }
-        let mut count = 0u64;
-        for &u in iter_side {
-            for &v in g.neighbors(u) {
-                if self.leaf_mark[v as usize] == stamp {
-                    count += 1;
+        let mut stack = vec![t];
+        while let Some(r) = stack.pop() {
+            self.mark[r as usize] = self.stamp;
+            for c in [self.left[r as usize], self.right[r as usize]] {
+                if let Child::Internal(j) = c {
+                    stack.push(j);
                 }
             }
         }
-        count
+        self.stamp
     }
 
     /// One step of the Clauset–Moore–Newman subtree-swap Markov chain with

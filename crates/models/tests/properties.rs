@@ -3,7 +3,9 @@
 //! guarantees must honour them.
 
 use pgb_graph::degree::degree_sequence;
+use pgb_graph::Graph;
 use pgb_models::havel_hakimi::{havel_hakimi, is_graphical};
+use pgb_models::hrg::{Child, Dendrogram};
 use pgb_models::{
     barabasi_albert, bter, chung_lu, configuration_model, erdos_renyi_gnm, erdos_renyi_gnp,
     grid_graph, watts_strogatz, BterParams,
@@ -11,6 +13,7 @@ use pgb_models::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -104,25 +107,81 @@ proptest! {
     }
 }
 
+/// The leaves under a dendrogram child, read through the public API only.
+fn hrg_leaves(d: &Dendrogram, c: Child) -> Vec<u32> {
+    match c {
+        Child::Leaf(u) => vec![u],
+        Child::Internal(r) => {
+            let (x, y) = d.children(r);
+            let mut out = hrg_leaves(d, x);
+            out.extend(hrg_leaves(d, y));
+            out
+        }
+    }
+}
+
+/// Checks `edges_between` against a brute-force count for every pair an
+/// MCMC move at `q` can query — `q`'s own children, and each grandchild
+/// against its parent's sibling — and each `E_q` against the same count.
+/// Returns how many checked pairs had a single-leaf side.
+fn check_edges_between(d: &mut Dendrogram, g: &Graph) -> usize {
+    let brute = |d: &Dendrogram, x: Child, y: Child| -> u64 {
+        let ys: HashSet<u32> = hrg_leaves(d, y).into_iter().collect();
+        let xs = hrg_leaves(d, x);
+        xs.iter().flat_map(|&u| g.neighbors(u)).filter(|v| ys.contains(v)).count() as u64
+    };
+    let mut single = 0;
+    for q in 0..d.internal_count() as u32 {
+        let (l, r) = d.children(q);
+        assert_eq!(d.edges_at(q), brute(d, l, r), "E_{q}");
+        let mut pairs = vec![(l, r)];
+        for (inner, sibling) in [(l, r), (r, l)] {
+            if let Child::Internal(i) = inner {
+                let (a, b) = d.children(i);
+                pairs.extend([(a, sibling), (b, sibling)]);
+            }
+        }
+        for (x, y) in pairs {
+            let want = brute(d, x, y);
+            assert_eq!(d.edges_between(g, x, y), want, "{x:?} vs {y:?}");
+            assert_eq!(d.edges_between(g, y, x), want, "{y:?} vs {x:?}");
+            single += usize::from(matches!(x, Child::Leaf(_)) || matches!(y, Child::Leaf(_)));
+        }
+    }
+    single
+}
+
 #[test]
 fn hrg_mcmc_long_run_consistency() {
-    // A longer, deterministic MCMC soak: incremental edge counts must stay
-    // equal to recomputed ones across hundreds of accepted restructures.
-    use pgb_models::hrg::Dendrogram;
-    let mut rng = StdRng::seed_from_u64(999);
-    let g = erdos_renyi_gnp(60, 0.1, &mut rng);
-    let mut d = Dendrogram::from_graph(&g, &mut rng);
-    for _ in 0..2_000 {
-        d.mcmc_step(&g, 1.0, &mut rng);
+    // A longer, deterministic MCMC soak over graphs with a hub and isolated
+    // nodes: incremental edge counts must stay equal to recomputed ones
+    // across hundreds of accepted restructures, and `edges_between` must
+    // agree with a brute-force count at many points along the chain.
+    let mut single_leaf_pairs = 0;
+    for seed in [999u64, 1000, 1001] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Nodes 0..60 form an ER graph, node 60 is a hub adjacent to every
+        // third of them, and nodes 61..70 are isolated.
+        let er = erdos_renyi_gnp(60, 0.1, &mut rng);
+        let hub = (0..60).step_by(3).map(|v| (60, v));
+        let g = Graph::from_edges(70, er.edges().chain(hub)).unwrap();
+        let mut d = Dendrogram::from_graph(&g, &mut rng);
+        for step in 0..2_000 {
+            d.mcmc_step(&g, 1.0, &mut rng);
+            if step % 100 == 0 {
+                single_leaf_pairs += check_edges_between(&mut d, &g);
+            }
+        }
+        assert!(d.check_invariants());
+        let mut fresh = d.clone();
+        fresh.recompute_edge_counts(&g);
+        for r in 0..d.internal_count() as u32 {
+            assert_eq!(d.edges_at(r), fresh.edges_at(r), "internal node {r}");
+        }
+        let sum: u64 = (0..d.internal_count() as u32).map(|r| d.edges_at(r)).sum();
+        assert_eq!(sum, g.edge_count() as u64);
     }
-    assert!(d.check_invariants());
-    let mut fresh = d.clone();
-    fresh.recompute_edge_counts(&g);
-    for r in 0..d.internal_count() as u32 {
-        assert_eq!(d.edges_at(r), fresh.edges_at(r), "internal node {r}");
-    }
-    let sum: u64 = (0..d.internal_count() as u32).map(|r| d.edges_at(r)).sum();
-    assert_eq!(sum, g.edge_count() as u64);
+    assert!(single_leaf_pairs > 0, "no checked pair had a single-leaf side");
 }
 
 #[test]
