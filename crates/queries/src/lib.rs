@@ -38,7 +38,10 @@ use rand::Rng;
 /// How the path queries (Q7–Q9) traverse the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathMode {
-    /// BFS from every node — exact, `O(n · m)`.
+    /// BFS from every node — exact. The sweep advances 128 sources per
+    /// bit-parallel traversal ([`path`]), so the cost is `O(n · m)` edge
+    /// reads only on graphs whose diameter reaches 128; on small-world
+    /// graphs it is about `diameter / 128` of that.
     Exact,
     /// BFS from a uniform sample of sources — the estimator the harness
     /// uses on graphs above ~10⁴ nodes (§"Substitutions" of DESIGN.md).

@@ -1,27 +1,41 @@
 //! Path-condition queries: diameter (Q7), average shortest path (Q8), and
 //! the distance distribution (Q9), computed in one BFS sweep.
 //!
-//! The sweep is parallel over sources: the source list is sampled first
-//! (same caller-RNG draws as the sequential reference — the BFS itself is
-//! deterministic, so no per-source randomness exists to derive), then
-//! chunks of sources each run their BFS into a chunk-local accumulator and
-//! the distance histograms merge **in source order**. Every merged
-//! quantity is an exact integer (`u64` histogram cells, `u128` distance
-//! total, `u32` max), so [`path_stats`] is bit-identical to
-//! [`path_stats_seq`] at any [`pgb_par::current_parallelism`] budget; the
-//! two ratios (`average_length`, the normalised distribution) are computed
-//! once from the merged integers.
+//! The sweep is a bit-parallel multi-source BFS (MS-BFS; Then et al., "The
+//! More the Merrier", PVLDB 8(4), 2014). Sources are taken in batches of
+//! `LANES` = 128, and bit `i` of a lane word stands for the batch's `i`-th
+//! source, so one pass over a level's frontier advances every BFS of the
+//! batch at once:
+//!
+//! * `seen[v]` — the sources that have reached `v`;
+//! * the frontier list pairs each node `u` of level `d` with its `visit`
+//!   word, the sources that first reached `u` at level `d`;
+//! * `next[v]` — the sources that first reach `v` at level `d + 1`.
+//!
+//! The frontier list keeps each level's work proportional to the nodes
+//! that carry frontier bits, and level `d` adds the popcount of its newly
+//! seen bits to `hist[d]`. The histogram is the sweep's only result: the
+//! pair count, the distance total and the diameter all derive from it.
+//!
+//! The source list is sampled first (the BFS itself is deterministic, so
+//! no per-source randomness exists), and batches are the chunks of one
+//! [`pgb_par::par_fold_chunks`] call, their histograms merged in source
+//! order. Every merged quantity is an exact integer, so [`path_stats`] is
+//! bit-identical at any [`pgb_par::current_parallelism`] budget; the two
+//! ratios (`average_length`, the normalised distribution) are computed
+//! once from the merged histogram. A batch's `seen` and `next` arrays
+//! (`2 · n` lane words) live only while the batch runs: the accumulator
+//! parked for the merge is the histogram alone.
 
 use crate::PathMode;
-use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
 use pgb_graph::Graph;
 use rand::Rng;
 
-/// Sources per chunk for the parallel sweep: one BFS is already `O(n + m)`
-/// work, so small chunks load-balance without measurable handoff cost,
-/// while each chunk still amortises its distance-buffer allocation over
-/// several sources.
-const SOURCE_CHUNK: usize = 8;
+/// A node's lane word: bit `i` belongs to the `i`-th source of a batch.
+type Lanes = u128;
+
+/// Sources per MS-BFS batch, and so per `par_fold_chunks` chunk.
+const LANES: usize = Lanes::BITS as usize;
 
 /// The three path statistics, bundled because they share the BFS sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,7 +52,11 @@ pub struct PathStats {
 
 /// Computes the path statistics of `g`.
 ///
-/// * [`PathMode::Exact`] sweeps every source: exact values in `O(n·m)`.
+/// * [`PathMode::Exact`] sweeps every source: exact values from `n /
+///   LANES` batches, each reading a node's edges once per level at which
+///   some source of the batch first reaches it — `O(m · min(LANES,
+///   diameter))` word operations per batch, against `O(LANES · m)` for
+///   one BFS per source.
 /// * [`PathMode::Sampled`] sweeps a uniform source sample: each BFS still
 ///   reaches all nodes, so the estimators are unbiased for the average and
 ///   the distribution, and the diameter is a lower bound (the standard
@@ -49,97 +67,72 @@ pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> Pa
         return PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
     }
     let sources = sample_sources(n, mode, rng);
-
-    /// Chunk-local sweep state; `dist` is the reusable BFS scratch buffer
-    /// (merges ignore it).
-    struct Sweep {
-        hist: Vec<u64>,
-        total: u128,
-        pairs: u64,
-        diameter: u32,
-        dist: Vec<u32>,
-    }
-    let merged = pgb_par::par_fold_chunks(
+    let hist = pgb_par::par_fold_chunks(
         sources.len(),
-        SOURCE_CHUNK,
-        || Sweep { hist: Vec::new(), total: 0, pairs: 0, diameter: 0, dist: Vec::new() },
-        |acc, range| {
-            for si in range {
-                let s = sources[si];
-                bfs_distances_into(g, s, &mut acc.dist);
-                for (v, &d) in acc.dist.iter().enumerate() {
-                    if d == UNREACHABLE || d == 0 || v as u32 == s {
-                        continue;
-                    }
-                    if d as usize >= acc.hist.len() {
-                        acc.hist.resize(d as usize + 1, 0);
-                    }
-                    acc.hist[d as usize] += 1;
-                    acc.total += d as u128;
-                    acc.pairs += 1;
-                    acc.diameter = acc.diameter.max(d);
-                }
+        LANES,
+        Vec::new,
+        |hist, range| add_batch(g, &sources[range], hist),
+        |hist, other| {
+            if other.len() > hist.len() {
+                hist.resize(other.len(), 0);
             }
-            // Drop the n-length scratch before the accumulator is parked
-            // for the chunk-order merge: an Exact-mode sweep has n/8
-            // chunks, and keeping every chunk's buffer alive until the
-            // merge barrier would cost O(n²/8) transient memory. The
-            // inline (1-thread) path re-allocates once per chunk instead
-            // of never — noise next to the chunk's 8 BFS traversals.
-            acc.dist = Vec::new();
-        },
-        |acc, other| {
-            if other.hist.len() > acc.hist.len() {
-                acc.hist.resize(other.hist.len(), 0);
-            }
-            for (h, o) in acc.hist.iter_mut().zip(other.hist) {
+            for (h, o) in hist.iter_mut().zip(other) {
                 *h += o;
             }
-            acc.total += other.total;
-            acc.pairs += other.pairs;
-            acc.diameter = acc.diameter.max(other.diameter);
         },
     );
-    finalize(merged.hist, merged.total, merged.pairs, merged.diameter)
+    finalize(&hist)
 }
 
-/// The sequential reference implementation of [`path_stats`]: one
-/// left-to-right sweep reusing a single distance buffer. Consumes the same
-/// RNG draws and returns the same bits as the parallel sweep at any thread
-/// budget; kept public for the parallel-equivalence property tests and the
-/// `suite_scaling` bench.
-pub fn path_stats_seq<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> PathStats {
+/// Runs one MS-BFS from `batch` (at most [`LANES`] distinct sources) and
+/// adds to `hist[d]`, for every level `d ≥ 1`, the number of (source,
+/// node) pairs at distance `d`.
+fn add_batch(g: &Graph, batch: &[u32], hist: &mut Vec<u64>) {
+    debug_assert!(batch.len() <= LANES);
     let n = g.node_count();
-    if n == 0 {
-        return PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
+    let mut seen: Vec<Lanes> = vec![0; n];
+    let mut next: Vec<Lanes> = vec![0; n];
+    let mut frontier: Vec<(u32, Lanes)> = Vec::with_capacity(batch.len());
+    for (lane, &s) in batch.iter().enumerate() {
+        seen[s as usize] = 1 << lane;
+        frontier.push((s, 1 << lane));
     }
-    let sources = sample_sources(n, mode, rng);
-    let mut hist: Vec<u64> = Vec::new();
-    let mut dist_buf = Vec::new();
-    let mut total: u128 = 0;
-    let mut pairs: u64 = 0;
-    let mut diameter: u32 = 0;
-    for &s in &sources {
-        bfs_distances_into(g, s, &mut dist_buf);
-        for (v, &d) in dist_buf.iter().enumerate() {
-            if d == UNREACHABLE || d == 0 || v as u32 == s {
-                continue;
+    let mut reached: Vec<u32> = Vec::new();
+    let mut d = 0;
+    loop {
+        d += 1;
+        for &(u, bits) in &frontier {
+            for &v in g.neighbors(u) {
+                let new = bits & !seen[v as usize];
+                if new != 0 {
+                    if next[v as usize] == 0 {
+                        reached.push(v);
+                    }
+                    next[v as usize] |= new;
+                }
             }
-            if d as usize >= hist.len() {
-                hist.resize(d as usize + 1, 0);
-            }
-            hist[d as usize] += 1;
-            total += d as u128;
-            pairs += 1;
-            diameter = diameter.max(d);
         }
+        if reached.is_empty() {
+            break;
+        }
+        frontier.clear();
+        let mut count = 0;
+        for &v in &reached {
+            let new = std::mem::take(&mut next[v as usize]);
+            seen[v as usize] |= new;
+            frontier.push((v, new));
+            count += u64::from(new.count_ones());
+        }
+        reached.clear();
+        if hist.len() <= d {
+            hist.resize(d + 1, 0);
+        }
+        hist[d] += count;
     }
-    finalize(hist, total, pairs, diameter)
 }
 
 /// The BFS source list for `mode` — all nodes, or a uniform sample without
-/// replacement (partial Fisher–Yates) drawn from `rng`. Shared by the
-/// parallel and sequential sweeps so both consume identical draws.
+/// replacement (partial Fisher–Yates) drawn from `rng`.
 fn sample_sources<R: Rng + ?Sized>(n: usize, mode: PathMode, rng: &mut R) -> Vec<u32> {
     match mode {
         PathMode::Exact => (0..n as u32).collect(),
@@ -156,15 +149,18 @@ fn sample_sources<R: Rng + ?Sized>(n: usize, mode: PathMode, rng: &mut R) -> Vec
     }
 }
 
-/// Turns the merged integer sweep state into the reported statistics.
-fn finalize(hist: Vec<u64>, total: u128, pairs: u64, diameter: u32) -> PathStats {
-    let average_length = if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 };
-    let distance_distribution = if pairs == 0 {
-        vec![0.0]
-    } else {
-        hist.iter().map(|&c| c as f64 / pairs as f64).collect()
-    };
-    PathStats { diameter, average_length, distance_distribution }
+/// Turns the merged distance histogram into the reported statistics.
+fn finalize(hist: &[u64]) -> PathStats {
+    let pairs: u64 = hist.iter().sum();
+    if pairs == 0 {
+        return PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
+    }
+    let total: u128 = hist.iter().enumerate().map(|(d, &c)| d as u128 * c as u128).sum();
+    PathStats {
+        diameter: hist.len() as u32 - 1,
+        average_length: total as f64 / pairs as f64,
+        distance_distribution: hist.iter().map(|&c| c as f64 / pairs as f64).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -245,17 +241,6 @@ mod tests {
         );
         assert!(sam.diameter <= ex.diameter);
         assert!(sam.diameter + 1 >= ex.diameter, "sampled diameter too small");
-    }
-
-    #[test]
-    fn parallel_sweep_matches_seq_reference() {
-        let mut rng = StdRng::seed_from_u64(313);
-        let g = pgb_models::erdos_renyi_gnp(150, 0.04, &mut rng);
-        for mode in [PathMode::Exact, PathMode::Sampled { sources: 17 }] {
-            let par = path_stats(&g, mode, &mut StdRng::seed_from_u64(9));
-            let seq = path_stats_seq(&g, mode, &mut StdRng::seed_from_u64(9));
-            assert_eq!(par, seq, "{mode:?}");
-        }
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! machine), and 0 (reset to the ambient available-parallelism default).
 //! This is the evaluation-side mirror of `pgb-core`'s generator
 //! thread-invariance suite.
+//!
+//! The path sweep's reference is [`path_stats_oracle`] below, one plain
+//! BFS per source; its output bytes on a fixed set of graphs are also
+//! pinned as digests, so a change to the sweep cannot move Q7–Q9 unseen.
 
 use pgb_graph::degree::{degree_histogram, degree_histogram_seq};
+use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
 use pgb_graph::Graph;
 use pgb_par::with_parallelism;
 use pgb_queries::counting::{self, triangle_count, triangles_per_node, wedge_count};
-use pgb_queries::path::{path_stats, path_stats_seq};
+use pgb_queries::path::{path_stats, PathStats};
 use pgb_queries::{ApproxConfig, EvalMode, PathMode, Query, QueryParams, QuerySuite, QueryValue};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,14 +69,16 @@ proptest! {
 
     #[test]
     fn bfs_sweep_matches_seq_at_all_budgets(
-        n in 2usize..100,
+        n in 2usize..300,
         p in 0u64..120,
         seed in 0u64..1 << 32,
-        sources in 1usize..24,
+        sources in 1usize..300,
     ) {
+        // n and the sample size both range across several 64- and
+        // 128-source batches.
         let g = random_graph(n, p, seed);
         for mode in [PathMode::Exact, PathMode::Sampled { sources }] {
-            let reference = path_stats_seq(&g, mode, &mut StdRng::seed_from_u64(seed));
+            let reference = path_stats_oracle(&g, mode, &mut StdRng::seed_from_u64(seed));
             for threads in BUDGETS {
                 let stats = with_parallelism(threads, || {
                     path_stats(&g, mode, &mut StdRng::seed_from_u64(seed))
@@ -161,6 +168,217 @@ proptest! {
             prop_assert_eq!(got.1, reference.1, "caller RNG position, threads = {}", threads);
         }
     }
+}
+
+/// The reference for [`path_stats`]: one queue BFS per source into a
+/// reused distance buffer, histogramming every finite non-zero distance.
+/// Sources are drawn exactly as the sweep draws them (all nodes, or a
+/// partial Fisher–Yates sample of `k` ids), so both consume the same RNG
+/// draws.
+fn path_stats_oracle(g: &Graph, mode: PathMode, rng: &mut StdRng) -> PathStats {
+    let n = g.node_count();
+    let empty = PathStats { diameter: 0, average_length: 0.0, distance_distribution: vec![0.0] };
+    if n == 0 {
+        return empty;
+    }
+    let mut sources: Vec<u32> = (0..n as u32).collect();
+    if let PathMode::Sampled { sources: k } = mode {
+        let k = k.clamp(1, n);
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            sources.swap(i, j);
+        }
+        sources.truncate(k);
+    }
+    let mut hist: Vec<u64> = Vec::new();
+    let mut dist = Vec::new();
+    for &s in &sources {
+        bfs_distances_into(g, s, &mut dist);
+        for &d in &dist {
+            if d == UNREACHABLE || d == 0 {
+                continue;
+            }
+            if d as usize >= hist.len() {
+                hist.resize(d as usize + 1, 0);
+            }
+            hist[d as usize] += 1;
+        }
+    }
+    let pairs: u64 = hist.iter().sum();
+    if pairs == 0 {
+        return empty;
+    }
+    let total: u128 = hist.iter().enumerate().map(|(d, &c)| d as u128 * c as u128).sum();
+    PathStats {
+        diameter: hist.len() as u32 - 1,
+        average_length: total as f64 / pairs as f64,
+        distance_distribution: hist.iter().map(|&c| c as f64 / pairs as f64).collect(),
+    }
+}
+
+/// Asserts the sweep equals [`path_stats_oracle`] on `g` in `mode`, at
+/// every budget, including the caller RNG position afterwards.
+fn assert_sweep_matches_oracle(g: &Graph, mode: PathMode, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let reference = (path_stats_oracle(g, mode, &mut rng), rng.gen::<u64>());
+    for threads in BUDGETS {
+        let got = with_parallelism(threads, || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (path_stats(g, mode, &mut rng), rng.gen::<u64>())
+        });
+        assert_eq!(got, reference, "n = {}, {mode:?}, threads = {threads}", g.node_count());
+    }
+}
+
+/// A path on `n` nodes (diameter `n - 1`).
+fn path_graph(n: usize) -> Graph {
+    pgb_models::grid_graph(1, n)
+}
+
+#[test]
+fn sweep_matches_oracle_across_lane_boundaries() {
+    // Source counts on either side of 64, 128 and 256 (one and two
+    // batches of 64 or 128 lanes), both as Exact sweeps over exactly that
+    // many nodes and as sampled sweeps over a larger graph.
+    let mut rng = StdRng::seed_from_u64(313);
+    let big = pgb_models::erdos_renyi_gnp(400, 0.01, &mut rng);
+    for k in [63usize, 64, 65, 127, 128, 129, 255, 256, 257] {
+        let g = pgb_models::erdos_renyi_gnp(k, 0.04, &mut rng);
+        assert_sweep_matches_oracle(&g, PathMode::Exact, k as u64);
+        assert_sweep_matches_oracle(&big, PathMode::Sampled { sources: k }, k as u64);
+    }
+    let g = pgb_models::erdos_renyi_gnp(150, 0.04, &mut rng);
+    for mode in [PathMode::Exact, PathMode::Sampled { sources: 17 }] {
+        assert_sweep_matches_oracle(&g, mode, 9);
+    }
+}
+
+#[test]
+fn sweep_matches_oracle_when_diameter_exceeds_lanes() {
+    // Levels outnumber the lanes of a batch, so the sweep runs many more
+    // levels than it has sources in flight.
+    for n in [129usize, 300] {
+        let g = path_graph(n);
+        assert_sweep_matches_oracle(&g, PathMode::Exact, 1);
+        assert_sweep_matches_oracle(&g, PathMode::Sampled { sources: 3 }, 2);
+    }
+    let ring = Graph::from_edges(257, (0..257u32).map(|u| (u, (u + 1) % 257))).unwrap();
+    assert_sweep_matches_oracle(&ring, PathMode::Exact, 3);
+}
+
+#[test]
+fn sweep_matches_oracle_on_graphs_smaller_than_a_batch() {
+    for n in [1usize, 2, 5, 31] {
+        let g = path_graph(n);
+        assert_sweep_matches_oracle(&g, PathMode::Exact, 4);
+        assert_sweep_matches_oracle(&g, PathMode::Sampled { sources: 64 }, 5);
+    }
+    let star = Graph::from_edges(9, (1..9u32).map(|v| (0, v))).unwrap();
+    assert_sweep_matches_oracle(&star, PathMode::Exact, 6);
+    assert_sweep_matches_oracle(&Graph::new(7), PathMode::Exact, 7);
+}
+
+/// 64-bit FNV-1a, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Digest of the three path statistics' bits plus the caller RNG's next
+/// draw (which pins how many draws source sampling consumed).
+fn path_digest(s: &PathStats, next_draw: u64) -> u64 {
+    let mut h = fnv1a(0xCBF2_9CE4_8422_2325, &s.diameter.to_le_bytes());
+    h = fnv1a(h, &s.average_length.to_bits().to_le_bytes());
+    for p in &s.distance_distribution {
+        h = fnv1a(h, &p.to_bits().to_le_bytes());
+    }
+    fnv1a(h, &next_draw.to_le_bytes())
+}
+
+/// The graphs whose Q7–Q9 bytes are pinned: a BA graph, a sparse ER graph
+/// (several components), a 300-node path, and a disjoint union of
+/// isolated nodes, a BA graph and a path.
+fn pinned_graphs() -> [(&'static str, Graph); 4] {
+    let ba = pgb_models::barabasi_albert(400, 3, &mut StdRng::seed_from_u64(1));
+    let er = pgb_models::erdos_renyi_gnp(300, 0.008, &mut StdRng::seed_from_u64(2));
+    let small_ba = pgb_models::barabasi_albert(120, 2, &mut StdRng::seed_from_u64(3));
+    // Nodes 0..15 are isolated, 15..135 the BA graph, 135..185 a path.
+    let mut edges: Vec<(u32, u32)> = small_ba.edges().map(|(u, v)| (u + 15, v + 15)).collect();
+    edges.extend((135..184u32).map(|u| (u, u + 1)));
+    let union = Graph::from_edges(185, edges).unwrap();
+    [("ba400", ba), ("er300", er), ("path300", path_graph(300)), ("union185", union)]
+}
+
+const PINNED_MODES: [PathMode; 5] = [
+    PathMode::Exact,
+    PathMode::Sampled { sources: 1 },
+    PathMode::Sampled { sources: 64 },
+    PathMode::Sampled { sources: 65 },
+    PathMode::Sampled { sources: 200 },
+];
+
+/// Digests of [`path_stats`] on [`pinned_graphs`] × [`PINNED_MODES`],
+/// taken from the per-source sweep this crate shipped before the
+/// bit-parallel one; they must never move.
+const PINNED_DIGESTS: [[u64; 5]; 4] = [
+    [
+        0xeb8b15985bad7452,
+        0x1c93d2d1c9e8b6f5,
+        0x2c9c58699f856f7e,
+        0x1328a9d239f24d34,
+        0x4862e3b87a44d9c5,
+    ],
+    [
+        0xd3903712610603e2,
+        0xf888470313d7cca1,
+        0x10b96860c31befbf,
+        0xdbed1a51c826d086,
+        0xaafd3d6702d60543,
+    ],
+    [
+        0x3adb0089bc03ac6c,
+        0x4d0957465ed2f761,
+        0xca0a761954d774ab,
+        0x52b45f0129911022,
+        0x48daacdc23fdf1d8,
+    ],
+    [
+        0x388a81b9a97f9d60,
+        0x20e0a73f318ad4e0,
+        0xe7d49f4102d459ef,
+        0xd275f6e0c29f4057,
+        0xd34e4e25ba826b93,
+    ],
+];
+
+#[test]
+fn path_stats_bytes_are_pinned() {
+    let mut got = Vec::new();
+    for (name, g) in pinned_graphs() {
+        for mode in PINNED_MODES {
+            for threads in BUDGETS {
+                let d = with_parallelism(threads, || {
+                    let mut rng = StdRng::seed_from_u64(2408);
+                    let s = path_stats(&g, mode, &mut rng);
+                    path_digest(&s, rng.gen::<u64>())
+                });
+                got.push((name, mode, threads, d));
+            }
+        }
+    }
+    let want = PINNED_DIGESTS.iter().flatten().flat_map(|&d| [d; BUDGETS.len()]);
+    let moved: Vec<String> = got
+        .into_iter()
+        .zip(want)
+        .filter(|(got, want)| got.3 != *want)
+        .map(|((name, mode, threads, got), want)| {
+            format!("{name} {mode:?} threads = {threads}: {got:#018x} (pinned {want:#018x})")
+        })
+        .collect();
+    assert!(moved.is_empty(), "Q7-Q9 bytes moved:\n{}", moved.join("\n"));
 }
 
 /// Pulls the scalar value of `q` out of a full-suite result vector.
