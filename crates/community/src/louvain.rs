@@ -9,10 +9,10 @@
 //!
 //! The init and aggregation scans run on the ambient
 //! [`pgb_par::current_parallelism`] budget: lifting the input graph
-//! ([`WeightedGraph::from_graph`]), the per-level weighted-degree vector
-//! (a per-node map, below), and the community coarsening
-//! ([`WeightedGraph::aggregate`]) — all bit-identical at any thread
-//! count. The **local-moving sweep itself stays sequential by design**:
+//! ([`WeightedGraph::from_graph`]), the per-level weighted-degree vector,
+//! and the community coarsening ([`WeightedGraph::aggregate`]) — all
+//! bit-identical at any thread count. The **local-moving sweep itself
+//! stays sequential by design**:
 //! each move reads the community totals left by every previous move, so a
 //! deterministic parallel variant would need a fundamentally different
 //! algorithm (graph colouring or delta-screening with a fixed merge
@@ -42,7 +42,7 @@ impl Default for LouvainParams {
 /// Runs Louvain on an unweighted graph; returns the partition of the
 /// original nodes.
 pub fn louvain<R: Rng + ?Sized>(g: &Graph, params: &LouvainParams, rng: &mut R) -> Partition {
-    louvain_weighted(&WeightedGraph::from_graph(g), params, rng)
+    louvain_levels(WeightedGraph::from_graph(g), params, rng)
 }
 
 /// Runs Louvain on a weighted graph; returns the partition of the original
@@ -52,14 +52,22 @@ pub fn louvain_weighted<R: Rng + ?Sized>(
     params: &LouvainParams,
     rng: &mut R,
 ) -> Partition {
-    let n = g.node_count();
+    louvain_levels(g.clone(), params, rng)
+}
+
+/// The level loop, starting from the level-0 graph `current`.
+fn louvain_levels<R: Rng + ?Sized>(
+    mut current: WeightedGraph,
+    params: &LouvainParams,
+    rng: &mut R,
+) -> Partition {
+    let n = current.node_count();
     if n == 0 {
         return Partition::from_labels(Vec::new());
     }
     // node → community at the *current* level, starting as identity; the
     // mapping chain is composed across levels.
     let mut mapping: Vec<u32> = (0..n as u32).collect();
-    let mut current = g.clone();
     for _level in 0..params.max_levels {
         let (labels, improved) = local_moving(&current, params, rng);
         if !improved {
@@ -94,8 +102,8 @@ fn local_moving<R: Rng + ?Sized>(
     if two_m <= 0.0 {
         return (labels, false);
     }
-    // Per-node map: each entry sums its own adjacency list, so the chunked
-    // scan is bit-identical to the sequential one at any thread budget.
+    // Each entry sums its own adjacency list, so the chunked scan is
+    // bit-identical to the sequential one at any thread budget.
     let degree: Vec<f64> = pgb_par::par_map_chunks(n, 16_384, |range, out| {
         for u in range {
             out.push(g.weighted_degree(u as u32));
@@ -109,29 +117,37 @@ fn local_moving<R: Rng + ?Sized>(
         order.swap(i, j);
     }
     let mut improved_any = false;
-    // Scratch: weight from the moving node to each neighbouring community.
-    let mut to_comm: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Scratch for the whole level: the weight from the moving node to each
+    // community, and the communities it touched in first-touch order. Edge
+    // weights are strictly positive, so a zero slot is an untouched one.
+    let mut weight_to: Vec<f64> = vec![0.0; n];
+    let mut touched: Vec<u32> = Vec::new();
     for _sweep in 0..params.max_sweeps {
         let mut gain_this_sweep = 0.0;
         for &u in &order {
             let cu = labels[u as usize];
-            to_comm.clear();
+            for c in touched.drain(..) {
+                weight_to[c as usize] = 0.0;
+            }
             for &(v, w) in g.neighbors(u) {
-                *to_comm.entry(labels[v as usize]).or_insert(0.0) += w;
+                let c = labels[v as usize];
+                if weight_to[c as usize] == 0.0 {
+                    touched.push(c);
+                }
+                weight_to[c as usize] += w;
             }
             let ku = degree[u as usize];
             comm_total[cu as usize] -= ku;
-            let base =
-                to_comm.get(&cu).copied().unwrap_or(0.0) - ku * comm_total[cu as usize] / two_m;
+            let base = weight_to[cu as usize] - ku * comm_total[cu as usize] / two_m;
             let (mut best_comm, mut best_gain) = (cu, 0.0f64);
-            for (&c, &w_uc) in &to_comm {
+            for &c in &touched {
                 if c == cu {
                     continue;
                 }
-                // ΔQ of moving u into c (constant factors dropped). Ties
-                // break towards the smaller community id so the result is
-                // independent of HashMap iteration order.
-                let gain = w_uc - ku * comm_total[c as usize] / two_m - base;
+                // ΔQ of moving u into c (constant factors dropped).
+                // Candidates come in first-touch order; ties break towards
+                // the smaller community id.
+                let gain = weight_to[c as usize] - ku * comm_total[c as usize] / two_m - base;
                 if gain > best_gain + 1e-12
                     || (gain > best_gain - 1e-12 && best_comm != cu && c < best_comm)
                 {

@@ -15,7 +15,9 @@ use pgb_graph::{Graph, NodeId};
 const NODE_CHUNK: usize = 16_384;
 
 /// An undirected graph with `f64` edge weights and per-node self-loop
-//  weights (self-loops arise from community aggregation).
+/// weights (self-loops arise from community aggregation). Every stored
+/// edge weight is strictly positive (`add_edge` drops zeros); Louvain's
+/// local moving relies on this to mark untouched communities with 0.
 #[derive(Clone, Debug)]
 pub struct WeightedGraph {
     adj: Vec<Vec<(NodeId, f64)>>,
@@ -121,7 +123,9 @@ impl WeightedGraph {
     /// 2. **Row folding** — community chunks fold their buckets into the
     ///    weighted rows: neighbour entries keep first-occurrence order
     ///    and accumulate in contribution order, exactly like repeated
-    ///    `add_edge` calls.
+    ///    `add_edge` calls. Each chunk finds a neighbour's entry through a
+    ///    dense `k`-slot position index rather than a scan of the row,
+    ///    and clears only the slots its row set.
     ///
     /// The total weight is re-accumulated by one sequential pass over the
     /// input in ascending-node order — the *chronological* order the old
@@ -161,6 +165,9 @@ impl WeightedGraph {
         );
         let rows: Vec<(Vec<(NodeId, f64)>, f64)> =
             pgb_par::par_map_chunks(k, NODE_CHUNK, |range, out| {
+                // `pos[c2]` is c2's index in the row being folded, u32::MAX
+                // when absent; reset from the row after each community.
+                let mut pos = vec![u32::MAX; k];
                 for c in range {
                     let c = c as u32;
                     let mut list: Vec<(NodeId, f64)> = Vec::new();
@@ -168,11 +175,18 @@ impl WeightedGraph {
                     for &(c2, w) in &buckets[c as usize] {
                         if c2 == c {
                             self_w += w;
-                        } else if let Some(entry) = list.iter_mut().find(|(x, _)| *x == c2) {
-                            entry.1 += w;
-                        } else {
-                            list.push((c2, w));
+                            continue;
                         }
+                        let slot = &mut pos[c2 as usize];
+                        if *slot == u32::MAX {
+                            *slot = list.len() as u32;
+                            list.push((c2, w));
+                        } else {
+                            list[*slot as usize].1 += w;
+                        }
+                    }
+                    for &(c2, _) in &list {
+                        pos[c2 as usize] = u32::MAX;
                     }
                     out.push((list, self_w));
                 }
@@ -254,6 +268,26 @@ mod tests {
         assert_eq!(agg.self_loop(1), 1.0);
         // Inter: {1,2} and {3,0} → edge weight 2.
         assert_eq!(agg.neighbors(0), &[(1, 2.0)]);
+        assert_eq!(agg.total_weight(), w.total_weight());
+    }
+
+    #[test]
+    fn aggregate_rows_keep_first_occurrence_order() {
+        // Community 0 meets community 2 before community 1, and meets each
+        // of them twice: its row must list 2 first, with both weights
+        // summed into the one entry.
+        let mut w = WeightedGraph::new(6);
+        for (u, v, weight) in
+            [(0, 4, 1.0), (0, 2, 0.5), (1, 5, 0.25), (1, 3, 2.0), (3, 4, 0.125), (0, 1, 4.0)]
+        {
+            w.add_edge(u, v, weight);
+        }
+        let agg = w.aggregate(&[0, 0, 1, 1, 2, 2], 3);
+        assert_eq!(agg.neighbors(0), &[(2, 1.25), (1, 2.5)]);
+        assert_eq!(agg.neighbors(1), &[(0, 2.5), (2, 0.125)]);
+        assert_eq!(agg.neighbors(2), &[(0, 1.25), (1, 0.125)]);
+        assert_eq!(agg.self_loop(0), 4.0);
+        assert_eq!(agg.self_loop(1), 0.0);
         assert_eq!(agg.total_weight(), w.total_weight());
     }
 

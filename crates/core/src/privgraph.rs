@@ -251,7 +251,10 @@ impl GraphGenerator for PrivGraph {
         if let Some(eps2) = eps2 {
             let rounds = self.refine_rounds;
             let per_node_eps = eps2 / (2.0 * rounds as f64);
-            let mut scores: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+            // Each node's edge count into every community it touches, and
+            // those communities; a zero score is an untouched community.
+            let mut scores: Vec<f64> = vec![0.0; n];
+            let mut touched: Vec<u32> = Vec::new();
             let mut sparse: Vec<(usize, f64)> = Vec::new();
             for _ in 0..rounds {
                 let mut comm = Partition::from_labels(labels.clone());
@@ -264,13 +267,20 @@ impl GraphGenerator for PrivGraph {
                 // fresh labels) converge in far fewer rounds than
                 // synchronous sweeps and avoid label oscillation.
                 for u in 0..n as u32 {
-                    scores.clear();
                     for &v in graph.neighbors(u) {
-                        *scores.entry(labels[v as usize]).or_insert(0.0) += 1.0;
+                        let c = labels[v as usize];
+                        if scores[c as usize] == 0.0 {
+                            touched.push(c);
+                        }
+                        scores[c as usize] += 1.0;
                     }
+                    touched.sort_unstable(); // determinism
                     sparse.clear();
-                    sparse.extend(scores.iter().map(|(&c, &s)| (c as usize, s)));
-                    sparse.sort_unstable_by_key(|a| a.0); // determinism
+                    sparse.extend(
+                        touched
+                            .drain(..)
+                            .map(|c| (c as usize, std::mem::take(&mut scores[c as usize]))),
+                    );
                     let choice = exponential_mechanism_sparse(&sparse, k, 1.0, per_node_eps, rng);
                     labels[u as usize] = choice as u32;
                 }

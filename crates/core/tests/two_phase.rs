@@ -13,7 +13,7 @@
 //!   offending bit pattern, and `sample` cannot fail — on any graph the
 //!   intermediate was measured from, including degenerate ones.
 
-use pgb_core::{standard_suite, Der, GenerateError, GraphGenerator, PrivHrg};
+use pgb_core::{standard_suite, Der, GenerateError, GraphGenerator, PrivGraph, PrivHrg};
 use pgb_graph::Graph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -215,6 +215,31 @@ fn privhrg_output_bytes_are_pinned() {
         let m = PrivHrg::default().measure(&g, epsilon, &mut rng).unwrap();
         let digest = csr_digest(&m.sample(&mut rng));
         assert_eq!(digest, pinned, "PrivHRG at ε={epsilon}: digest {digest:#018x}");
+    }
+}
+
+#[test]
+fn privgraph_output_bytes_are_pinned() {
+    // PrivGraph's measure → sample path end to end: the noisy super-graph,
+    // its weighted Louvain, the exponential-mechanism adjustment round and
+    // the Chung–Lu reconstruction. A small and a mid-sized BA graph, two
+    // budgets each.
+    let graphs = [
+        pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024)),
+        pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025)),
+    ];
+    let pinned = [
+        [(0.5, 0xdd97_620f_4cea_bd00), (2.0, 0xf718_cd6b_006c_00b9)],
+        [(0.5, 0xbfea_8427_1e75_e03b), (2.0, 0x39a3_7be6_b407_1c84)],
+    ];
+    for (g, runs) in graphs.iter().zip(pinned) {
+        for (epsilon, pinned) in runs {
+            let mut rng = StdRng::seed_from_u64(7);
+            let m = PrivGraph::default().measure(g, epsilon, &mut rng).unwrap();
+            let digest = csr_digest(&m.sample(&mut rng));
+            let n = g.node_count();
+            assert_eq!(digest, pinned, "PrivGraph on n={n} at ε={epsilon}: digest {digest:#018x}");
+        }
     }
 }
 
