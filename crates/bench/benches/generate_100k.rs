@@ -1,6 +1,6 @@
 //! Intra-cell parallelism speedup on generation-phase-dominated workloads
 //! (the paper's Table IX cost profile): the TmF-class generators on a
-//! 10⁵-node graph, swept over `pgb_core::par` thread budgets.
+//! 10⁵-node graph, swept over `pgb_par` thread budgets.
 //!
 //! Run with `cargo bench --bench generate_100k`. Output is byte-identical
 //! across the thread sweep (the derived-stream chunking discipline); the
@@ -12,7 +12,7 @@
 //! in the paper's cost discussion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pgb_core::{par, Der, GraphGenerator, PrivGraph, PrivSkg, TmF};
+use pgb_core::{Der, GraphGenerator, PrivGraph, PrivSkg, TmF};
 use pgb_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +27,7 @@ fn sweep(group: &mut criterion::BenchmarkGroup<'_>, algo: &dyn GraphGenerator, g
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    par::with_parallelism(threads, || {
+                    pgb_par::with_parallelism(threads, || {
                         let mut rng = StdRng::seed_from_u64(1);
                         algo.generate(g, 2.0, &mut rng).expect("valid inputs")
                     })

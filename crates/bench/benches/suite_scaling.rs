@@ -13,18 +13,6 @@
 //! * `suite_scaling` — the full 15-query suite on a 10⁵-node
 //!   Barabási–Albert graph (sampled BFS, the harness' mode at this scale)
 //!   at thread budgets {1, 2, 8}.
-//! * `suite_seq_overhead` — the triangle and degree-histogram passes at a
-//!   1-thread budget vs their pre-refactor sequential references
-//!   (`counting::seq`, `degree_histogram_seq`) on the same graph. The
-//!   1-thread budget takes `par_fold_chunks`' single-accumulator inline
-//!   path, so the measured overhead must stay ≤ 5% (the PR 3/4
-//!   discipline; measured: degree histogram ≈ 1% — and the triangle
-//!   comparison also folds in the degree-ordered orientation, which *wins*
-//!   on skewed graphs: ~2.5× faster than the id-ordered reference on the
-//!   BA graph, threads or no threads). `bfs64/par1` times the 64-source
-//!   BFS sweep alone; it has no sequential twin, since the bit-parallel
-//!   sweep is a different algorithm rather than a chunked copy of one.
-//!
 //! * `suite_eval_mode` — Exact vs Approx (`EvalMode`) evaluation of the
 //!   eight sketch-backed queries (Q3, Q5–Q11) on a 10⁶-node BA graph at a
 //!   1-thread budget, the acceptance measurement for the sketch layer
@@ -44,8 +32,6 @@
 //! (`crates/queries/tests/parallel.rs`); this bench only measures time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pgb_queries::counting::{self, triangles_per_node};
-use pgb_queries::path::path_stats;
 use pgb_queries::{ApproxConfig, EvalMode, PathMode, Query, QueryParams, QuerySuite};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,35 +74,6 @@ fn bench_suite_scaling(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-}
-
-fn bench_seq_overhead(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(17);
-    let g = pgb_models::barabasi_albert(100_000, 4, &mut rng);
-    let mut group = c.benchmark_group("suite_seq_overhead");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(5));
-    group.warm_up_time(Duration::from_millis(800));
-
-    group.bench_function("triangles/seq", |b| b.iter(|| counting::seq::triangles_per_node(&g)));
-    group.bench_function("triangles/par1", |b| {
-        b.iter(|| pgb_par::with_parallelism(1, || triangles_per_node(&g)))
-    });
-
-    let mode = PathMode::Sampled { sources: 64 };
-    group.bench_function("bfs64/par1", |b| {
-        b.iter(|| {
-            pgb_par::with_parallelism(1, || path_stats(&g, mode, &mut StdRng::seed_from_u64(5)))
-        })
-    });
-
-    group.bench_function("degree_hist/seq", |b| {
-        b.iter(|| pgb_graph::degree::degree_histogram_seq(&g))
-    });
-    group.bench_function("degree_hist/par1", |b| {
-        b.iter(|| pgb_par::with_parallelism(1, || pgb_graph::degree::degree_histogram(&g)))
-    });
     group.finish();
 }
 
@@ -175,5 +132,5 @@ fn bench_eval_modes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_suite_scaling, bench_seq_overhead, bench_eval_modes);
+criterion_group!(benches, bench_suite_scaling, bench_eval_modes);
 criterion_main!(benches);

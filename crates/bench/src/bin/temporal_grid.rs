@@ -6,8 +6,8 @@
 //!
 //! `--windows N` picks the snapshot count (default 4), `--window-eps
 //! w1,…,wN` skews the per-window budget split away from even. Output is
-//! byte-identical across `--threads` and `--sched` settings; the raw CSV
-//! lands in `target/temporal_grid_raw.csv`.
+//! byte-identical across `--threads` settings; the raw CSV lands in
+//! `target/temporal_grid_raw.csv`.
 
 use pgb_bench::{benchmark_config, load_temporal_datasets, temporal_suite_for, HarnessArgs};
 use pgb_core::benchmark::run_temporal_benchmark;

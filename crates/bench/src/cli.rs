@@ -1,6 +1,6 @@
 //! Minimal argument parsing shared by the harness binaries.
 
-use pgb_core::benchmark::{MeasureReuse, Scheduler};
+use pgb_core::benchmark::MeasureReuse;
 use pgb_queries::EvalMode;
 
 /// Experiment scale presets.
@@ -31,27 +31,23 @@ impl Scale {
 pub struct HarnessArgs {
     /// Scale preset.
     pub scale: Scale,
-    /// Repetition override (None ⇒ scale default).
+    /// Repetition override (None ⇒ scale default; `--reps N`, N ≥ 1).
     pub reps: Option<usize>,
     /// Master seed.
     pub seed: u64,
     /// Worker threads (0 ⇒ available parallelism).
     pub threads: usize,
-    /// Thread scheduler (`--sched static|elastic`; elastic default). The
-    /// static split is an escape hatch / baseline — output is
-    /// byte-identical either way, only wall-clock differs.
-    pub sched: Scheduler,
     /// Measurement amortisation (`--reuse rep|cell`; rep default). Per-rep
     /// is the paper-faithful pipeline; per-cell runs the ε-consuming
     /// `measure` phase once per (dataset, algorithm, ε) cell and
     /// re-samples it each repetition — the numbers change by design, but
-    /// stay deterministic in threads and scheduler.
+    /// stay deterministic in threads.
     pub reuse: MeasureReuse,
     /// Suite evaluation mode (`--eval exact|approx`; exact default).
     /// Approx replaces the BFS sweep, the triangle pass, and the degree
     /// histogram with the sketches in `pgb_queries::approx` — the numbers
     /// change by design (each estimate carries a stated error bound), but
-    /// stay deterministic in threads and scheduler.
+    /// stay deterministic in threads.
     pub eval: EvalMode,
     /// Number of snapshot windows for the temporal harness
     /// (`--windows N`, N ≥ 1; only the temporal binaries read it).
@@ -68,7 +64,6 @@ impl Default for HarnessArgs {
             reps: None,
             seed: 0,
             threads: 0,
-            sched: Scheduler::default(),
             reuse: MeasureReuse::default(),
             eval: EvalMode::default(),
             windows: 4,
@@ -78,9 +73,9 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--scale`, `--reps`, `--seed`, `--threads`, `--sched`,
-    /// `--reuse`, `--eval`, `--windows`, `--window-eps` from an iterator
-    /// of arguments (unknown arguments error).
+    /// Parses `--scale`, `--reps`, `--seed`, `--threads`, `--reuse`,
+    /// `--eval`, `--windows`, `--window-eps` from an iterator of arguments
+    /// (unknown arguments error).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
         let mut it = args.into_iter();
@@ -97,9 +92,12 @@ impl HarnessArgs {
                     };
                 }
                 "--reps" => {
-                    out.reps = Some(
-                        value_of("--reps")?.parse().map_err(|e| format!("invalid --reps: {e}"))?,
-                    );
+                    let reps =
+                        value_of("--reps")?.parse().map_err(|e| format!("invalid --reps: {e}"))?;
+                    if reps == 0 {
+                        return Err("--reps must be at least 1".to_string());
+                    }
+                    out.reps = Some(reps);
                 }
                 "--seed" => {
                     out.seed =
@@ -109,11 +107,6 @@ impl HarnessArgs {
                     out.threads = value_of("--threads")?
                         .parse()
                         .map_err(|e| format!("invalid --threads: {e}"))?;
-                }
-                "--sched" => {
-                    out.sched = value_of("--sched")?
-                        .parse()
-                        .map_err(|e| format!("invalid --sched: {e}"))?;
                 }
                 "--reuse" => {
                     out.reuse = value_of("--reuse")?
@@ -163,8 +156,8 @@ impl HarnessArgs {
                 eprintln!("error: {e}");
                 eprintln!(
                     "usage: [--scale small|medium|paper] [--reps N] [--seed N] [--threads N] \
-                     [--sched static|elastic] [--reuse rep|cell] [--eval exact|approx] \
-                     [--windows N] [--window-eps w1,w2,...]"
+                     [--reuse rep|cell] [--eval exact|approx] [--windows N] \
+                     [--window-eps w1,w2,...]"
                 );
                 std::process::exit(2);
             }
@@ -191,7 +184,6 @@ mod tests {
         assert_eq!(a.scale, Scale::Small);
         assert_eq!(a.repetitions(), 2);
         assert_eq!(a.seed, 0);
-        assert_eq!(a.sched, Scheduler::Elastic);
         assert_eq!(a.reuse, MeasureReuse::PerRep);
     }
 
@@ -206,8 +198,6 @@ mod tests {
             "9",
             "--threads",
             "4",
-            "--sched",
-            "static",
             "--reuse",
             "cell",
         ])
@@ -216,7 +206,6 @@ mod tests {
         assert_eq!(a.repetitions(), 3); // override wins
         assert_eq!(a.seed, 9);
         assert_eq!(a.threads, 4);
-        assert_eq!(a.sched, Scheduler::Static);
         assert_eq!(a.reuse, MeasureReuse::PerCell);
     }
 
@@ -241,11 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn sched_parses_both_modes() {
-        assert_eq!(parse(&["--sched", "elastic"]).unwrap().sched, Scheduler::Elastic);
-        assert_eq!(parse(&["--sched", "static"]).unwrap().sched, Scheduler::Static);
-        assert!(parse(&["--sched", "greedy"]).is_err());
-        assert!(parse(&["--sched"]).is_err());
+    fn reps_must_be_positive() {
+        assert_eq!(parse(&["--reps", "1"]).unwrap().repetitions(), 1);
+        assert!(parse(&["--reps", "0"]).is_err());
+        assert!(parse(&["--reps", "-1"]).is_err());
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! | `run_all` | everything above (except `temporal_grid`), in sequence |
 //!
 //! Every binary accepts `--scale small|medium|paper` (default `small`),
-//! `--reps N`, `--seed N`, `--threads N`, and `--sched static|elastic`
-//! (default `elastic`; scheduling only — the emitted numbers are
-//! byte-identical between the modes). `small` runs the full
+//! `--reps N`, `--seed N` and `--threads N` (the emitted numbers are
+//! byte-identical at any thread count). `small` runs the full
 //! experiment *grid* at reduced repetitions and with sampled path queries
 //! so the whole suite finishes in minutes on a laptop; `paper` matches the
 //! paper's protocol (10 repetitions, all datasets).

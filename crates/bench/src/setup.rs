@@ -79,7 +79,6 @@ pub fn benchmark_config(args: &HarnessArgs, max_nodes: usize) -> BenchmarkConfig
         query_params: QueryParams { eval: args.eval, ..query_params_for(max_nodes) },
         seed: args.seed,
         threads: args.threads,
-        sched: args.sched,
         reuse: args.reuse,
         ..Default::default()
     }
@@ -119,14 +118,6 @@ mod tests {
         assert_eq!(c.repetitions, 2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.queries.len(), 15);
-        assert_eq!(c.sched, pgb_core::benchmark::Scheduler::Elastic);
-    }
-
-    #[test]
-    fn config_propagates_sched_escape_hatch() {
-        use pgb_core::benchmark::Scheduler;
-        let args = HarnessArgs { sched: Scheduler::Static, ..Default::default() };
-        assert_eq!(benchmark_config(&args, 100).sched, Scheduler::Static);
     }
 
     #[test]

@@ -20,8 +20,7 @@ pub mod temporal;
 pub use metric::{compute_error, metric_for, ErrorMetric};
 pub use report::TextTable;
 pub use runner::{
-    algorithm_cost_weight, run_benchmark, BenchmarkConfig, BenchmarkResults, CostModel,
-    ExperimentOutcome, MeasureReuse, Scheduler,
+    run_benchmark, BenchmarkConfig, BenchmarkResults, ExperimentOutcome, MeasureReuse,
 };
 pub use scoring::{best_counts_per_case, best_counts_per_query};
 pub use temporal::{run_temporal_benchmark, TemporalBenchmarkResults, TemporalOutcome};

@@ -7,8 +7,6 @@ use pgb_graph::Graph;
 use pgb_queries::{Query, QueryParams, QuerySuite, QueryValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Configuration of a benchmark run: the P and U of the 4-tuple plus
 /// execution knobs (M and G are passed to [`run_benchmark`] directly).
@@ -26,18 +24,12 @@ pub struct BenchmarkConfig {
     /// stream from it.
     pub seed: u64,
     /// Total thread budget (0 ⇒ available parallelism), shared between
-    /// task-level workers and intra-cell generator parallelism. How the
-    /// budget is divided over the task queue is the [`Scheduler`]'s job
-    /// (see [`BenchmarkConfig::sched`]); either way, results are
-    /// byte-identical for every value of `threads` (the derived-stream
-    /// discipline holds at both levels).
+    /// cell workers and intra-cell generator parallelism; results are
+    /// byte-identical for every value (the derived-stream discipline
+    /// holds at both levels).
     pub threads: usize,
-    /// How the thread budget follows the draining task queue — see
-    /// [`Scheduler`]. Scheduling only: both variants produce byte-identical
-    /// CSV for a fixed seed.
-    pub sched: Scheduler,
     /// How often the mechanisms' measure phase runs — see [`MeasureReuse`].
-    /// Unlike `sched`/`threads`, this knob *does* change the numbers:
+    /// Unlike `threads`, this knob *does* change the numbers:
     /// per-cell reuse correlates a cell's repetitions through one shared
     /// private intermediate.
     pub reuse: MeasureReuse,
@@ -52,7 +44,6 @@ impl Default for BenchmarkConfig {
             query_params: QueryParams::default(),
             seed: 0,
             threads: 0,
-            sched: Scheduler::default(),
             reuse: MeasureReuse::default(),
         }
     }
@@ -77,7 +68,7 @@ pub enum MeasureReuse {
     /// intermediate's noise, so per-cell averages estimate the *sampling*
     /// variance around one measurement rather than the full mechanism
     /// variance: numbers differ from [`MeasureReuse::PerRep`] by design
-    /// (they remain byte-identical across thread counts and schedulers).
+    /// (they remain byte-identical across thread counts).
     PerCell,
 }
 
@@ -99,63 +90,6 @@ impl std::str::FromStr for MeasureReuse {
             "rep" => Ok(MeasureReuse::PerRep),
             "cell" => Ok(MeasureReuse::PerCell),
             other => Err(format!("unknown reuse mode {other:?} (expected \"rep\" or \"cell\")")),
-        }
-    }
-}
-
-/// How [`run_benchmark`] divides [`BenchmarkConfig::threads`] over the
-/// grid's task queue.
-///
-/// Both schedulers honour the same derived-stream discipline (every
-/// repetition runs on `cell_rng(seed, dataset, algorithm, ε, rep)` and
-/// per-cell errors reduce in repetition order), so **output is
-/// byte-identical between the two** — the choice affects wall-clock only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Scheduler {
-    /// The pre-elastic baseline: one task per (dataset, algorithm, ε) cell
-    /// and an intra-cell budget of `threads / workers` computed **once at
-    /// spawn**. Kept as an escape hatch for comparison; on grids slightly
-    /// larger than the core count it strands the threads of finished
-    /// workers while tail cells keep their small static share.
-    Static,
-    /// The default: the grid is split into (cell, repetition-block)
-    /// sub-tasks claimed from a shared [`crate::par::BudgetLedger`], and
-    /// every claim re-computes the worker's intra-cell budget from the
-    /// *live* pool and remaining-task count — threads released by finished
-    /// workers flow to the tail of the queue. Transient oversubscription
-    /// is bounded by `threads + workers − 1`. Sub-tasks are handed out in
-    /// **cost order** (largest first) rather than grid order, so the
-    /// expensive DER/PrivHRG cells on large datasets start first and the
-    /// queue's tail is made of cheap cells. The cost key is an online
-    /// per-algorithm EWMA of observed cell times (see [`CostModel`]):
-    /// algorithms without an observation yet rank first (exploration),
-    /// ordered by the static [`algorithm_cost_weight`] seed, and once a
-    /// sub-task of an algorithm completes, its measured time-per-n² takes
-    /// over.
-    #[default]
-    Elastic,
-}
-
-impl Scheduler {
-    /// CLI-facing name (`"static"` / `"elastic"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Static => "static",
-            Scheduler::Elastic => "elastic",
-        }
-    }
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "static" => Ok(Scheduler::Static),
-            "elastic" => Ok(Scheduler::Elastic),
-            other => {
-                Err(format!("unknown scheduler {other:?} (expected \"static\" or \"elastic\")"))
-            }
         }
     }
 }
@@ -255,14 +189,7 @@ impl BenchmarkResults {
 
 /// Derives a deterministic per-cell RNG from the master seed — cells are
 /// independent, so runs are reproducible regardless of thread scheduling.
-/// Crate-visible so the temporal runner derives from the same family.
-pub(crate) fn cell_rng(
-    seed: u64,
-    dataset_idx: usize,
-    algo_idx: usize,
-    eps_idx: usize,
-    rep: usize,
-) -> StdRng {
+fn cell_rng(seed: u64, dataset_idx: usize, algo_idx: usize, eps_idx: usize, rep: usize) -> StdRng {
     let mut h = seed ^ 0xA076_1D64_78BD_642F;
     for x in [dataset_idx as u64, algo_idx as u64, eps_idx as u64, rep as u64] {
         h ^= x.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
@@ -271,405 +198,158 @@ pub(crate) fn cell_rng(
     StdRng::seed_from_u64(h)
 }
 
-/// The dedicated measure stream of a cell under [`MeasureReuse::PerCell`]:
-/// the `rep = usize::MAX` slot of the cell's derivation family, which no
-/// real repetition can occupy — whichever worker performs the cell's one
-/// measurement, it draws the same bytes.
-pub(crate) fn measure_rng(
-    seed: u64,
-    dataset_idx: usize,
-    algo_idx: usize,
-    eps_idx: usize,
-) -> StdRng {
-    cell_rng(seed, dataset_idx, algo_idx, eps_idx, usize::MAX)
+/// A grid cell's coordinates: (dataset, algorithm, ε) indices.
+pub(crate) type Cell = (usize, usize, usize);
+
+/// One benchmark grid as [`run_grid`] sees it. The static grid
+/// ([`run_benchmark`]) and the temporal grid
+/// ([`crate::benchmark::run_temporal_benchmark`]) differ only in what a
+/// dataset, a measurement and an outcome row are; the driver owns
+/// everything else — RNG derivation, measurement reuse, repetition order
+/// and the mean.
+pub(crate) trait Grid: Sync {
+    /// A dataset's true query values.
+    type Truth: Sync;
+    /// A cell's private intermediate.
+    type Measured;
+    /// One outcome row.
+    type Row: Send + Sync;
+
+    /// Evaluates dataset `di`'s true query values.
+    fn truth(&self, di: usize, rng: &mut StdRng) -> Self::Truth;
+
+    /// Runs the cell's ε-consuming measure phase; `None` when it fails.
+    fn measure(&self, cell: Cell, rng: &mut StdRng) -> Option<Self::Measured>;
+
+    /// One repetition: samples `measured`, evaluates the query suite, and
+    /// returns the error of every outcome row of the cell.
+    fn run_rep(&self, truth: &Self::Truth, measured: &Self::Measured, rng: &mut StdRng)
+        -> Vec<f64>;
+
+    /// The cell's outcome rows, from the per-row mean errors over its
+    /// `runs` successful repetitions (`means` is empty when `runs == 0`).
+    fn reduce(&self, cell: Cell, means: &[f64], runs: usize) -> Vec<Self::Row>;
 }
 
-/// A cell's shared measurement under [`MeasureReuse::PerCell`]: the private
-/// intermediate, or `None` when `measure` failed (every repetition of the
-/// cell then skips, preserving the complete-grid `runs = 0` contract).
-type MeasuredCell = Option<Box<dyn PrivateSynthesis>>;
-
-/// Performs a cell's one shared measurement on its dedicated stream.
-fn measure_cell(
-    algorithm: &dyn GraphGenerator,
-    graph: &Graph,
+/// Runs a grid of `datasets × algorithms × config.epsilons` cells and
+/// returns their rows in grid order: dataset-major, then algorithm, then ε.
+///
+/// True values are computed first, once per dataset on the `ai =
+/// usize::MAX` stream no real cell occupies, under the full thread budget
+/// (no cell workers are running yet). Each cell is then one task of
+/// [`crate::exec::run_elastic_collect`]: workers claim cells in grid order
+/// and run each under an elastic share of `config.threads`, which grows as
+/// other workers finish. A cell runs its repetitions in order on the
+/// derived streams `cell_rng(seed, di, ai, ei, rep)` — per-rep, each
+/// repetition measures and samples on its stream; per-cell, one
+/// measurement on the `rep = usize::MAX` stream is re-sampled by every
+/// repetition. Errors sum in repetition order. The rows are therefore
+/// byte-identical for every thread budget. Repetitions whose measurement
+/// fails are skipped, and a cell with none left still emits its rows with
+/// `runs = 0`.
+pub(crate) fn run_grid<G: Grid>(
+    grid: &G,
+    datasets: usize,
+    algorithms: usize,
     config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-) -> MeasuredCell {
-    let mut rng = measure_rng(config.seed, di, ai, ei);
-    algorithm.measure(graph, config.epsilons[ei], &mut rng).ok()
-}
-
-/// One repetition of a cell: produce the synthetic graph on the rep's
-/// derived RNG — the full `generate` pipeline per-rep, or an ε-free
-/// `sample` of the cell's `shared` intermediate per-cell — evaluate the
-/// query suite, and return the per-query errors, or `None` when generation
-/// failed (the repetition is skipped, not averaged). Both schedulers run
-/// repetitions through this one function, which is half of what makes
-/// their output byte-identical (the other half is [`reduce_cell`]'s fixed
-/// reduction order).
-fn run_rep(
-    algorithm: &dyn GraphGenerator,
-    graph: &Graph,
-    true_values: &[QueryValue],
-    config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-    rep: usize,
-    shared: Option<&MeasuredCell>,
-) -> Option<Vec<f64>> {
-    let mut rng = cell_rng(config.seed, di, ai, ei, rep);
-    let synthetic = match shared {
-        // Per-rep: the full measure + sample pipeline on the rep's stream.
-        None => algorithm.generate(graph, config.epsilons[ei], &mut rng).ok()?,
-        // Per-cell: ε-free re-sample of the cell's shared intermediate.
-        Some(Some(measured)) => measured.sample(&mut rng),
-        // Per-cell with a failed measurement: every rep of the cell skips.
-        Some(None) => return None,
-    };
-    let values =
-        QuerySuite::evaluate_all(&synthetic, &config.queries, &config.query_params, &mut rng);
-    Some(
-        config
-            .queries
-            .iter()
-            .zip(&values)
-            .enumerate()
-            .map(|(qi, (q, v))| compute_error(*q, &true_values[qi], v))
-            .collect(),
-    )
-}
-
-/// Folds a cell's per-repetition error vectors — **in repetition order** —
-/// into the averaged [`ExperimentOutcome`] row per query. The float
-/// summation order is therefore fixed regardless of which worker computed
-/// which repetition, and identical between the static and elastic
-/// schedulers.
-fn reduce_cell(
-    algorithm: &str,
-    dataset: &str,
-    epsilon: f64,
-    config: &BenchmarkConfig,
-    rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
-) -> Vec<ExperimentOutcome> {
-    let mut error_sums = vec![0.0f64; config.queries.len()];
-    let mut runs = 0usize;
-    for errors in rep_errors.flatten() {
-        for (sum, e) in error_sums.iter_mut().zip(&errors) {
-            *sum += e;
-        }
-        runs += 1;
-    }
-    config
-        .queries
-        .iter()
-        .enumerate()
-        .map(|(qi, q)| ExperimentOutcome {
-            algorithm: algorithm.to_string(),
-            dataset: dataset.to_string(),
-            epsilon,
-            query: *q,
-            metric: metric_for(*q),
-            mean_error: if runs == 0 { f64::NAN } else { error_sums[qi] / runs as f64 },
-            runs,
-        })
-        .collect()
-}
-
-/// The static scheduler (PR-3 behaviour): one task per cell, and the
-/// budget split `budget / workers` once at spawn, remainder spread one
-/// extra thread over the first `budget mod workers` workers.
-fn run_grid_static(
-    algorithms: &[Box<dyn GraphGenerator>],
-    datasets: &[(String, Graph)],
-    config: &BenchmarkConfig,
-    true_values: &[Vec<QueryValue>],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<ExperimentOutcome> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Vec<ExperimentOutcome>>> =
-        (0..tasks.len()).map(|_| OnceLock::new()).collect();
-    let workers = budget.min(tasks.len().max(1));
-    let intra_threads = budget / workers; // ≥ 1: workers ≤ budget
-    let intra_extra = budget % workers;
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let intra = intra_threads + usize::from(w < intra_extra);
-            // `move` captures `intra` by value; everything shared is
-            // re-bound as a reference so the workers still borrow it.
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || {
-                crate::par::with_parallelism(intra, || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (di, ai, ei) = tasks[t];
-                    let (dataset_name, graph) = &datasets[di];
-                    let algorithm = &algorithms[ai];
-                    // Static mode owns whole cells, so per-cell reuse needs
-                    // no cross-worker sharing: measure locally, once.
-                    let shared = (config.reuse == MeasureReuse::PerCell)
-                        .then(|| measure_cell(algorithm.as_ref(), graph, config, (di, ai, ei)));
-                    let local = reduce_cell(
-                        algorithm.name(),
-                        dataset_name,
-                        config.epsilons[ei],
-                        config,
-                        (0..config.repetitions.max(1)).map(|rep| {
-                            run_rep(
-                                algorithm.as_ref(),
-                                graph,
-                                &true_values[di],
-                                config,
-                                (di, ai, ei),
-                                rep,
-                                shared.as_ref(),
-                            )
-                        }),
-                    );
-                    slots[t].set(local).expect("the atomic cursor hands out each task once");
-                });
-            });
-        }
+) -> Vec<G::Row> {
+    let budget =
+        if config.threads == 0 { pgb_par::available_parallelism() } else { config.threads };
+    let truths: Vec<G::Truth> = pgb_par::with_parallelism(budget, || {
+        (0..datasets)
+            .map(|di| grid.truth(di, &mut cell_rng(config.seed, di, usize::MAX, 0, 0)))
+            .collect()
     });
-
-    slots
-        .into_iter()
-        .flat_map(|slot| slot.into_inner().expect("every claimed task publishes its slot"))
-        .collect()
-}
-
-/// Sub-tasks a worker aims to claim over the run, elastic mode: enough
-/// over-partitioning that the queue's tail still spreads over the pool,
-/// without per-repetition scheduling overhead on wide grids.
-pub(crate) const ELASTIC_TASKS_PER_WORKER: usize = 4;
-
-/// Static relative cost weight of one repetition of `algorithm` (matched
-/// by display name), from the Table VIII / Table IX complexity and
-/// measured-time ordering: the dense quadtree/MCMC mechanisms (DER,
-/// PrivHRG) dominate, the community/moment mechanisms sit in the middle,
-/// and the filter/degree mechanisms (TmF, DGG) are the cheapest per cell.
-/// Unknown (user-supplied) algorithms get the middle weight.
-///
-/// This is the [`CostModel`]'s **cold-start seed**: it only decides claim
-/// order among algorithms that have no observed cell time yet. As soon as
-/// a sub-task of an algorithm completes, the model's EWMA of its measured
-/// time-per-n² replaces the static guess. Scheduling only either way —
-/// claim order cannot change any cell's RNG stream or reduction order, so
-/// the CSV bytes are identical to grid-order claiming.
-pub fn algorithm_cost_weight(name: &str) -> u32 {
-    match name {
-        "DER" | "PrivHRG" => 16,
-        "PrivGraph" | "PrivSKG" | "DP-dK" | "DP-1K" => 4,
-        "TmF" | "DGG" => 1,
-        _ => 4,
-    }
-}
-
-/// EWMA smoothing factor for observed cell times: recent observations get
-/// 30% weight, so the model adapts within a few sub-tasks without letting
-/// one outlier (a cold cache, a descheduled worker) dominate.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Online per-algorithm cost model behind the elastic claim order.
-///
-/// For every algorithm the model keeps an exponentially weighted moving
-/// average of **observed seconds per repetition per n²** across completed
-/// sub-tasks; [`CostModel::claim_key`] scales that back by n² to rank
-/// pending sub-tasks. Until an algorithm has an observation it ranks
-/// *above* every observed one (deterministic exploration-first: one
-/// mispredicted claim is cheaper than running a whole grid on a stale
-/// static guess), ordered among the unobserved by the static
-/// [`algorithm_cost_weight`] seed.
-///
-/// The model is shared across workers behind per-slot mutexes; claim order
-/// therefore depends on real measured times and is **not** deterministic —
-/// which is fine, because it is scheduling only: repetitions keep their
-/// derived RNG streams and the reduction order is fixed, so the CSV is
-/// byte-identical to any other claim order.
-pub struct CostModel {
-    /// Static cold-start weights, one per algorithm index.
-    seeds: Vec<u32>,
-    /// EWMA of observed seconds/rep/n², `None` until first observation.
-    observed: Vec<std::sync::Mutex<Option<f64>>>,
-}
-
-impl CostModel {
-    /// A model over the algorithm roster, seeded from
-    /// [`algorithm_cost_weight`] by display name.
-    pub fn new<'a>(names: impl IntoIterator<Item = &'a str>) -> Self {
-        let seeds: Vec<u32> = names.into_iter().map(algorithm_cost_weight).collect();
-        let observed = seeds.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        CostModel { seeds, observed }
-    }
-
-    /// Folds one completed sub-task — `reps` repetitions of algorithm
-    /// `ai` on an `n`-node dataset in `secs` seconds — into the EWMA.
-    pub fn record(&self, ai: usize, n: usize, reps: usize, secs: f64) {
-        let per = secs / reps.max(1) as f64 / n2(n);
-        if !per.is_finite() {
-            return;
-        }
-        let mut slot = self.observed[ai].lock().expect("cost slot never poisoned");
-        *slot = Some(match *slot {
-            None => per,
-            Some(prev) => EWMA_ALPHA * per + (1.0 - EWMA_ALPHA) * prev,
-        });
-    }
-
-    /// The descending claim key of a sub-task of algorithm `ai` on an
-    /// `n`-node dataset: `(unobserved, cost)`, compared lexicographically
-    /// so unobserved algorithms always outrank observed ones, and within
-    /// each class the larger predicted cost (seed × n² or EWMA × n²) wins.
-    pub fn claim_key(&self, ai: usize, n: usize) -> (bool, f64) {
-        match *self.observed[ai].lock().expect("cost slot never poisoned") {
-            None => (true, self.seeds[ai] as f64 * n2(n)),
-            Some(ewma) => (false, ewma * n2(n)),
-        }
-    }
-}
-
-/// The n² scale factor shared by [`CostModel::record`] and
-/// [`CostModel::claim_key`], clamped away from zero for empty graphs.
-fn n2(n: usize) -> f64 {
-    (n as f64 * n as f64).max(1.0)
-}
-
-/// Pops the index of the pending sub-task with the greatest claim key,
-/// breaking exact key ties toward the smaller `tie` coordinate (grid
-/// order). The pool must be non-empty — [`crate::exec::run_elastic`] hands
-/// out exactly one ticket per sub-task.
-pub(crate) fn pop_costliest<K>(pending: &std::sync::Mutex<Vec<usize>>, key: K) -> usize
-where
-    K: Fn(usize) -> ((bool, f64), (usize, usize)),
-{
-    let mut pool = pending.lock().expect("claim pool never poisoned");
-    let at = pool
-        .iter()
-        .enumerate()
-        .max_by(|&(_, &a), &(_, &b)| {
-            let (ka, ta) = key(a);
-            let (kb, tb) = key(b);
-            // Claim keys are finite by construction, so partial_cmp only
-            // falls through on exact ties, which the grid order settles.
-            ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal).then_with(|| tb.cmp(&ta))
+    let epsilons = config.epsilons.len();
+    let cells: Vec<Cell> = (0..datasets)
+        .flat_map(|di| {
+            (0..algorithms).flat_map(move |ai| (0..epsilons).map(move |ei| (di, ai, ei)))
         })
-        .map(|(i, _)| i)
-        .expect("one ticket per sub-task: pool cannot be empty");
-    pool.swap_remove(at)
-}
-
-/// The elastic scheduler: (cell, repetition-block) sub-tasks claimed from
-/// a [`crate::par::BudgetLedger`], each claim re-granting the live pool share. Every
-/// repetition publishes its error vector into a per-rep [`OnceLock`] slot;
-/// cells are reduced in repetition order afterwards, so the output is
-/// byte-identical to the static path.
-fn run_grid_elastic(
-    algorithms: &[Box<dyn GraphGenerator>],
-    datasets: &[(String, Graph)],
-    config: &BenchmarkConfig,
-    true_values: &[Vec<QueryValue>],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<ExperimentOutcome> {
-    let reps = config.repetitions.max(1);
-    let cells = tasks.len();
-    // Block size: aim for ~ELASTIC_TASKS_PER_WORKER sub-tasks per worker,
-    // never finer than one repetition per sub-task. Scheduling only — any
-    // block size yields the same output.
-    let worker_cap = budget.min(cells.saturating_mul(reps)).max(1);
-    let blocks_per_cell =
-        (worker_cap * ELASTIC_TASKS_PER_WORKER).div_ceil(cells.max(1)).clamp(1, reps);
-    let block = reps.div_ceil(blocks_per_cell);
-    let mut subtasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for cell in 0..cells {
-        let mut start = 0;
-        while start < reps {
-            let end = (start + block).min(reps);
-            subtasks.push((cell, start..end));
-            start = end;
-        }
-    }
-    // Cost-aware claim order: hand out predicted-expensive (cell,
-    // repetition-block) sub-tasks first, so a DER cell on the largest
-    // dataset cannot become a serial tail after the cheap cells drain. The
-    // prediction is the live [`CostModel`]: unobserved algorithms first
-    // (static-seed order), then measured EWMA × n² — each completed
-    // sub-task feeds its wall time back in. Pure scheduling — each
-    // sub-task's repetitions still run on their own derived cell RNG and
-    // publish into cell-major slots reduced in grid order, so the CSV is
-    // byte-identical to grid-order claiming (asserted in
-    // `tests/scheduler.rs`).
-    let model = CostModel::new(algorithms.iter().map(|a| a.name()));
-    let pending: std::sync::Mutex<Vec<usize>> =
-        std::sync::Mutex::new((0..subtasks.len()).collect());
-    // One slot per (cell, repetition), cell-major — the reduction below
-    // walks them in repetition order no matter who filled them when.
-    let rep_slots: Vec<OnceLock<Option<Vec<f64>>>> =
-        (0..cells * reps).map(|_| OnceLock::new()).collect();
-    // Per-cell shared measurements (per-cell reuse only): a cell's
-    // repetition blocks may land on different workers, so whichever worker
-    // gets there first measures on the cell's dedicated stream and the
-    // rest reuse it — `measure_rng` is a pure function of the cell
-    // coordinates, so the race's winner does not affect the bytes.
-    let measured: Vec<OnceLock<MeasuredCell>> = (0..cells).map(|_| OnceLock::new()).collect();
-
-    // The worker/claim loop itself — ledger claims plus elastic per-task
-    // grants that can grow mid-task as other workers release threads
-    // (`BudgetLedger::regrant`, polled by `par_collect`) — is the shared
-    // execution core `pgb-serve` also runs its request pipeline on.
-    crate::exec::run_elastic(budget, subtasks.len(), |_ticket| {
-        // Tickets are anonymous; each one claims whichever pending
-        // sub-task the cost model currently predicts most expensive.
-        let s = pop_costliest(&pending, |s| {
-            let (cell, range) = &subtasks[s];
-            let (di, ai, _) = tasks[*cell];
-            (model.claim_key(ai, datasets[di].1.node_count()), (*cell, range.start))
-        });
-        let (cell, rep_range) = &subtasks[s];
-        let (di, ai, ei) = tasks[*cell];
-        let (_, graph) = &datasets[di];
-        let started = std::time::Instant::now();
-        let shared = (config.reuse == MeasureReuse::PerCell).then(|| {
-            measured[*cell]
-                .get_or_init(|| measure_cell(algorithms[ai].as_ref(), graph, config, (di, ai, ei)))
-        });
-        for rep in rep_range.clone() {
-            let errors = run_rep(
-                algorithms[ai].as_ref(),
-                graph,
-                &true_values[di],
-                config,
-                (di, ai, ei),
-                rep,
-                shared,
-            );
-            rep_slots[*cell * reps + rep]
-                .set(errors)
-                .expect("the ledger hands out each sub-task once");
-        }
-        model.record(ai, graph.node_count(), rep_range.len(), started.elapsed().as_secs_f64());
-    });
-
-    let mut rep_results: Vec<Option<Vec<f64>>> = rep_slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every claimed sub-task publishes its repetitions"))
         .collect();
-    tasks
-        .iter()
-        .enumerate()
-        .flat_map(|(t, &(di, ai, ei))| {
-            reduce_cell(
-                algorithms[ai].name(),
-                &datasets[di].0,
-                config.epsilons[ei],
-                config,
-                rep_results[t * reps..(t + 1) * reps].iter_mut().map(std::mem::take),
-            )
-        })
-        .collect()
+    let rows = crate::exec::run_elastic_collect(budget, cells.len(), |c| {
+        let cell @ (di, ai, ei) = cells[c];
+        let shared = (config.reuse == MeasureReuse::PerCell)
+            .then(|| grid.measure(cell, &mut cell_rng(config.seed, di, ai, ei, usize::MAX)));
+        let mut sums: Vec<f64> = Vec::new();
+        let mut runs = 0usize;
+        for rep in 0..config.repetitions {
+            let mut rng = cell_rng(config.seed, di, ai, ei, rep);
+            let own;
+            let measured = match &shared {
+                Some(shared) => shared.as_ref(),
+                None => {
+                    own = grid.measure(cell, &mut rng);
+                    own.as_ref()
+                }
+            };
+            let Some(measured) = measured else { continue };
+            let errors = grid.run_rep(&truths[di], measured, &mut rng);
+            sums.resize(errors.len(), 0.0);
+            for (sum, e) in sums.iter_mut().zip(&errors) {
+                *sum += e;
+            }
+            runs += 1;
+        }
+        let means: Vec<f64> = sums.iter().map(|sum| sum / runs as f64).collect();
+        grid.reduce(cell, &means, runs)
+    });
+    rows.into_iter().flatten().collect()
+}
+
+/// The static grid: [`GraphGenerator`]s × graphs × ε, one row per query.
+struct StaticGrid<'a> {
+    algorithms: &'a [Box<dyn GraphGenerator>],
+    datasets: &'a [(String, Graph)],
+    config: &'a BenchmarkConfig,
+}
+
+impl Grid for StaticGrid<'_> {
+    type Truth = Vec<QueryValue>;
+    type Measured = Box<dyn PrivateSynthesis>;
+    type Row = ExperimentOutcome;
+
+    fn truth(&self, di: usize, rng: &mut StdRng) -> Vec<QueryValue> {
+        let c = self.config;
+        QuerySuite::evaluate_all(&self.datasets[di].1, &c.queries, &c.query_params, rng)
+    }
+
+    fn measure(&self, (di, ai, ei): Cell, rng: &mut StdRng) -> Option<Box<dyn PrivateSynthesis>> {
+        self.algorithms[ai].measure(&self.datasets[di].1, self.config.epsilons[ei], rng).ok()
+    }
+
+    fn run_rep(
+        &self,
+        truth: &Vec<QueryValue>,
+        measured: &Box<dyn PrivateSynthesis>,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let c = self.config;
+        let synthetic = measured.sample(rng);
+        let values = QuerySuite::evaluate_all(&synthetic, &c.queries, &c.query_params, rng);
+        c.queries
+            .iter()
+            .zip(truth)
+            .zip(&values)
+            .map(|((q, t), v)| compute_error(*q, t, v))
+            .collect()
+    }
+
+    fn reduce(&self, (di, ai, ei): Cell, means: &[f64], runs: usize) -> Vec<ExperimentOutcome> {
+        let c = self.config;
+        c.queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| ExperimentOutcome {
+                algorithm: self.algorithms[ai].name().to_string(),
+                dataset: self.datasets[di].0.clone(),
+                epsilon: c.epsilons[ei],
+                query: *q,
+                metric: metric_for(*q),
+                mean_error: means.get(qi).copied().unwrap_or(f64::NAN),
+                runs,
+            })
+            .collect()
+    }
 }
 
 /// Runs the full benchmark grid: every algorithm × dataset × ε, with
@@ -677,20 +357,14 @@ fn run_grid_elastic(
 /// generation through the one-pass [`QuerySuite`] evaluator, and errors
 /// averaged.
 ///
-/// Work is distributed over `config.threads` total threads by the
-/// configured [`Scheduler`] — elastic (cell, repetition-block) sub-tasks
-/// with per-claim [`crate::par::BudgetLedger`] grants by default, or the static
-/// whole-cell split via [`Scheduler::Static`]. Workers publish into
-/// preallocated [`OnceLock`] slots — no shared mutex on the hot path —
-/// and per-cell errors always reduce in repetition order, so results are
-/// deterministic (byte-identical CSV) for a fixed seed regardless of
-/// thread count *and* scheduler.
+/// Cells run as whole tasks over `config.threads` total threads (see
+/// `run_grid`), so results are deterministic — byte-identical CSV — for
+/// a fixed seed at any thread count.
 ///
 /// Under [`MeasureReuse::PerCell`] each cell's ε-consuming `measure` phase
-/// runs once on a dedicated derived stream (shared across that cell's
-/// repetitions via a [`OnceLock`]) and repetitions only re-`sample` — the
-/// numbers differ from the per-rep default by design, but stay
-/// byte-identical across thread counts and schedulers all the same.
+/// runs once on a dedicated derived stream and repetitions only
+/// re-`sample` — the numbers differ from the per-rep default by design,
+/// but stay byte-identical across thread counts all the same.
 ///
 /// Cells where every repetition's generation failed are still emitted, with
 /// `runs = 0` and `NaN` errors, so downstream reports always see the
@@ -700,41 +374,9 @@ pub fn run_benchmark(
     datasets: &[(String, Graph)],
     config: &BenchmarkConfig,
 ) -> BenchmarkResults {
-    let budget =
-        if config.threads == 0 { crate::par::available_parallelism() } else { config.threads };
-    // True query values per dataset, computed once — under the full thread
-    // budget, since no cell workers are running yet and the suite's shared
-    // passes (triangle, BFS, degree) parallelise on the ambient budget.
-    let true_values: Vec<Vec<QueryValue>> = crate::par::with_parallelism(budget, || {
-        datasets
-            .iter()
-            .enumerate()
-            .map(|(di, (_, g))| {
-                let mut rng = cell_rng(config.seed, di, usize::MAX, 0, 0);
-                QuerySuite::evaluate_all(g, &config.queries, &config.query_params, &mut rng)
-            })
-            .collect()
-    });
-
-    // Task grid: (dataset, algorithm, epsilon), in outcome order.
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for di in 0..datasets.len() {
-        for ai in 0..algorithms.len() {
-            for ei in 0..config.epsilons.len() {
-                tasks.push((di, ai, ei));
-            }
-        }
-    }
-    let outcomes = match config.sched {
-        Scheduler::Static => {
-            run_grid_static(algorithms, datasets, config, &true_values, &tasks, budget)
-        }
-        Scheduler::Elastic => {
-            run_grid_elastic(algorithms, datasets, config, &true_values, &tasks, budget)
-        }
-    };
+    let grid = StaticGrid { algorithms, datasets, config };
     BenchmarkResults {
-        outcomes,
+        outcomes: run_grid(&grid, datasets.len(), algorithms.len(), config),
         algorithms: algorithms.iter().map(|a| a.name().to_string()).collect(),
         datasets: datasets.iter().map(|(n, _)| n.clone()).collect(),
         epsilons: config.epsilons.clone(),
@@ -818,7 +460,7 @@ mod tests {
         // Regression: `to_csv` output must be byte-identical at any thread
         // count, because cell RNGs are derived from the master seed and the
         // generators' intra-cell parallelism follows the same derived-stream
-        // chunking discipline (`crate::par`), not scheduling order.
+        // chunking discipline (`pgb_par`), not scheduling order.
         // The algorithm set deliberately includes all four generators with
         // parallel perturbation/construction phases (TmF, DER, PrivSKG,
         // PrivGraph); the query set includes the Louvain-backed pair
@@ -852,16 +494,10 @@ mod tests {
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         // 2 datasets × 4 algorithms × 2 ε × 4 queries + header.
         assert_eq!(serial.lines().count(), 65);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads; // 0 ⇒ auto: available parallelism
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads; // 0 ⇒ auto: available parallelism
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "CSV must not depend on threads = {threads}");
         }
     }
 
@@ -871,8 +507,8 @@ mod tests {
         // the full 15-query suite make `QuerySuite::evaluate_all` (triangle
         // pass, BFS sweep, Louvain, EVC) dominate each cell, and the cheap
         // generator keeps generation out of the picture. The parallel
-        // shared passes must leave the CSV byte-identical across both
-        // schedulers and every thread budget.
+        // shared passes must leave the CSV byte-identical at every thread
+        // budget.
         let mut rng = StdRng::seed_from_u64(7);
         let datasets = vec![("dense".to_string(), pgb_models::erdos_renyi_gnp(120, 0.3, &mut rng))];
         let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(TmF::default())];
@@ -887,16 +523,13 @@ mod tests {
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         // 1 dataset × 1 algorithm × 2 ε × 15 queries + header.
         assert_eq!(serial.lines().count(), 31);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "evaluation-heavy CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(
+                serial, other,
+                "evaluation-heavy CSV must not depend on threads = {threads}"
+            );
         }
     }
 
@@ -905,8 +538,8 @@ mod tests {
         // Sketch-backed evaluation rides the same determinism contract as
         // everything else: the sketches draw from derived per-intermediate
         // streams and their chunk merges are exact-integer or ordered, so
-        // the CSV must be byte-identical at any thread budget and under
-        // both schedulers. It must also differ from the exact CSV only in
+        // the CSV must be byte-identical at any thread budget. It must
+        // also differ from the exact CSV only in
         // the sketch-backed queries' rows (spot-checked via |E|).
         let (algorithms, datasets, mut config) = tiny_setup();
         config.queries = Query::ALL.to_vec();
@@ -915,21 +548,14 @@ mod tests {
         config.threads = 1;
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         assert_eq!(serial.lines().count(), 61); // 2 algos × 2 ε × 15 queries + header
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "approx CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "approx CSV must not depend on threads = {threads}");
         }
         // |E| does not go through a sketch: its rows match exact evaluation.
         config.query_params.eval = pgb_queries::EvalMode::Exact;
         config.threads = 1;
-        config.sched = Scheduler::default();
         let exact = run_benchmark(&algorithms, &datasets, &config);
         let approx_results = run_benchmark(
             &algorithms,
@@ -949,16 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_parses_and_defaults_to_elastic() {
-        assert_eq!(BenchmarkConfig::default().sched, Scheduler::Elastic);
-        assert_eq!("static".parse::<Scheduler>(), Ok(Scheduler::Static));
-        assert_eq!("elastic".parse::<Scheduler>(), Ok(Scheduler::Elastic));
-        assert!("eager".parse::<Scheduler>().is_err());
-        assert_eq!(Scheduler::Static.name(), "static");
-        assert_eq!(Scheduler::Elastic.name(), "elastic");
-    }
-
-    #[test]
     fn measure_reuse_parses_and_defaults_to_per_rep() {
         assert_eq!(BenchmarkConfig::default().reuse, MeasureReuse::PerRep);
         assert_eq!("rep".parse::<MeasureReuse>(), Ok(MeasureReuse::PerRep));
@@ -972,22 +588,16 @@ mod tests {
     fn per_cell_reuse_is_deterministic_across_threads_and_schedulers() {
         // Per-cell numbers legitimately differ from per-rep numbers, but
         // within the mode the full determinism contract must hold: the CSV
-        // is byte-identical for every thread budget and both schedulers.
+        // is byte-identical for every thread budget.
         let (algorithms, datasets, mut config) = tiny_setup();
         config.reuse = MeasureReuse::PerCell;
         config.threads = 1;
         let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
         assert_eq!(serial.lines().count(), 13);
-        for sched in [Scheduler::Elastic, Scheduler::Static] {
-            config.sched = sched;
-            for threads in [2, 8, 0] {
-                config.threads = threads;
-                let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    serial, other,
-                    "per-cell CSV must not depend on threads = {threads}, sched = {sched:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(serial, other, "per-cell CSV must not depend on threads = {threads}");
         }
         // And every cell still completes: sampling a shared intermediate
         // succeeds wherever the full pipeline would have.
@@ -1000,21 +610,19 @@ mod tests {
 
     #[test]
     fn failing_generator_complete_grid_under_both_schedulers() {
-        // The complete-grid guarantee (runs = 0, NaN cells) must hold for
-        // the elastic rep-slot path too: a failed repetition publishes
-        // `None` into its slot, and the reduction still emits the cell.
+        // The complete-grid guarantee (runs = 0, NaN cells) must hold in
+        // both reuse modes: a failed per-rep measurement skips that
+        // repetition, a failed per-cell one skips them all, and the cell
+        // is still emitted.
         let (_, datasets, mut config) = tiny_setup();
         let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(AlwaysFails)];
-        for sched in [Scheduler::Static, Scheduler::Elastic] {
-            for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
-                config.sched = sched;
-                config.reuse = reuse;
-                let results = run_benchmark(&algorithms, &datasets, &config);
-                assert_eq!(results.outcomes.len(), 6, "{sched:?} {reuse:?}");
-                for o in &results.outcomes {
-                    assert_eq!(o.runs, 0, "{sched:?} {reuse:?}: {o:?}");
-                    assert!(o.mean_error.is_nan(), "{sched:?} {reuse:?}: {o:?}");
-                }
+        for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
+            config.reuse = reuse;
+            let results = run_benchmark(&algorithms, &datasets, &config);
+            assert_eq!(results.outcomes.len(), 6, "{reuse:?}");
+            for o in &results.outcomes {
+                assert_eq!(o.runs, 0, "{reuse:?}: {o:?}");
+                assert!(o.mean_error.is_nan(), "{reuse:?}: {o:?}");
             }
         }
     }
@@ -1109,57 +717,13 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_cold_start_ranks_by_static_seed() {
-        let model = CostModel::new(["DER", "TmF"]);
-        // Unobserved: the lexicographic (true, seed × n²) key preserves the
-        // static ordering, and unobserved always outranks observed.
-        assert!(model.claim_key(0, 90) > model.claim_key(1, 90));
-        assert!(model.claim_key(1, 90) > model.claim_key(0, 20));
-        model.record(0, 90, 1, 1.0);
-        assert!(!model.claim_key(0, 90).0 && model.claim_key(1, 20).0);
-        assert!(model.claim_key(1, 20) > model.claim_key(0, 90), "unobserved first");
-    }
-
-    #[test]
-    fn cost_model_observations_flip_the_static_order() {
-        // Static seeds say DER ≫ TmF; inject measurements saying the
-        // opposite and the claim order must follow the evidence.
-        let model = CostModel::new(["DER", "TmF"]);
-        model.record(0, 100, 1, 0.001); // DER measured cheap
-        model.record(1, 100, 1, 1.0); // TmF measured expensive
-        assert!(model.claim_key(1, 100) > model.claim_key(0, 100));
-        // And the EWMA tracks further observations with α = 0.3.
-        model.record(1, 100, 1, 2.0);
-        let expected = 0.3 * (2.0 / 1e4) + 0.7 * (1.0 / 1e4);
-        let (_, cost) = model.claim_key(1, 100);
-        assert!((cost - expected * 1e4).abs() < 1e-12, "{cost} vs {expected}");
-    }
-
-    #[test]
-    fn cost_model_normalises_per_rep_and_per_n2() {
-        // 4 reps on 10 nodes in 0.4 s and 1 rep on 20 nodes in 0.4 s are
-        // the same 0.001 seconds/rep/n², so they predict the same cost on
-        // any common dataset size.
-        let model = CostModel::new(["A", "B"]);
-        model.record(0, 10, 4, 0.4);
-        model.record(1, 20, 1, 0.4);
-        let (_, a) = model.claim_key(0, 20);
-        let (_, b) = model.claim_key(1, 20);
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        // Degenerate inputs never poison the model.
-        model.record(0, 0, 0, 0.0);
-        model.record(0, 10, 1, f64::INFINITY);
-        assert!(model.claim_key(0, 10).1.is_finite());
-    }
-
-    #[test]
-    fn pop_costliest_orders_and_breaks_ties_in_grid_order() {
-        use std::sync::Mutex;
-        let keys = [((false, 2.0), (1, 0)), ((true, 0.5), (2, 0)), ((false, 2.0), (0, 0))];
-        let pending = Mutex::new(vec![0, 1, 2]);
-        let pop = |pending: &Mutex<Vec<usize>>| pop_costliest(pending, |s| keys[s]);
-        assert_eq!(pop(&pending), 1, "unobserved outranks any observed cost");
-        assert_eq!(pop(&pending), 2, "exact ties resolve toward grid order");
-        assert_eq!(pop(&pending), 0);
+    fn zero_repetitions_report_zero_runs() {
+        // A request for no repetitions emits the complete grid with
+        // `runs = 0`, rather than silently running one.
+        let (algorithms, datasets, mut config) = tiny_setup();
+        config.repetitions = 0;
+        let results = run_benchmark(&algorithms, &datasets, &config);
+        assert_eq!(results.outcomes.len(), 12);
+        assert!(results.outcomes.iter().all(|o| o.runs == 0 && o.mean_error.is_nan()));
     }
 }

@@ -16,23 +16,17 @@
 //!   metric, the drift error is `mean_w |d(t_w, t_{w+1}) − d(s_w,
 //!   s_{w+1})|` over adjacent windows (0 for single-window grids).
 //!
-//! Execution mirrors the static runner contract for contract: the same
-//! derived [`cell_rng`] family keyed by (dataset, algorithm, ε, rep), the
-//! same per-(cell, rep) `OnceLock` slots reduced in repetition order, the
-//! same static/elastic scheduler pair (the elastic path claims through the
-//! shared [`CostModel`]), and the same complete-grid `runs = 0` guarantee.
-//! The CSV is byte-identical across thread budgets and schedulers.
+//! Execution is the static grid's driver (`run_grid`): the same derived
+//! RNG family keyed by (dataset, algorithm, ε, rep), whole-cell tasks,
+//! measurement reuse, and the complete-grid `runs = 0` guarantee. The CSV
+//! is byte-identical across thread budgets.
 
 use crate::benchmark::metric::{compute_error, metric_for, ErrorMetric};
-use crate::benchmark::runner::{
-    cell_rng, measure_rng, pop_costliest, BenchmarkConfig, CostModel, MeasureReuse, Scheduler,
-    ELASTIC_TASKS_PER_WORKER,
-};
+use crate::benchmark::runner::{run_grid, BenchmarkConfig, Cell, Grid};
 use crate::temporal::{TemporalGenerator, TemporalSynthesis};
 use pgb_graph::temporal::SnapshotSequence;
 use pgb_queries::{suite_drift, suite_drift_sequence, Query, QueryValue};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use rand::rngs::StdRng;
 
 /// One averaged temporal-benchmark cell: an (algorithm, dataset, ε,
 /// window, query) tuple. `window == None` is the query's drift row.
@@ -126,300 +120,101 @@ fn drift_series(queries: &[Query], values: &[Vec<QueryValue>]) -> Vec<Vec<f64>> 
         .collect()
 }
 
-/// One repetition of a temporal cell: generate the synthetic sequence on
-/// the rep's derived stream (or re-`sample` the cell's shared measurement),
-/// evaluate every window through the drift sweep, and return the flattened
-/// per-row errors (window-major `w × Q`, then the `Q` drift entries).
-/// `None` when generation failed — the repetition is skipped, not averaged.
-fn run_temporal_rep(
-    algorithm: &TemporalGenerator,
-    seq: &SnapshotSequence,
-    truth: &TrueSequence,
-    config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-    rep: usize,
-    shared: Option<&Option<TemporalSynthesis>>,
-) -> Option<Vec<f64>> {
-    let mut rng = cell_rng(config.seed, di, ai, ei, rep);
-    let graphs = match shared {
-        None => algorithm.generate(seq, config.epsilons[ei], &mut rng).ok()?,
-        Some(Some(measured)) => measured.sample(&mut rng),
-        Some(None) => return None,
-    };
-    let synth = suite_drift(&graphs, &config.queries, &config.query_params, &mut rng);
-    let windows = graphs.len();
-    let q = config.queries.len();
-    let mut errors = Vec::with_capacity((windows + 1) * q);
-    for (wv, tv) in synth.per_window.iter().zip(&truth.per_window) {
-        for (qi, &query) in config.queries.iter().enumerate() {
-            errors.push(compute_error(query, &tv[qi], &wv[qi]));
-        }
-    }
-    let synth_drift = drift_series(&config.queries, &synth.per_window);
-    for (series, pairs) in synth_drift.iter().zip(&truth.drift) {
-        let e = if pairs.is_empty() {
-            0.0
-        } else {
-            pairs.iter().zip(series).map(|(t, s)| (t - s).abs()).sum::<f64>() / pairs.len() as f64
-        };
-        errors.push(e);
-    }
-    Some(errors)
+/// The temporal grid: [`TemporalGenerator`]s × snapshot sequences × ε,
+/// `(W + 1) × Q` rows per cell — window-major, then the drift rows.
+struct TemporalGrid<'a> {
+    algorithms: &'a [TemporalGenerator],
+    datasets: &'a [(String, SnapshotSequence)],
+    config: &'a BenchmarkConfig,
 }
 
-/// Folds a temporal cell's per-repetition error vectors — in repetition
-/// order — into its `(W + 1) × Q` outcome rows (windows then drift).
-fn reduce_temporal_cell(
-    algorithm: &str,
-    dataset: &str,
-    epsilon: f64,
-    windows: usize,
-    config: &BenchmarkConfig,
-    rep_errors: impl Iterator<Item = Option<Vec<f64>>>,
-) -> Vec<TemporalOutcome> {
-    let q = config.queries.len();
-    let rows = (windows + 1) * q;
-    let mut sums = vec![0.0f64; rows];
-    let mut runs = 0usize;
-    for errors in rep_errors.flatten() {
-        debug_assert_eq!(errors.len(), rows);
-        for (sum, e) in sums.iter_mut().zip(&errors) {
-            *sum += e;
-        }
-        runs += 1;
+impl Grid for TemporalGrid<'_> {
+    type Truth = TrueSequence;
+    type Measured = TemporalSynthesis;
+    type Row = TemporalOutcome;
+
+    fn truth(&self, di: usize, rng: &mut StdRng) -> TrueSequence {
+        let c = self.config;
+        let sweep = suite_drift_sequence(&self.datasets[di].1, &c.queries, &c.query_params, rng);
+        let drift = drift_series(&c.queries, &sweep.per_window);
+        TrueSequence { per_window: sweep.per_window, drift }
     }
-    (0..rows)
-        .map(|row| {
-            let (slot, qi) = (row / q, row % q);
-            let query = config.queries[qi];
-            TemporalOutcome {
-                algorithm: algorithm.to_string(),
-                dataset: dataset.to_string(),
-                epsilon,
-                window: (slot < windows).then_some(slot),
-                query,
-                metric: metric_for(query),
-                mean_error: if runs == 0 { f64::NAN } else { sums[row] / runs as f64 },
-                runs,
+
+    fn measure(&self, (di, ai, ei): Cell, rng: &mut StdRng) -> Option<TemporalSynthesis> {
+        self.algorithms[ai].measure(&self.datasets[di].1, self.config.epsilons[ei], rng).ok()
+    }
+
+    /// Samples the synthetic sequence, evaluates every window through the
+    /// drift sweep, and returns the window errors (`W × Q`, window-major)
+    /// followed by the `Q` drift errors.
+    fn run_rep(
+        &self,
+        truth: &TrueSequence,
+        measured: &TemporalSynthesis,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let queries = &self.config.queries;
+        let graphs = measured.sample(rng);
+        let synth = suite_drift(&graphs, queries, &self.config.query_params, rng);
+        let mut errors = Vec::with_capacity((graphs.len() + 1) * queries.len());
+        for (wv, tv) in synth.per_window.iter().zip(&truth.per_window) {
+            for (qi, &query) in queries.iter().enumerate() {
+                errors.push(compute_error(query, &tv[qi], &wv[qi]));
             }
-        })
-        .collect()
-}
+        }
+        let synth_drift = drift_series(queries, &synth.per_window);
+        for (series, pairs) in synth_drift.iter().zip(&truth.drift) {
+            let e = if pairs.is_empty() {
+                0.0
+            } else {
+                pairs.iter().zip(series).map(|(t, s)| (t - s).abs()).sum::<f64>()
+                    / pairs.len() as f64
+            };
+            errors.push(e);
+        }
+        errors
+    }
 
-/// The cell's one shared temporal measurement under
-/// [`MeasureReuse::PerCell`], on the cell's dedicated stream.
-fn measure_temporal_cell(
-    algorithm: &TemporalGenerator,
-    seq: &SnapshotSequence,
-    config: &BenchmarkConfig,
-    (di, ai, ei): (usize, usize, usize),
-) -> Option<TemporalSynthesis> {
-    let mut rng = measure_rng(config.seed, di, ai, ei);
-    algorithm.measure(seq, config.epsilons[ei], &mut rng).ok()
+    fn reduce(&self, (di, ai, ei): Cell, means: &[f64], runs: usize) -> Vec<TemporalOutcome> {
+        let queries = &self.config.queries;
+        let (dataset, seq) = &self.datasets[di];
+        let windows = seq.window_count();
+        (0..(windows + 1) * queries.len())
+            .map(|row| {
+                let (slot, query) = (row / queries.len(), queries[row % queries.len()]);
+                TemporalOutcome {
+                    algorithm: self.algorithms[ai].name().to_string(),
+                    dataset: dataset.clone(),
+                    epsilon: self.config.epsilons[ei],
+                    window: (slot < windows).then_some(slot),
+                    query,
+                    metric: metric_for(query),
+                    mean_error: means.get(row).copied().unwrap_or(f64::NAN),
+                    runs,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Runs the temporal benchmark grid: every algorithm × snapshot sequence ×
 /// ε, `config.repetitions` synthetic sequences per cell, one outcome row
-/// per window plus a drift row per query. All the static runner's
-/// execution contracts carry over — derived per-cell streams, fixed
-/// reduction order, both schedulers, per-cell measurement reuse, the
-/// complete-grid `runs = 0` guarantee — so the CSV is byte-identical
-/// across thread budgets and schedulers.
+/// per window plus a drift row per query. It runs on the static grid's
+/// driver, so derived per-cell streams, repetition-order reduction,
+/// per-cell measurement reuse and the complete-grid `runs = 0` guarantee
+/// all carry over, and the CSV is byte-identical across thread budgets.
 pub fn run_temporal_benchmark(
     algorithms: &[TemporalGenerator],
     datasets: &[(String, SnapshotSequence)],
     config: &BenchmarkConfig,
 ) -> TemporalBenchmarkResults {
-    let budget =
-        if config.threads == 0 { crate::par::available_parallelism() } else { config.threads };
-    // True per-window values and drift series, once per dataset on its own
-    // derived stream (the `ai = usize::MAX` slot no real cell occupies),
-    // under the full ambient budget — no cell workers are running yet.
-    let truths: Vec<TrueSequence> = crate::par::with_parallelism(budget, || {
-        datasets
-            .iter()
-            .enumerate()
-            .map(|(di, (_, seq))| {
-                let mut rng = cell_rng(config.seed, di, usize::MAX, 0, 0);
-                let sweep =
-                    suite_drift_sequence(seq, &config.queries, &config.query_params, &mut rng);
-                let drift = drift_series(&config.queries, &sweep.per_window);
-                TrueSequence { per_window: sweep.per_window, drift }
-            })
-            .collect()
-    });
-
-    // Task grid: (dataset, algorithm, epsilon), in outcome order.
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for di in 0..datasets.len() {
-        for ai in 0..algorithms.len() {
-            for ei in 0..config.epsilons.len() {
-                tasks.push((di, ai, ei));
-            }
-        }
-    }
-    let outcomes = match config.sched {
-        Scheduler::Static => {
-            run_temporal_static(algorithms, datasets, config, &truths, &tasks, budget)
-        }
-        Scheduler::Elastic => {
-            run_temporal_elastic(algorithms, datasets, config, &truths, &tasks, budget)
-        }
-    };
+    let grid = TemporalGrid { algorithms, datasets, config };
     TemporalBenchmarkResults {
-        outcomes,
+        outcomes: run_grid(&grid, datasets.len(), algorithms.len(), config),
         algorithms: algorithms.iter().map(|a| a.name().to_string()).collect(),
         datasets: datasets.iter().map(|(n, _)| n.clone()).collect(),
         window_counts: datasets.iter().map(|(_, s)| s.window_count()).collect(),
         epsilons: config.epsilons.clone(),
         queries: config.queries.clone(),
     }
-}
-
-/// The static scheduler over temporal cells: one task per cell, intra-cell
-/// budget split once at spawn — the exact shape of the static grid path.
-fn run_temporal_static(
-    algorithms: &[TemporalGenerator],
-    datasets: &[(String, SnapshotSequence)],
-    config: &BenchmarkConfig,
-    truths: &[TrueSequence],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<TemporalOutcome> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Vec<TemporalOutcome>>> =
-        (0..tasks.len()).map(|_| OnceLock::new()).collect();
-    let workers = budget.min(tasks.len().max(1));
-    let intra_threads = budget / workers;
-    let intra_extra = budget % workers;
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let intra = intra_threads + usize::from(w < intra_extra);
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || {
-                crate::par::with_parallelism(intra, || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (di, ai, ei) = tasks[t];
-                    let (dataset_name, seq) = &datasets[di];
-                    let algorithm = &algorithms[ai];
-                    let shared = (config.reuse == MeasureReuse::PerCell)
-                        .then(|| measure_temporal_cell(algorithm, seq, config, (di, ai, ei)));
-                    let local = reduce_temporal_cell(
-                        algorithm.name(),
-                        dataset_name,
-                        config.epsilons[ei],
-                        seq.window_count(),
-                        config,
-                        (0..config.repetitions.max(1)).map(|rep| {
-                            run_temporal_rep(
-                                algorithm,
-                                seq,
-                                &truths[di],
-                                config,
-                                (di, ai, ei),
-                                rep,
-                                shared.as_ref(),
-                            )
-                        }),
-                    );
-                    slots[t].set(local).expect("the atomic cursor hands out each task once");
-                });
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .flat_map(|slot| slot.into_inner().expect("every claimed task publishes its slot"))
-        .collect()
-}
-
-/// The elastic scheduler over temporal cells: (cell, repetition-block)
-/// sub-tasks claimed through the shared [`CostModel`] pool, per-rep
-/// `OnceLock` slots reduced in repetition order — the temporal mirror of
-/// the static grid's elastic path.
-fn run_temporal_elastic(
-    algorithms: &[TemporalGenerator],
-    datasets: &[(String, SnapshotSequence)],
-    config: &BenchmarkConfig,
-    truths: &[TrueSequence],
-    tasks: &[(usize, usize, usize)],
-    budget: usize,
-) -> Vec<TemporalOutcome> {
-    let reps = config.repetitions.max(1);
-    let cells = tasks.len();
-    let worker_cap = budget.min(cells.saturating_mul(reps)).max(1);
-    let blocks_per_cell =
-        (worker_cap * ELASTIC_TASKS_PER_WORKER).div_ceil(cells.max(1)).clamp(1, reps);
-    let block = reps.div_ceil(blocks_per_cell);
-    let mut subtasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for cell in 0..cells {
-        let mut start = 0;
-        while start < reps {
-            let end = (start + block).min(reps);
-            subtasks.push((cell, start..end));
-            start = end;
-        }
-    }
-    let model = CostModel::new(algorithms.iter().map(|a| a.name()));
-    let pending: std::sync::Mutex<Vec<usize>> =
-        std::sync::Mutex::new((0..subtasks.len()).collect());
-    let rep_slots: Vec<OnceLock<Option<Vec<f64>>>> =
-        (0..cells * reps).map(|_| OnceLock::new()).collect();
-    let measured: Vec<OnceLock<Option<TemporalSynthesis>>> =
-        (0..cells).map(|_| OnceLock::new()).collect();
-
-    crate::exec::run_elastic(budget, subtasks.len(), |_ticket| {
-        let s = pop_costliest(&pending, |s| {
-            let (cell, range) = &subtasks[s];
-            let (di, ai, _) = tasks[*cell];
-            (model.claim_key(ai, datasets[di].1.node_count()), (*cell, range.start))
-        });
-        let (cell, rep_range) = &subtasks[s];
-        let (di, ai, ei) = tasks[*cell];
-        let (_, seq) = &datasets[di];
-        let started = std::time::Instant::now();
-        let shared = (config.reuse == MeasureReuse::PerCell).then(|| {
-            measured[*cell]
-                .get_or_init(|| measure_temporal_cell(&algorithms[ai], seq, config, (di, ai, ei)))
-        });
-        for rep in rep_range.clone() {
-            let errors = run_temporal_rep(
-                &algorithms[ai],
-                seq,
-                &truths[di],
-                config,
-                (di, ai, ei),
-                rep,
-                shared,
-            );
-            rep_slots[*cell * reps + rep]
-                .set(errors)
-                .expect("the ledger hands out each sub-task once");
-        }
-        model.record(ai, seq.node_count(), rep_range.len(), started.elapsed().as_secs_f64());
-    });
-
-    let mut rep_results: Vec<Option<Vec<f64>>> = rep_slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every claimed sub-task publishes its repetitions"))
-        .collect();
-    tasks
-        .iter()
-        .enumerate()
-        .flat_map(|(t, &(di, ai, ei))| {
-            reduce_temporal_cell(
-                algorithms[ai].name(),
-                &datasets[di].0,
-                config.epsilons[ei],
-                datasets[di].1.window_count(),
-                config,
-                rep_results[t * reps..(t + 1) * reps].iter_mut().map(std::mem::take),
-            )
-        })
-        .collect()
 }

@@ -12,7 +12,6 @@
 use crate::generator::{
     check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
 };
-use crate::par;
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::{Graph, GraphBuilder};
@@ -104,14 +103,15 @@ impl PrivateSynthesis for DerSynthesis {
         // stream — leaves are coarse, uneven work items, so one item per
         // chunk lets the worker cursor load-balance them.
         let leaves = &self.leaves;
-        let pairs: Vec<(u32, u32)> = par::par_collect(leaves.len(), 1, rng, |range, rng, out| {
-            for &(region, count, cells) in &leaves[range] {
-                sample_region_cells(&region, count, cells, rng, out);
-            }
-        });
+        let pairs: Vec<(u32, u32)> =
+            pgb_par::par_collect(leaves.len(), 1, rng, |range, rng, out| {
+                for &(region, count, cells) in &leaves[range] {
+                    sample_region_cells(&region, count, cells, rng, out);
+                }
+            });
         let mut b = GraphBuilder::with_capacity(self.n, pairs.len());
         b.extend(pairs);
-        b.build_parallel(par::current_parallelism()).expect("ids bounded by n")
+        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
     }
 }
 
@@ -187,14 +187,15 @@ impl GraphGenerator for Der {
                     children.push((child, levels_left - 1));
                 }
             }
-            frontier = par::par_collect(children.len(), REGION_CHUNK, rng, |range, rng, out| {
-                for &(child, levels_left) in &children[range] {
-                    let child_noisy = (region_ones(graph, &child) as f64
-                        + sample_laplace(1.0 / eps_level, rng))
-                    .max(0.0);
-                    out.push((child, levels_left, child_noisy));
-                }
-            });
+            frontier =
+                pgb_par::par_collect(children.len(), REGION_CHUNK, rng, |range, rng, out| {
+                    for &(child, levels_left) in &children[range] {
+                        let child_noisy = (region_ones(graph, &child) as f64
+                            + sample_laplace(1.0 / eps_level, rng))
+                        .max(0.0);
+                        out.push((child, levels_left, child_noisy));
+                    }
+                });
         }
 
         Ok(Box::new(DerSynthesis { n, leaves, epsilon: acc.total() }))

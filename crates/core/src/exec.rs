@@ -1,12 +1,12 @@
 //! The shared elastic task-execution core.
 //!
 //! Both halves of PGB that fan work over a thread budget — the benchmark
-//! runner's (cell, repetition-block) grid and `pgb-serve`'s request
-//! execution — used to need the same worker/claim loop: spawn a capped
-//! worker pool, have each worker [`claim`](crate::par::BudgetLedger::claim)
-//! tasks from a shared [`BudgetLedger`](crate::par::BudgetLedger), run each
-//! task under [`with_elastic_parallelism`](crate::par::with_elastic_parallelism)
-//! so its grant can grow mid-task as siblings finish, and release the grant
+//! runner's grid cells and `pgb-serve`'s request execution — need the
+//! same worker/claim loop: spawn a capped worker pool, have each worker
+//! [`claim`](pgb_par::BudgetLedger::claim) tasks from a shared
+//! [`BudgetLedger`], run each task under
+//! [`with_elastic_parallelism`](pgb_par::with_elastic_parallelism) so its
+//! grant can grow mid-task as siblings finish, and release the grant
 //! afterwards. [`run_elastic`] is that loop, extracted once; callers supply
 //! only the task body.
 //!
@@ -16,7 +16,7 @@
 //! publish results into position-addressed slots (or be otherwise
 //! order-free), never append to shared state in completion order.
 
-use crate::par::BudgetLedger;
+use pgb_par::BudgetLedger;
 use std::sync::{Arc, OnceLock};
 
 /// Executes tasks `0..tasks` over an elastic worker pool sharing `budget`
@@ -26,9 +26,9 @@ use std::sync::{Arc, OnceLock};
 /// ascending order from a shared [`BudgetLedger`] and runs `run(task)`
 /// under an elastic grant, so a long tail task absorbs the threads earlier
 /// tasks release (both at claim time and mid-task, via
-/// [`crate::par::current_parallelism`]'s re-polling). Callers that want a
-/// non-index claim order sort their task list before calling and index
-/// through it, as the benchmark runner's cost-aware claim order does.
+/// [`pgb_par::current_parallelism`]'s re-polling). Callers that want a
+/// different claim order sort their task list before calling and index
+/// through it.
 ///
 /// Returns once every task has run. If a task panics, its grant is
 /// released during unwinding (the pool identity holds) and the panic
@@ -39,7 +39,7 @@ pub fn run_elastic<F>(budget: usize, tasks: usize, run: F)
 where
     F: Fn(usize) + Sync,
 {
-    let budget = if budget == 0 { crate::par::available_parallelism() } else { budget };
+    let budget = if budget == 0 { pgb_par::available_parallelism() } else { budget };
     let workers = budget.min(tasks).max(1);
     let ledger = Arc::new(BudgetLedger::new(budget, workers, tasks));
     std::thread::scope(|scope| {
@@ -51,7 +51,7 @@ where
                 crate::fault::point("exec.claim", &[crate::fault::FaultAction::Panic]);
                 let Some((task, grant)) = ledger.claim() else { break };
                 let ((), grant) =
-                    crate::par::with_elastic_parallelism(Arc::clone(ledger), grant, || run(task));
+                    pgb_par::with_elastic_parallelism(Arc::clone(ledger), grant, || run(task));
                 ledger.release(grant);
             });
         }
@@ -115,7 +115,7 @@ mod tests {
         // Inside a task, `current_parallelism` reads the elastic grant —
         // with one task and a budget of 4 the whole budget is granted.
         run_elastic(4, 1, |_| {
-            assert_eq!(crate::par::current_parallelism(), 4);
+            assert_eq!(pgb_par::current_parallelism(), 4);
         });
     }
 }

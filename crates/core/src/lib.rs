@@ -46,14 +46,6 @@ pub mod privskg;
 pub mod temporal;
 pub mod tmf;
 
-/// The deterministic parallelism layer (chunked index ranges, derived RNG
-/// streams, scoped thread budgets, the elastic [`par::BudgetLedger`]) now
-/// lives in the foundational `pgb-par` crate so `pgb-graph`, `pgb-queries`,
-/// and `pgb-community` can parallelise the query-suite hot passes on the
-/// same discipline; this alias keeps every historical
-/// `pgb_core::par::…` / `crate::par::…` path working unchanged.
-pub use pgb_par as par;
-
 pub use der::{Der, DerSynthesis};
 pub use dgg::{Dgg, DggSynthesis};
 pub use dpdk::{DkSynthesis, DkVariant, DpDk};
@@ -80,7 +72,7 @@ pub fn standard_suite() -> Vec<Box<dyn GraphGenerator>> {
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::benchmark::{
-        BenchmarkConfig, BenchmarkResults, ErrorMetric, ExperimentOutcome, MeasureReuse, Scheduler,
+        BenchmarkConfig, BenchmarkResults, ErrorMetric, ExperimentOutcome, MeasureReuse,
     };
     pub use crate::{
         standard_suite, Der, Dgg, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph,

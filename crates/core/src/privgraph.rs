@@ -30,7 +30,6 @@
 use crate::generator::{
     check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
 };
-use crate::par;
 use pgb_community::{louvain_weighted, LouvainParams, Partition, WeightedGraph};
 use pgb_dp::exponential::exponential_mechanism_sparse;
 use pgb_dp::laplace::sample_laplace;
@@ -110,7 +109,7 @@ impl PrivateSynthesis for PrivGraphSynthesis {
         // item on its own derived stream; one item per chunk lets the
         // worker cursor balance the very uneven community sizes.
         let intra_pairs: Vec<(NodeId, NodeId)> =
-            par::par_collect(communities.len(), 1, rng, |range, rng, out| {
+            pgb_par::par_collect(communities.len(), 1, rng, |range, rng, out| {
                 for ci in range {
                     let members = &communities[ci];
                     if members.len() < 2 {
@@ -127,7 +126,7 @@ impl PrivateSynthesis for PrivGraphSynthesis {
         // item per chunk again.
         let inter = &self.inter;
         let inter_pairs: Vec<(NodeId, NodeId)> =
-            par::par_collect(inter.len(), 1, rng, |range, rng, out| {
+            pgb_par::par_collect(inter.len(), 1, rng, |range, rng, out| {
                 for &(a, c, count) in &inter[range] {
                     let (ma, mc) = (&communities[a as usize], &communities[c as usize]);
                     for _ in 0..count {
@@ -140,7 +139,7 @@ impl PrivateSynthesis for PrivGraphSynthesis {
         let mut b = GraphBuilder::with_capacity(self.n, intra_pairs.len() + inter_pairs.len());
         b.extend(intra_pairs);
         b.extend(inter_pairs);
-        b.build_parallel(par::current_parallelism()).expect("ids bounded by n")
+        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
     }
 }
 
@@ -209,7 +208,7 @@ impl GraphGenerator for PrivGraph {
         // deterministic row order.
         const SUPER_ROW_CHUNK: usize = 64;
         let surviving: Vec<(u32, u32, f64)> =
-            par::par_collect(s, SUPER_ROW_CHUNK, rng, |rows, rng, out| {
+            pgb_par::par_collect(s, SUPER_ROW_CHUNK, rng, |rows, rng, out| {
                 for a in rows {
                     for b in a..s {
                         let key = (a as u32, b as u32);
@@ -341,7 +340,7 @@ impl GraphGenerator for PrivGraph {
         // work item on its own derived stream (communities are independent
         // noise problems just as they are independent wiring problems).
         let noisy_degrees: Vec<Vec<f64>> =
-            par::par_collect(communities.len(), 1, rng, |range, rng, out| {
+            pgb_par::par_collect(communities.len(), 1, rng, |range, rng, out| {
                 for ci in range {
                     let members = &communities[ci];
                     if members.len() < 2 {
@@ -365,7 +364,7 @@ impl GraphGenerator for PrivGraph {
         // clamped to the pair's cell capacity.
         const INTER_ROW_CHUNK: usize = 16;
         let inter: Vec<(u32, u32, usize)> =
-            par::par_collect(k, INTER_ROW_CHUNK, rng, |rows, rng, out| {
+            pgb_par::par_collect(k, INTER_ROW_CHUNK, rng, |rows, rng, out| {
                 for a in rows {
                     for c in (a + 1)..k {
                         let true_w =

@@ -11,7 +11,6 @@
 //! subsample's expected moments hit the noisy targets).
 
 use crate::generator::{check_epsilon, GenerateError, GraphGenerator, PrivateSynthesis};
-use crate::par;
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::sensitivity::{
     smooth_sensitivity, triangle_local_sensitivity_at, wedge_local_sensitivity_at, SmoothParams,
@@ -143,12 +142,13 @@ impl PrivateSynthesis for SkgSynthesis {
         // at any thread count.
         let drops = model.sample_drop_count(rng);
         let pairs: Vec<(u32, u32)> =
-            par::par_collect(drops as usize, par::DEFAULT_CHUNK, rng, |range, rng, out| {
+            pgb_par::par_collect(drops as usize, pgb_par::DEFAULT_CHUNK, rng, |range, rng, out| {
                 model.sample_drops(range.len() as u64, rng, out);
             });
         let mut builder = pgb_graph::GraphBuilder::with_capacity(model.node_count(), pairs.len());
         builder.extend(pairs);
-        let big = builder.build_parallel(par::current_parallelism()).expect("ids bounded by 2^k");
+        let big =
+            builder.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by 2^k");
 
         // Uniform induced subsample down to n nodes.
         if big.node_count() == n {

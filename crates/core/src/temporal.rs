@@ -15,7 +15,7 @@
 //!   [`derive_stream`](pgb_par::derive_stream) substream. The caller's RNG
 //!   is the per-cell stream in the runner, so measurement randomness is
 //!   derived per (window, cell) and results are independent of window
-//!   evaluation order, scheduler, and thread budget.
+//!   evaluation order and thread budget.
 //!
 //! With a single window the composition hands back the grant bit-for-bit
 //! (`ε · 1/1`), so a one-window temporal run reproduces the static

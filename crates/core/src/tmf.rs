@@ -14,7 +14,6 @@
 use crate::generator::{
     check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
 };
-use crate::par;
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::{Graph, GraphBuilder};
@@ -115,7 +114,7 @@ impl PrivateSynthesis for TmfSynthesis {
             (kept_true.len(), false_pos.len())
         };
         if keep_true < kept_true.len() || keep_false < false_pos.len() {
-            let mut trim_rng = par::derive_stream(rng.next_u64(), 0);
+            let mut trim_rng = pgb_par::derive_stream(rng.next_u64(), 0);
             for (list, keep) in [(&mut kept_true, keep_true), (&mut false_pos, keep_false)] {
                 if keep >= list.len() {
                     continue; // this list survives whole; only the other is cut
@@ -130,7 +129,7 @@ impl PrivateSynthesis for TmfSynthesis {
         let mut b = GraphBuilder::with_capacity(self.n, keep_true + keep_false);
         b.extend(kept_true);
         b.extend(false_pos);
-        b.build_parallel(par::current_parallelism()).expect("ids bounded by n")
+        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
     }
 }
 
@@ -187,7 +186,7 @@ impl GraphGenerator for TmF {
         // own derived stream, so the output is thread-count-invariant.
         let edges = graph.edge_vec();
         let kept_true: Vec<(u32, u32)> =
-            par::par_collect(edges.len(), par::DEFAULT_CHUNK, rng, |range, rng, out| {
+            pgb_par::par_collect(edges.len(), pgb_par::DEFAULT_CHUNK, rng, |range, rng, out| {
                 for &(u, v) in &edges[range] {
                     if rng.gen_bool(p1) {
                         out.push((u, v));
@@ -203,7 +202,7 @@ impl GraphGenerator for TmF {
         // rows. Disjoint row ranges keep cells distinct across chunks.
         const ROW_CHUNK: usize = 1024;
         let false_pos: Vec<(u32, u32)> =
-            par::par_collect(n.saturating_sub(1), ROW_CHUNK, rng, |rows, rng, out| {
+            pgb_par::par_collect(n.saturating_sub(1), ROW_CHUNK, rng, |rows, rng, out| {
                 // Per-row upper-triangle cell counts, prefix-summed so a
                 // uniform cell index maps back to (row, column).
                 let mut prefix: Vec<u64> = Vec::with_capacity(rows.len() + 1);

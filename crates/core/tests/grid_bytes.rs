@@ -1,0 +1,98 @@
+//! Pinned bytes of both benchmark grids.
+//!
+//! `tests/golden_csv.rs` at the workspace root pins only the static grid
+//! under per-repetition measurement. This test pins the rest of the CSV
+//! contract as 64-bit FNV-1a digests: the static (`run_benchmark`) and
+//! temporal (`run_temporal_benchmark`) grids, under both
+//! [`MeasureReuse`] modes, at 3 repetitions per cell, each digest checked
+//! at thread budgets {1, 2, 8, 0}. A change to how the grid is scheduled
+//! must leave every digest where it is.
+
+use pgb_core::benchmark::{run_benchmark, run_temporal_benchmark, BenchmarkConfig, MeasureReuse};
+use pgb_core::{Der, Dgg, DpDk, GraphGenerator, PrivGraph, TmF};
+use pgb_graph::temporal::SnapshotSequence;
+use pgb_queries::Query;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+fn config(reuse: MeasureReuse, threads: usize) -> BenchmarkConfig {
+    BenchmarkConfig {
+        epsilons: vec![0.5, 2.0],
+        repetitions: 3,
+        queries: vec![
+            Query::EdgeCount,
+            Query::Triangles,
+            Query::DegreeDistribution,
+            Query::GlobalClustering,
+            Query::Modularity,
+        ],
+        seed: 2024,
+        threads,
+        reuse,
+        ..Default::default()
+    }
+}
+
+fn static_csv(reuse: MeasureReuse, threads: usize) -> String {
+    let mut rng = StdRng::seed_from_u64(15);
+    let datasets = vec![
+        ("er".to_string(), pgb_models::erdos_renyi_gnp(45, 0.12, &mut rng)),
+        ("ba".to_string(), pgb_models::barabasi_albert(50, 2, &mut rng)),
+    ];
+    let algorithms: Vec<Box<dyn GraphGenerator>> = vec![
+        Box::new(DpDk::default()),
+        Box::new(TmF::default()),
+        Box::new(PrivGraph::default()),
+        Box::new(Dgg::default()),
+        Box::new(Der::default()),
+    ];
+    run_benchmark(&algorithms, &datasets, &config(reuse, threads)).to_csv()
+}
+
+/// A seeded interaction log whose timestamps spread over the horizon.
+fn events(n: u32, seed: u64) -> Vec<(u32, u32, u64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..4 * n)
+        .map(|i| {
+            let u = rng.gen_range(0..n);
+            let v = (u + rng.gen_range(1..n)) % n;
+            (u, v, i as u64)
+        })
+        .collect()
+}
+
+fn temporal_csv(reuse: MeasureReuse, threads: usize) -> String {
+    let datasets = vec![
+        ("log-a".to_string(), SnapshotSequence::build(40, &events(40, 5), 3).unwrap()),
+        ("log-b".to_string(), SnapshotSequence::build(35, &events(35, 6), 2).unwrap()),
+    ];
+    run_temporal_benchmark(&pgb_core::temporal_suite(), &datasets, &config(reuse, threads)).to_csv()
+}
+
+#[test]
+fn grid_bytes_are_pinned() {
+    type Grid = fn(MeasureReuse, usize) -> String;
+    let pinned: [(&str, Grid, MeasureReuse, u64); 4] = [
+        ("static", static_csv, MeasureReuse::PerRep, 0x41a0_6af8_1aef_adc9),
+        ("static", static_csv, MeasureReuse::PerCell, 0x1cbe_8b6f_e294_9aaa),
+        ("temporal", temporal_csv, MeasureReuse::PerRep, 0x1659_7703_030b_d07a),
+        ("temporal", temporal_csv, MeasureReuse::PerCell, 0x0d94_1dd2_3ea1_507f),
+    ];
+    let mut drifted = Vec::new();
+    for (grid, csv, reuse, digest) in pinned {
+        for threads in [1, 2, 8, 0] {
+            let csv = csv(reuse, threads);
+            assert!(csv.lines().skip(1).all(|row| row.ends_with(",3")), "a repetition failed");
+            let got = fnv1a(csv.as_bytes());
+            if got != digest {
+                drifted.push(format!("{grid} {reuse:?} threads = {threads}: {got:#018x}"));
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "grid bytes drifted:\n{}", drifted.join("\n"));
+}

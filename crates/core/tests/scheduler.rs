@@ -1,32 +1,27 @@
-//! The elastic scheduler's contract, from the outside in:
+//! The grid driver's contract, from the outside in:
 //!
-//! * a tail-heavy grid (`available_parallelism() + 2` cells — exactly the
-//!   shape where the old static split strands threads) produces
-//!   byte-identical CSV across `Scheduler::{Static, Elastic}` × threads
-//!   {1, 2, 8, 0}, and
-//! * the elastic scheduler claims (cell, repetition-block) sub-tasks in
-//!   descending predicted-cost order — unobserved algorithms first on the
-//!   static-seed key, observed ones on their EWMA of measured cell times —
-//!   while emitting the exact same grid as grid-order claiming, and
+//! * a tail-heavy grid (`available_parallelism() + 2` cells, so the queue
+//!   drains below the worker count at the tail, where elastic grants hand
+//!   finished workers' threads to the running cells) produces
+//!   byte-identical CSV at thread budgets {1, 2, 8, 0},
+//! * per-cell measurement reuse measures once per cell, and
 //! * [`BudgetLedger`] invariants survive arbitrary claim/release
 //!   interleavings: outstanding grants never exceed the oversubscription
 //!   bound `budget + workers − 1`, pooled accounting is exact
 //!   (`available + Σ outstanding pooled ≡ budget`), released threads are
 //!   re-grantable, and the ledger drains back to exactly `budget`.
 
-use pgb_core::benchmark::{
-    algorithm_cost_weight, run_benchmark, BenchmarkConfig, MeasureReuse, Scheduler,
-};
+use pgb_core::benchmark::{run_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::generator::GenerateError;
-use pgb_core::par::{available_parallelism, BudgetLedger, Grant};
 use pgb_core::{GraphGenerator, PrivateSynthesis, TmF};
 use pgb_graph::Graph;
+use pgb_par::{available_parallelism, BudgetLedger, Grant};
 use pgb_queries::Query;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 #[test]
 fn csv_byte_identical_across_schedulers_on_tail_heavy_grid() {
@@ -45,41 +40,23 @@ fn csv_byte_identical_across_schedulers_on_tail_heavy_grid() {
         queries: vec![Query::EdgeCount, Query::Triangles, Query::DegreeDistribution],
         seed: 11,
         threads: 1,
-        sched: Scheduler::Static,
         ..Default::default()
     };
     let reference = run_benchmark(&algorithms, &datasets, &config).to_csv();
     assert_eq!(reference.lines().count(), cells * 3 + 1);
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        for threads in [1, 2, 8, 0] {
-            config.sched = sched;
-            config.threads = threads;
-            let csv = run_benchmark(&algorithms, &datasets, &config).to_csv();
-            assert_eq!(csv, reference, "CSV drifted at sched = {sched:?}, threads = {threads}");
-        }
+    for threads in [2, 8, 0] {
+        config.threads = threads;
+        let csv = run_benchmark(&algorithms, &datasets, &config).to_csv();
+        assert_eq!(csv, reference, "CSV drifted at threads = {threads}");
     }
 }
 
-/// A generator that records every `measure` call as `(name, n, ε)` into a
-/// shared log — with one worker (threads = 1), the call order *is* the
-/// elastic scheduler's claim order — and counts measure/sample calls so
-/// the [`MeasureReuse`] contract is observable from the outside.
+/// A generator that counts measure/sample calls, so the [`MeasureReuse`]
+/// contract is observable from the outside.
+#[derive(Default)]
 struct Recording {
-    label: &'static str,
-    log: Arc<Mutex<Vec<(String, usize, f64)>>>,
     measures: Arc<AtomicUsize>,
     samples: Arc<AtomicUsize>,
-}
-
-impl Recording {
-    fn new(label: &'static str, log: Arc<Mutex<Vec<(String, usize, f64)>>>) -> Recording {
-        Recording {
-            label,
-            log,
-            measures: Arc::new(AtomicUsize::new(0)),
-            samples: Arc::new(AtomicUsize::new(0)),
-        }
-    }
 }
 
 /// The identity intermediate of [`Recording`]: sampling hands back the
@@ -111,7 +88,7 @@ impl PrivateSynthesis for RecordingSynthesis {
 
 impl GraphGenerator for Recording {
     fn name(&self) -> &'static str {
-        self.label
+        "Rec"
     }
 
     fn measure(
@@ -120,7 +97,6 @@ impl GraphGenerator for Recording {
         epsilon: f64,
         _rng: &mut dyn rand::RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        self.log.lock().unwrap().push((self.label.to_string(), graph.node_count(), epsilon));
         self.measures.fetch_add(1, Ordering::Relaxed);
         Ok(Box::new(RecordingSynthesis {
             graph: graph.clone(),
@@ -131,103 +107,36 @@ impl GraphGenerator for Recording {
 }
 
 #[test]
-fn elastic_claims_expensive_cells_first_without_changing_output() {
-    // The cost model starts cold: every algorithm is unobserved and ranks
-    // on the static seed × n². With seeds DER = 16, TmF = 1 and datasets
-    // of 20 vs 90 nodes, the first claim must be DER/90 (129600) — and
-    // once that sub-task completes, DER is *observed*, so the second claim
-    // must be the costliest still-unobserved one, TmF/90 (8100), even
-    // though DER/20 (6400) would come next on pure seed order too. From
-    // the third claim on, both algorithms rank on their measured EWMA —
-    // real wall time, deliberately not deterministic — so the tail is
-    // asserted as a set. (The deterministic EWMA ordering itself is unit
-    // tested on `CostModel` directly, with injected observations.)
-    assert!(algorithm_cost_weight("DER") > algorithm_cost_weight("TmF"));
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let algorithms: Vec<Box<dyn GraphGenerator>> = vec![
-        Box::new(Recording::new("TmF", Arc::clone(&log))),
-        Box::new(Recording::new("DER", Arc::clone(&log))),
-    ];
-    let mut rng = StdRng::seed_from_u64(21);
-    let datasets = vec![
-        ("small".to_string(), pgb_models::erdos_renyi_gnp(20, 0.2, &mut rng)),
-        ("large".to_string(), pgb_models::erdos_renyi_gnp(90, 0.08, &mut rng)),
-    ];
-    let config = BenchmarkConfig {
-        epsilons: vec![1.0],
-        repetitions: 1,
-        queries: vec![Query::EdgeCount, Query::Triangles],
-        seed: 5,
-        threads: 1, // one worker ⇒ generation order ≡ claim order
-        sched: Scheduler::Elastic,
-        ..Default::default()
-    };
-    let results = run_benchmark(&algorithms, &datasets, &config);
-    let claimed: Vec<(String, usize)> =
-        log.lock().unwrap().iter().map(|(name, n, _)| (name.clone(), *n)).collect();
-    assert_eq!(claimed.len(), 4, "every cell claimed exactly once: {claimed:?}");
-    assert_eq!(claimed[0], ("DER".to_string(), 90), "cold start: largest seed × n² first");
-    assert_eq!(
-        claimed[1],
-        ("TmF".to_string(), 90),
-        "exploration: unobserved TmF must outrank already-observed DER"
-    );
-    let mut tail: Vec<(String, usize)> = claimed[2..].to_vec();
-    tail.sort();
-    assert_eq!(
-        tail,
-        vec![("DER".to_string(), 20), ("TmF".to_string(), 20)],
-        "the observed tail is EWMA-ordered (time-dependent) but complete"
-    );
-
-    // Scheduling only: the emitted grid is identical to grid-order claiming
-    // (the static scheduler) at any thread count.
-    let reference = {
-        let mut c = config.clone();
-        c.sched = Scheduler::Static;
-        run_benchmark(&algorithms, &datasets, &c).to_csv()
-    };
-    assert_eq!(results.to_csv(), reference, "cost-aware claiming changed the CSV");
-    let row0 = &results.outcomes[0];
-    assert_eq!((row0.dataset.as_str(), row0.algorithm.as_str()), ("small", "TmF"), "grid order");
-}
-
-#[test]
 fn per_cell_reuse_measures_once_per_cell_under_both_schedulers() {
-    // The ISSUE's amortisation contract, observed through call counts:
-    // under `--reuse rep` every repetition pays a measurement; under
+    // The amortisation contract, observed through call counts: under
+    // `--reuse rep` every repetition pays a measurement; under
     // `--reuse cell` the measurement runs once per (dataset, algorithm, ε)
-    // cell and repetitions only re-sample — at every thread budget, under
-    // both schedulers (the elastic path shares the intermediate across
-    // repetition blocks through a per-cell `OnceLock`).
+    // cell and repetitions only re-sample — at every thread budget.
     let mut rng = StdRng::seed_from_u64(33);
     let datasets = vec![("er".to_string(), pgb_models::erdos_renyi_gnp(40, 0.15, &mut rng))];
     let reps = 3;
     let cells = 2; // 1 dataset × 1 algorithm × 2 ε
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        for threads in [1, 4] {
-            for (reuse, expect_measures) in
-                [(MeasureReuse::PerRep, cells * reps), (MeasureReuse::PerCell, cells)]
-            {
-                let rec = Recording::new("Rec", Arc::new(Mutex::new(Vec::new())));
-                let (measures, samples) = (Arc::clone(&rec.measures), Arc::clone(&rec.samples));
-                let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(rec)];
-                let config = BenchmarkConfig {
-                    epsilons: vec![0.5, 2.0],
-                    repetitions: reps,
-                    queries: vec![Query::EdgeCount],
-                    seed: 9,
-                    threads,
-                    sched,
-                    reuse,
-                    ..Default::default()
-                };
-                let results = run_benchmark(&algorithms, &datasets, &config);
-                assert!(results.outcomes.iter().all(|o| o.runs == reps));
-                let ctx = format!("{sched:?} threads={threads} {reuse:?}");
-                assert_eq!(measures.load(Ordering::Relaxed), expect_measures, "{ctx}");
-                assert_eq!(samples.load(Ordering::Relaxed), cells * reps, "{ctx}");
-            }
+    for threads in [1, 4] {
+        for (reuse, expect_measures) in
+            [(MeasureReuse::PerRep, cells * reps), (MeasureReuse::PerCell, cells)]
+        {
+            let rec = Recording::default();
+            let (measures, samples) = (Arc::clone(&rec.measures), Arc::clone(&rec.samples));
+            let algorithms: Vec<Box<dyn GraphGenerator>> = vec![Box::new(rec)];
+            let config = BenchmarkConfig {
+                epsilons: vec![0.5, 2.0],
+                repetitions: reps,
+                queries: vec![Query::EdgeCount],
+                seed: 9,
+                threads,
+                reuse,
+                ..Default::default()
+            };
+            let results = run_benchmark(&algorithms, &datasets, &config);
+            assert!(results.outcomes.iter().all(|o| o.runs == reps));
+            let ctx = format!("threads={threads} {reuse:?}");
+            assert_eq!(measures.load(Ordering::Relaxed), expect_measures, "{ctx}");
+            assert_eq!(samples.load(Ordering::Relaxed), cells * reps, "{ctx}");
         }
     }
 }

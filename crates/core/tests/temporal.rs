@@ -4,19 +4,19 @@
 //!   identical under any intra-cell thread budget (proptest over seeds and
 //!   window counts, budgets {1, 2, 8, 0});
 //! * the temporal-grid CSV is byte-identical across thread budgets
-//!   {1, 2, 8, 0} × both schedulers × both measurement-reuse modes;
+//!   {1, 2, 8, 0} in both measurement-reuse modes;
 //! * degenerate windows flow through: a burst event log (empty trailing
 //!   windows) still generates and evaluates, and a single-window temporal
 //!   run reproduces the static mechanism bit-for-bit at the full ε;
 //! * the complete-grid `runs = 0` guarantee holds for failing mechanisms.
 
-use pgb_core::benchmark::{run_temporal_benchmark, BenchmarkConfig, MeasureReuse, Scheduler};
+use pgb_core::benchmark::{run_temporal_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::generator::GenerateError;
-use pgb_core::par::{derive_stream, with_parallelism};
 use pgb_core::temporal::TemporalGenerator;
 use pgb_core::{GraphGenerator, PrivateSynthesis, TmF};
 use pgb_graph::temporal::SnapshotSequence;
 use pgb_graph::Graph;
+use pgb_par::{derive_stream, with_parallelism};
 use pgb_queries::Query;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,25 +92,18 @@ fn temporal_setup() -> (Vec<TemporalGenerator>, Vec<(String, SnapshotSequence)>,
 fn temporal_csv_byte_identical_across_threads_and_schedulers() {
     // The acceptance criterion: the temporal-grid CSV (window rows and
     // drift rows alike) is byte-identical across thread budgets
-    // {1, 2, 8, 0} and both schedulers, in both measurement-reuse modes.
+    // {1, 2, 8, 0}, in both measurement-reuse modes.
     let (algorithms, datasets, mut config) = temporal_setup();
     for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
         config.reuse = reuse;
-        config.sched = Scheduler::default();
         config.threads = 1;
         let reference = run_temporal_benchmark(&algorithms, &datasets, &config).to_csv();
         // 2 algos × (ring-a: (3+1)·3 + ring-b: (2+1)·3) rows × 2 ε + header.
         assert_eq!(reference.lines().count(), 2 * 2 * (12 + 9) + 1, "{reuse:?}");
-        for sched in [Scheduler::Static, Scheduler::Elastic] {
-            for threads in [1, 2, 8, 0] {
-                config.sched = sched;
-                config.threads = threads;
-                let csv = run_temporal_benchmark(&algorithms, &datasets, &config).to_csv();
-                assert_eq!(
-                    csv, reference,
-                    "temporal CSV drifted at sched = {sched:?}, threads = {threads}, {reuse:?}"
-                );
-            }
+        for threads in [2, 8, 0] {
+            config.threads = threads;
+            let csv = run_temporal_benchmark(&algorithms, &datasets, &config).to_csv();
+            assert_eq!(csv, reference, "temporal CSV drifted at threads = {threads}, {reuse:?}");
         }
     }
 }
@@ -248,17 +241,14 @@ impl GraphGenerator for AlwaysFails {
 fn failing_mechanism_still_emits_complete_temporal_grid() {
     let (_, datasets, mut config) = temporal_setup();
     let algorithms = vec![TemporalGenerator::new(Box::new(AlwaysFails))];
-    for sched in [Scheduler::Static, Scheduler::Elastic] {
-        for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
-            config.sched = sched;
-            config.reuse = reuse;
-            let results = run_temporal_benchmark(&algorithms, &datasets, &config);
-            // (3+1)·3 + (2+1)·3 rows per ε, 2 ε, 1 algorithm.
-            assert_eq!(results.outcomes.len(), 2 * (12 + 9), "{sched:?} {reuse:?}");
-            for o in &results.outcomes {
-                assert_eq!(o.runs, 0, "{sched:?} {reuse:?}: {o:?}");
-                assert!(o.mean_error.is_nan(), "{sched:?} {reuse:?}: {o:?}");
-            }
+    for reuse in [MeasureReuse::PerRep, MeasureReuse::PerCell] {
+        config.reuse = reuse;
+        let results = run_temporal_benchmark(&algorithms, &datasets, &config);
+        // (3+1)·3 + (2+1)·3 rows per ε, 2 ε, 1 algorithm.
+        assert_eq!(results.outcomes.len(), 2 * (12 + 9), "{reuse:?}");
+        for o in &results.outcomes {
+            assert_eq!(o.runs, 0, "{reuse:?}: {o:?}");
+            assert!(o.mean_error.is_nan(), "{reuse:?}: {o:?}");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! not just the same distribution — under any intra-cell thread budget.
 //! This is what makes `BenchmarkConfig::threads` a pure scheduling knob.
 
-use pgb_core::{par, Der, GraphGenerator, PrivGraph, PrivSkg, TmF};
+use pgb_core::{Der, GraphGenerator, PrivGraph, PrivSkg, TmF};
 use pgb_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +32,7 @@ fn community_graph(seed: u64) -> Graph {
 
 fn assert_thread_invariant(algo: &dyn GraphGenerator, g: &Graph, epsilon: f64) {
     let run = |threads: usize| {
-        par::with_parallelism(threads, || {
+        pgb_par::with_parallelism(threads, || {
             let mut rng = StdRng::seed_from_u64(4242);
             algo.generate(g, epsilon, &mut rng).expect("valid inputs")
         })
@@ -96,7 +96,7 @@ fn caller_rng_position_is_thread_invariant() {
     ];
     for algo in &algos {
         let next_draw = |threads: usize| {
-            par::with_parallelism(threads, || {
+            pgb_par::with_parallelism(threads, || {
                 let mut rng = StdRng::seed_from_u64(77);
                 algo.generate(&g, 1.0, &mut rng).expect("valid inputs");
                 rand::RngCore::next_u64(&mut rng)

@@ -74,7 +74,7 @@ proptest! {
                 let (one, two) = if threads == 0 {
                     body(&mut rng_a, &mut rng_b)
                 } else {
-                    pgb_core::par::with_parallelism(threads, || body(&mut rng_a, &mut rng_b))
+                    pgb_par::with_parallelism(threads, || body(&mut rng_a, &mut rng_b))
                 };
                 prop_assert_eq!(
                     one,

@@ -23,7 +23,7 @@ const DEGREE_CHUNK: usize = 16_384;
 /// The scan is chunked over nodes and runs on the ambient
 /// [`pgb_par::current_parallelism`] budget: per-chunk histograms are merged
 /// in chunk order, and because the counts are exact integers the result is
-/// bit-identical to [`degree_histogram_seq`] at any thread count.
+/// bit-identical to a sequential pass at any thread count.
 pub fn degree_histogram(g: &Graph) -> Vec<u64> {
     let len = g.max_degree() + 1;
     let (offsets, _) = g.csr();
@@ -44,18 +44,6 @@ pub fn degree_histogram(g: &Graph) -> Vec<u64> {
             }
         },
     )
-}
-
-/// The sequential reference implementation of [`degree_histogram`]: one
-/// left-to-right pass over the degree sequence. Kept public so the
-/// parallel-equivalence property tests and the `suite_scaling` bench can
-/// compare against the pre-refactor path.
-pub fn degree_histogram_seq(g: &Graph) -> Vec<u64> {
-    let mut hist = vec![0u64; g.max_degree() + 1];
-    for d in g.degrees() {
-        hist[d as usize] += 1;
-    }
-    hist
 }
 
 /// Normalised degree distribution derived from a [`degree_histogram`]:

@@ -9,10 +9,9 @@
 //! over independent regions, so this crate gives them a shared harness with
 //! one hard guarantee: **output is byte-identical at any thread count**.
 //!
-//! `pgb_core::par` re-exports this crate wholesale, so generator call sites
-//! and the runner keep their historical paths; `pgb-graph`, `pgb-queries`,
-//! and `pgb-community` depend on it directly for the query-suite hot passes
-//! (degree histogram, triangle pass, BFS sweep, Louvain scans).
+//! The mechanisms and the runner in `pgb-core` call it directly, as do
+//! `pgb-graph`, `pgb-queries` and `pgb-community` for the query-suite hot
+//! passes (degree histogram, triangle pass, BFS sweep, Louvain scans).
 //!
 //! ## The derived-stream chunking discipline
 //!
@@ -52,7 +51,7 @@
 //! How a *pool of workers* divides a shared budget over a draining task
 //! queue is the job of [`BudgetLedger`]: workers re-claim their share per
 //! task, so threads released by finished workers flow to the tail of the
-//! queue instead of idling (the benchmark runner's elastic scheduler).
+//! queue instead of idling (the benchmark runner's grid driver).
 //!
 //! ## Deterministic cancellation
 //!
@@ -208,8 +207,7 @@ pub fn with_elastic_parallelism<T>(
 /// same goes for the *order* tasks are handed out in: the ledger pops
 /// indices `0, 1, 2, …` over whatever task list the caller built, so a
 /// caller that wants expensive tasks claimed first simply sorts its task
-/// list by a cost key before creating the ledger (the benchmark runner's
-/// cost-aware claim order does exactly that).
+/// list by a cost key before creating the ledger.
 #[derive(Debug)]
 pub struct BudgetLedger {
     budget: usize,
@@ -309,7 +307,7 @@ impl BudgetLedger {
     }
 
     /// Grows `grant` from the pool, if the pool has anything to give —
-    /// the mid-task half of the elastic scheduler. The holder's share is
+    /// the mid-task half of elastic granting. The holder's share is
     /// recomputed against the live state with the holder counted as one
     /// claimant alongside the still-unclaimed tasks
     /// (`claimants = min(remaining + 1, workers)`), so a worker on the

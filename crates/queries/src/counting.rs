@@ -10,9 +10,10 @@
 //! The intersection loops are chunked over pivot nodes and run on the
 //! ambient [`pgb_par::current_parallelism`] budget. Per-chunk credit
 //! arrays are merged in chunk order, and because every count is an exact
-//! integer the result is bit-identical to the sequential reference
-//! ([`seq`]) at any thread count — the same discipline the generators
-//! follow in `pgb-core`.
+//! integer the result is bit-identical to a sequential pass at any thread
+//! count — the same discipline the generators follow in `pgb-core`. The
+//! sequential reference lives with the equivalence tests
+//! (`tests/parallel.rs`).
 
 use pgb_graph::{Graph, NodeId};
 
@@ -48,8 +49,7 @@ const NODE_CHUNK: usize = 16_384;
 /// the CSR id-sort, so two lists intersect with one linear merge.
 ///
 /// Counts are orientation-independent graph properties, so everything
-/// derived here is bit-identical to the id-ordered sequential reference in
-/// [`seq`].
+/// derived here is bit-identical to an id-ordered sequential pass.
 pub struct ForwardOrientation {
     /// `offsets[u]..offsets[u + 1]` is node `u`'s forward segment in
     /// `targets`; `n + 1` entries, `offsets[n] == m`.
@@ -217,81 +217,6 @@ pub fn wedge_count(g: &Graph) -> u64 {
     )
 }
 
-/// Sequential reference implementations (the pre-refactor id-ordered
-/// forward algorithm). Kept public so the parallel-equivalence property
-/// tests and the `suite_scaling` bench can pin the chunked passes against
-/// the exact code that used to run.
-pub mod seq {
-    use super::sorted_intersection_count;
-    use pgb_graph::{Graph, NodeId};
-
-    /// Sequential [`super::triangle_count`]: id-ordered forward lists,
-    /// one thread, no chunking.
-    pub fn triangle_count(g: &Graph) -> u64 {
-        let n = g.node_count();
-        // forward[u] = sorted neighbours of u that are > u.
-        let forward: Vec<&[NodeId]> = (0..n as u32)
-            .map(|u| {
-                let nbrs = g.neighbors(u);
-                let start = nbrs.partition_point(|&v| v <= u);
-                &nbrs[start..]
-            })
-            .collect();
-        let mut count = 0u64;
-        for u in 0..n {
-            for &v in forward[u] {
-                count += sorted_intersection_count(forward[u], forward[v as usize]);
-            }
-        }
-        count
-    }
-
-    /// Sequential [`super::triangles_per_node`].
-    pub fn triangles_per_node(g: &Graph) -> Vec<u64> {
-        let n = g.node_count();
-        let mut t = vec![0u64; n];
-        let forward: Vec<&[NodeId]> = (0..n as u32)
-            .map(|u| {
-                let nbrs = g.neighbors(u);
-                let start = nbrs.partition_point(|&v| v <= u);
-                &nbrs[start..]
-            })
-            .collect();
-        for u in 0..n {
-            for &v in forward[u] {
-                // Intersect and credit all three corners.
-                let (a, b) = (forward[u], forward[v as usize]);
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            let w = a[i];
-                            t[u] += 1;
-                            t[v as usize] += 1;
-                            t[w as usize] += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-            }
-        }
-        t
-    }
-
-    /// Sequential [`super::wedge_count`].
-    pub fn wedge_count(g: &Graph) -> u64 {
-        g.nodes()
-            .map(|u| {
-                let d = g.degree(u) as u64;
-                d * d.saturating_sub(1) / 2
-            })
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,20 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_seq_reference_on_known_graphs() {
-        for (n, edges) in [
-            (6, vec![(0u32, 1u32), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5)]),
-            (5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]),
-            (4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-        ] {
-            let g = Graph::from_edges(n, edges).unwrap();
-            assert_eq!(triangle_count(&g), seq::triangle_count(&g));
-            assert_eq!(triangles_per_node(&g), seq::triangles_per_node(&g));
-            assert_eq!(wedge_count(&g), seq::wedge_count(&g));
-        }
-    }
-
-    #[test]
     fn agrees_with_bruteforce_on_random_graph() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -401,6 +312,5 @@ mod tests {
             }
         }
         assert_eq!(triangle_count(&g), brute);
-        assert_eq!(seq::triangle_count(&g), brute);
     }
 }

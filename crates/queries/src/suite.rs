@@ -26,9 +26,9 @@
 //! triangle pass (via the degree-ordered [`counting::ForwardOrientation`]),
 //! the BFS sweep, and Louvain's init/aggregation scans are chunked on
 //! `pgb-par`'s fixed-boundary discipline and pick up the **ambient**
-//! [`pgb_par::current_parallelism`] budget — the benchmark runner's
-//! schedulers already scope every repetition with
-//! `pgb_par::with_parallelism`, so evaluation scales with the intra-cell
+//! [`pgb_par::current_parallelism`] budget — the benchmark runner already
+//! scopes every cell with an elastic `pgb_par` grant, so evaluation
+//! scales with the intra-cell
 //! thread budget without any new plumbing, and every pass is bit-identical
 //! at any thread count (chunk merges are exact-integer or order-preserving
 //! appends only).

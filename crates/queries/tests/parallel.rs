@@ -8,15 +8,17 @@
 //! This is the evaluation-side mirror of `pgb-core`'s generator
 //! thread-invariance suite.
 //!
-//! The path sweep's reference is [`path_stats_oracle`] below, one plain
-//! BFS per source; its output bytes on a fixed set of graphs are also
-//! pinned as digests, so a change to the sweep cannot move Q7–Q9 unseen.
+//! The references live here, not in the production crates: [`seq`] for
+//! the triangle and wedge counts, [`degree_histogram_seq`], and
+//! [`path_stats_oracle`] for the path sweep, one plain BFS per source. The
+//! sweep's output bytes on a fixed set of graphs are also pinned as
+//! digests, so a change to it cannot move Q7–Q9 unseen.
 
-use pgb_graph::degree::{degree_histogram, degree_histogram_seq};
+use pgb_graph::degree::degree_histogram;
 use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
 use pgb_graph::Graph;
 use pgb_par::with_parallelism;
-use pgb_queries::counting::{self, triangle_count, triangles_per_node, wedge_count};
+use pgb_queries::counting::{triangle_count, triangles_per_node, wedge_count};
 use pgb_queries::path::{path_stats, PathStats};
 use pgb_queries::{ApproxConfig, EvalMode, PathMode, Query, QueryParams, QuerySuite, QueryValue};
 use proptest::prelude::*;
@@ -46,6 +48,91 @@ fn random_graph(n: usize, p_mille: u64, seed: u64) -> Graph {
     Graph::from_edges(n, edges).unwrap()
 }
 
+/// Sequential references for the triangle pass: id-ordered forward lists,
+/// one thread, no chunking — the algorithm the chunked, degree-ordered
+/// pass replaced.
+mod seq {
+    use pgb_graph::{Graph, NodeId};
+
+    /// Calls `credit(u, v, w)` once per triangle, with `u < v < w`.
+    fn for_each_triangle(g: &Graph, mut credit: impl FnMut(usize, usize, usize)) {
+        // forward[u] = sorted neighbours of u that are > u.
+        let forward: Vec<&[NodeId]> = g
+            .nodes()
+            .map(|u| {
+                let nbrs = g.neighbors(u);
+                &nbrs[nbrs.partition_point(|&v| v <= u)..]
+            })
+            .collect();
+        for (u, fu) in forward.iter().enumerate() {
+            for &v in *fu {
+                let fv = forward[v as usize];
+                let (mut i, mut j) = (0, 0);
+                while i < fu.len() && j < fv.len() {
+                    match fu[i].cmp(&fv[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            credit(u, v as usize, fu[i] as usize);
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub fn triangle_count(g: &Graph) -> u64 {
+        let mut count = 0;
+        for_each_triangle(g, |_, _, _| count += 1);
+        count
+    }
+
+    pub fn triangles_per_node(g: &Graph) -> Vec<u64> {
+        let mut t = vec![0u64; g.node_count()];
+        for_each_triangle(g, |u, v, w| {
+            t[u] += 1;
+            t[v] += 1;
+            t[w] += 1;
+        });
+        t
+    }
+
+    pub fn wedge_count(g: &Graph) -> u64 {
+        g.nodes()
+            .map(|u| {
+                let d = g.degree(u) as u64;
+                d * d.saturating_sub(1) / 2
+            })
+            .sum()
+    }
+}
+
+/// Sequential reference for the degree histogram: one left-to-right pass
+/// over the degree sequence.
+fn degree_histogram_seq(g: &Graph) -> Vec<u64> {
+    let mut hist = vec![0u64; g.max_degree() + 1];
+    for d in g.degrees() {
+        hist[d as usize] += 1;
+    }
+    hist
+}
+
+#[test]
+fn matches_seq_reference_on_known_graphs() {
+    for (n, edges) in [
+        (6, vec![(0u32, 1u32), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5)]),
+        (5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]),
+        (4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    ] {
+        let g = Graph::from_edges(n, edges).unwrap();
+        assert_eq!(triangle_count(&g), seq::triangle_count(&g));
+        assert_eq!(triangles_per_node(&g), seq::triangles_per_node(&g));
+        assert_eq!(wedge_count(&g), seq::wedge_count(&g));
+    }
+}
+
 proptest! {
     #[test]
     fn triangle_pass_matches_seq_at_all_budgets(
@@ -54,9 +141,9 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let g = random_graph(n, p, seed);
-        let seq_per_node = counting::seq::triangles_per_node(&g);
-        let seq_total = counting::seq::triangle_count(&g);
-        let seq_wedges = counting::seq::wedge_count(&g);
+        let seq_per_node = seq::triangles_per_node(&g);
+        let seq_total = seq::triangle_count(&g);
+        let seq_wedges = seq::wedge_count(&g);
         for threads in BUDGETS {
             let (per_node, total, wedges) = with_parallelism(threads, || {
                 (triangles_per_node(&g), triangle_count(&g), wedge_count(&g))

@@ -6,7 +6,7 @@
 //!
 //! The grid deliberately runs under `threads: 0` (auto parallelism): the
 //! bytes must be reproducible on any machine at any core count, which is
-//! exactly the derived-stream guarantee the runner and `pgb_core::par`
+//! exactly the derived-stream guarantee the runner and `pgb_par`
 //! make. To regenerate after an *intentional* change, re-bless with:
 //!
 //! ```sh
