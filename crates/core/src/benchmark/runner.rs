@@ -534,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn approx_eval_csv_byte_identical_across_threads_and_schedulers() {
+    fn approx_eval_csv_byte_identical_across_threads() {
         // Sketch-backed evaluation rides the same determinism contract as
         // everything else: the sketches draw from derived per-intermediate
         // streams and their chunk merges are exact-integer or ordered, so
@@ -585,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_reuse_is_deterministic_across_threads_and_schedulers() {
+    fn per_cell_reuse_is_deterministic_across_threads() {
         // Per-cell numbers legitimately differ from per-rep numbers, but
         // within the mode the full determinism contract must hold: the CSV
         // is byte-identical for every thread budget.
@@ -609,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn failing_generator_complete_grid_under_both_schedulers() {
+    fn failing_generator_complete_grid_under_both_reuse_modes() {
         // The complete-grid guarantee (runs = 0, NaN cells) must hold in
         // both reuse modes: a failed per-rep measurement skips that
         // repetition, a failed per-cell one skips them all, and the cell

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[test]
-fn csv_byte_identical_across_schedulers_on_tail_heavy_grid() {
+fn csv_byte_identical_across_threads_on_tail_heavy_grid() {
     let mut rng = StdRng::seed_from_u64(7);
     let g = pgb_models::erdos_renyi_gnp(60, 0.12, &mut rng);
     let datasets = vec![("er".to_string(), g)];
@@ -107,7 +107,7 @@ impl GraphGenerator for Recording {
 }
 
 #[test]
-fn per_cell_reuse_measures_once_per_cell_under_both_schedulers() {
+fn per_cell_reuse_measures_once_per_cell_at_every_budget() {
     // The amortisation contract, observed through call counts: under
     // `--reuse rep` every repetition pays a measurement; under
     // `--reuse cell` the measurement runs once per (dataset, algorithm, ε)

@@ -89,7 +89,7 @@ fn temporal_setup() -> (Vec<TemporalGenerator>, Vec<(String, SnapshotSequence)>,
 }
 
 #[test]
-fn temporal_csv_byte_identical_across_threads_and_schedulers() {
+fn temporal_csv_byte_identical_across_threads() {
     // The acceptance criterion: the temporal-grid CSV (window rows and
     // drift rows alike) is byte-identical across thread budgets
     // {1, 2, 8, 0}, in both measurement-reuse modes.
