@@ -1,7 +1,9 @@
 //! Regenerates **Table X**: peak heap consumption (megabytes) of one
 //! generation per algorithm × dataset at ε = 1, measured with the
 //! counting global allocator (the offline equivalent of the paper's OS
-//! memory readings — see DESIGN.md's substitution table).
+//! memory readings: it counts heap bytes above the live baseline at the
+//! start of each generation, so one generation's peak is not blurred by
+//! the rest of the run).
 
 use pgb_bench::{load_datasets, suite, CountingAllocator, HarnessArgs};
 use pgb_core::benchmark::TextTable;

@@ -52,7 +52,7 @@ fn main() {
         "\n{:<10} {:<16} {:>8} {:>14} {:>14}",
         "mechanism", "sequence", "eps", "mean window", "mean drift"
     );
-    for (di, ds) in results.datasets.iter().enumerate() {
+    for ds in &results.datasets {
         for algo in &results.algorithms {
             for &eps in &results.epsilons {
                 let rows: Vec<_> = results
@@ -72,7 +72,11 @@ fn main() {
                         .filter(|o| o.window.is_some() == window)
                         .map(|o| o.mean_error)
                         .collect();
-                    vals.iter().sum::<f64>() / vals.len().max(1) as f64
+                    if vals.is_empty() {
+                        f64::NAN
+                    } else {
+                        vals.iter().sum::<f64>() / vals.len() as f64
+                    }
                 };
                 println!(
                     "{:<10} {:<16} {:>8.2} {:>14.4e} {:>14.4e}",
@@ -84,7 +88,6 @@ fn main() {
                 );
             }
         }
-        let _ = di;
     }
 
     let csv_path = std::path::Path::new("target").join("temporal_grid_raw.csv");

@@ -128,10 +128,13 @@ impl HarnessArgs {
                 "--window-eps" => {
                     out.window_eps = value_of("--window-eps")?
                         .split(',')
-                        .map(|w| {
-                            w.trim()
-                                .parse::<f64>()
-                                .map_err(|e| format!("invalid --window-eps: {e}"))
+                        .map(|w| match w.trim().parse::<f64>() {
+                            // The predicate `WindowComposition::weighted` enforces.
+                            Ok(w) if w > 0.0 && w.is_finite() => Ok(w),
+                            Ok(w) => {
+                                Err(format!("--window-eps weight {w} must be positive and finite"))
+                            }
+                            Err(e) => Err(format!("invalid --window-eps: {e}")),
                         })
                         .collect::<Result<_, _>>()?;
                 }
@@ -257,6 +260,10 @@ mod tests {
         assert!(parse(&["--window-eps", "1,2", "--windows", "3"]).is_err());
         assert!(parse(&["--windows", "0"]).is_err());
         assert!(parse(&["--window-eps", "1,oops"]).is_err());
+        // Weights must be positive and finite, as the window split requires.
+        for bad in ["1,0", "1,-1", "1,nan", "1,inf"] {
+            assert!(parse(&["--windows", "2", "--window-eps", bad]).is_err(), "{bad}");
+        }
         assert!(parse(&["--windows"]).is_err());
     }
 

@@ -51,8 +51,9 @@ pub fn temporal_suite_for(args: &HarnessArgs) -> Vec<TemporalGenerator> {
         .collect()
 }
 
-/// Node count above which path queries switch to sampled BFS (see
-/// DESIGN.md's substitution table).
+/// Node count above which path queries switch to sampled BFS: exact
+/// all-pairs BFS costs `O(n · m)` per evaluation, which the larger
+/// stand-ins of `pgb_datasets` would pay on every repetition.
 const EXACT_BFS_LIMIT: usize = 5_000;
 
 /// Query parameters for a dataset of `n` nodes.

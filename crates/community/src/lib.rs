@@ -8,17 +8,14 @@
 //!   it on a noisy super-graph (phase 1), and the benchmark's
 //!   community-detection query (Q12) runs it on both the true and the
 //!   synthetic graph.
-//! * [`label_prop`] — label propagation, a cheap baseline detector.
 //! * [`weighted`] — the small weighted-graph structure Louvain aggregates
 //!   into.
 
-pub mod label_prop;
 pub mod louvain;
 pub mod modularity;
 pub mod partition;
 pub mod weighted;
 
-pub use label_prop::label_propagation;
 pub use louvain::{louvain, louvain_weighted, LouvainParams};
 pub use modularity::{modularity, modularity_weighted};
 pub use partition::Partition;

@@ -8,6 +8,9 @@ use pgb_datasets::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// 64-bit FNV-1a with the standard prime 2^40 + 0x1b3, continuing from
+/// `h`. Not `pgb_par::fnv1a`, whose multiplier differs: the digests below
+/// were pinned with this one.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;

@@ -11,14 +11,10 @@
 use pgb_core::benchmark::{run_benchmark, run_temporal_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::{Der, Dgg, DpDk, GraphGenerator, PrivGraph, TmF};
 use pgb_graph::temporal::SnapshotSequence;
+use pgb_par::fnv1a;
 use pgb_queries::Query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
-}
 
 fn config(reuse: MeasureReuse, threads: usize) -> BenchmarkConfig {
     BenchmarkConfig {

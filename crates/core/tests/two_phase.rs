@@ -200,8 +200,8 @@ fn sample_cannot_fail_on_degenerate_graphs() {
 fn csr_digest(g: &Graph) -> u64 {
     let (offsets, neighbors) = g.csr();
     let words = offsets.iter().chain(neighbors).flat_map(|w| w.to_le_bytes());
-    let bytes = (offsets.len() as u64).to_le_bytes().into_iter().chain(words);
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+    let bytes: Vec<u8> = (offsets.len() as u64).to_le_bytes().into_iter().chain(words).collect();
+    pgb_par::fnv1a(&bytes)
 }
 
 #[test]

@@ -4,10 +4,9 @@
 //! the paper) plus CA-GrQc from the verification appendix.
 //!
 //! The original PGB pulls six graphs from SNAP / Network Repository, which
-//! are not available offline. Following the substitution policy in
-//! DESIGN.md, each real graph is replaced by a **deterministic synthetic
-//! stand-in generated to match the axes the paper's analysis attributes
-//! algorithm behaviour to**: node count, edge count, average clustering
+//! are not available offline. The substitution policy: each real graph is
+//! replaced by a **deterministic synthetic stand-in generated to match the
+//! axes the paper's analysis attributes algorithm behaviour to**: node count, edge count, average clustering
 //! coefficient, and type-specific structure (community strength, degree
 //! tail, planarity). The two synthetic datasets (ER, BA) are generated
 //! exactly as in the paper.

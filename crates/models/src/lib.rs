@@ -18,7 +18,6 @@
 //! * [`hrg`] — hierarchical random graphs: dendrograms, likelihood, MCMC
 //!   (PrivHRG's model).
 //! * [`lattice`] — grid graphs (road-network stand-ins).
-//! * [`watts_strogatz`](mod@watts_strogatz) — small-world graphs.
 //! * [`cliques`] — overlapping-clique covers (collaboration-network
 //!   stand-ins).
 //! * [`sampling`] — shared sampling primitives (binomial, distinct pairs).
@@ -38,7 +37,6 @@ pub mod hrg;
 pub mod kronecker;
 pub mod lattice;
 pub mod sampling;
-pub mod watts_strogatz;
 
 pub use ba::{barabasi_albert, barabasi_albert_streaming};
 pub use bter::{bter, BterParams, CcdSpec};
@@ -48,4 +46,3 @@ pub use er::{erdos_renyi_gnm, erdos_renyi_gnp};
 pub use havel_hakimi::{havel_hakimi, is_graphical};
 pub use kronecker::{Initiator, KroneckerModel};
 pub use lattice::grid_graph;
-pub use watts_strogatz::watts_strogatz;

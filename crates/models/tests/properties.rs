@@ -8,7 +8,7 @@ use pgb_models::havel_hakimi::{havel_hakimi, is_graphical};
 use pgb_models::hrg::{Child, Dendrogram};
 use pgb_models::{
     barabasi_albert, bter, chung_lu, configuration_model, erdos_renyi_gnm, erdos_renyi_gnp,
-    grid_graph, watts_strogatz, BterParams,
+    grid_graph, BterParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,16 +84,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = bter(&degrees, &BterParams::default(), &mut rng);
         prop_assert_eq!(g.node_count(), degrees.len());
-        prop_assert!(g.check_invariants());
-    }
-
-    #[test]
-    fn ws_valid(n in 5usize..80, half_k in 1usize..3, beta in 0.0f64..=1.0, seed in 0u64..1000) {
-        let k = 2 * half_k;
-        prop_assume!(k < n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = watts_strogatz(n, k, beta, &mut rng);
-        prop_assert_eq!(g.edge_count(), n * k / 2);
         prop_assert!(g.check_invariants());
     }
 

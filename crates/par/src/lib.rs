@@ -372,6 +372,16 @@ pub fn derive_stream(base: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(h)
 }
 
+/// 64-bit FNV-1a over a byte slice: the serve transcript renders it per
+/// sample so a diff stays human-sized while still pinning every CSR byte,
+/// and the grid and mechanism byte-contract tests pin CSVs and CSRs with
+/// it. The multiplier is `0x1000_0000_01b3` (2^44 + 0x1b3), not the
+/// standard FNV prime 2^40 + 0x1b3; every transcript and pinned digest was
+/// taken with it, so it stays.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
 /// The fixed chunk decomposition of `0..len`: every chunk has exactly
 /// `chunk` indices except a shorter final one. Depends only on the inputs,
 /// never on the thread count — this is what makes chunk streams stable.

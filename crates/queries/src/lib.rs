@@ -44,7 +44,8 @@ pub enum PathMode {
     /// graphs it is about `diameter / 128` of that.
     Exact,
     /// BFS from a uniform sample of sources — the estimator the harness
-    /// uses on graphs above ~10⁴ nodes (§"Substitutions" of DESIGN.md).
+    /// uses on graphs above 5,000 nodes, where exact all-pairs BFS would
+    /// dominate every repetition.
     Sampled {
         /// Number of BFS sources.
         sources: usize,

@@ -365,7 +365,9 @@ fn sweep_matches_oracle_on_graphs_smaller_than_a_batch() {
     assert_sweep_matches_oracle(&Graph::new(7), PathMode::Exact, 7);
 }
 
-/// 64-bit FNV-1a, continuing from `h`.
+/// 64-bit FNV-1a with the standard prime 2^40 + 0x1b3, continuing from
+/// `h`. Not `pgb_par::fnv1a`, whose multiplier differs: the digests below
+/// were pinned with this one.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;

@@ -75,10 +75,11 @@ mod wal;
 pub use accountant::{BudgetStatement, TenantAccountant, TenantStatement};
 pub use cache::{CacheKey, CacheStats, MeasureCache};
 pub use error::ServeError;
+pub use pgb_par::fnv1a;
 pub use script::{parse_script, render_script, Script, SMOKE_SCRIPT};
 pub use server::{
-    csr_bytes, fnv1a, GenerateRequest, LogEntry, Recovery, RequestLog, Response, ResponseRecord,
-    Server, ServerConfig, Transcript,
+    csr_bytes, GenerateRequest, LogEntry, Recovery, RequestLog, Response, ResponseRecord, Server,
+    ServerConfig, Transcript,
 };
 pub use wal::{
     crc32, read_contents, Wal, WalCheckpoint, WalContents, WalCorrupt, MAX_RECORD_BYTES, WAL_MAGIC,

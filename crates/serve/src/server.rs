@@ -12,7 +12,7 @@ use pgb_core::fault;
 use pgb_core::{GraphGenerator, PrivateSynthesis};
 use pgb_graph::Graph;
 use pgb_par::cancel::{self, CancelCause, CancelToken, CancelUnwind};
-use pgb_par::derive_stream;
+use pgb_par::{derive_stream, fnv1a};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -588,18 +588,6 @@ pub fn csr_bytes(graph: &Graph) -> Vec<u8> {
         out.extend_from_slice(&n.to_le_bytes());
     }
     out
-}
-
-/// 64-bit FNV-1a over a byte slice — the digest the text transcript
-/// renders per sample so a diff stays human-sized while still pinning
-/// every CSR byte.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 impl Transcript {
