@@ -20,12 +20,11 @@ fn main() {
     let config = benchmark_config(&args, max_nodes);
     let algorithms = suite();
     eprintln!(
-        "running {} algorithms x {} datasets x {} budgets x {} reps ({} evaluation) ...",
+        "running {} algorithms x {} datasets x {} budgets x {} reps ...",
         algorithms.len(),
         datasets.len(),
         config.epsilons.len(),
-        config.repetitions,
-        config.query_params.eval.name()
+        config.repetitions
     );
     let start = std::time::Instant::now();
     let results = run_benchmark(&algorithms, &datasets, &config);

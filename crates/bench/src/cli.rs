@@ -1,7 +1,6 @@
 //! Minimal argument parsing shared by the harness binaries.
 
 use pgb_core::benchmark::MeasureReuse;
-use pgb_queries::EvalMode;
 
 /// Experiment scale presets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,12 +42,6 @@ pub struct HarnessArgs {
     /// re-samples it each repetition — the numbers change by design, but
     /// stay deterministic in threads.
     pub reuse: MeasureReuse,
-    /// Suite evaluation mode (`--eval exact|approx`; exact default).
-    /// Approx replaces the BFS sweep, the triangle pass, and the degree
-    /// histogram with the sketches in `pgb_queries::approx` — the numbers
-    /// change by design (each estimate carries a stated error bound), but
-    /// stay deterministic in threads.
-    pub eval: EvalMode,
     /// Number of snapshot windows for the temporal harness
     /// (`--windows N`, N ≥ 1; only the temporal binaries read it).
     pub windows: usize,
@@ -65,7 +58,6 @@ impl Default for HarnessArgs {
             seed: 0,
             threads: 0,
             reuse: MeasureReuse::default(),
-            eval: EvalMode::default(),
             windows: 4,
             window_eps: Vec::new(),
         }
@@ -74,8 +66,8 @@ impl Default for HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `--scale`, `--reps`, `--seed`, `--threads`, `--reuse`,
-    /// `--eval`, `--windows`, `--window-eps` from an iterator of arguments
-    /// (unknown arguments error).
+    /// `--windows`, `--window-eps` from an iterator of arguments (unknown
+    /// arguments error).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
         let mut it = args.into_iter();
@@ -112,10 +104,6 @@ impl HarnessArgs {
                     out.reuse = value_of("--reuse")?
                         .parse()
                         .map_err(|e| format!("invalid --reuse: {e}"))?;
-                }
-                "--eval" => {
-                    out.eval =
-                        value_of("--eval")?.parse().map_err(|e| format!("invalid --eval: {e}"))?;
                 }
                 "--windows" => {
                     out.windows = value_of("--windows")?
@@ -159,8 +147,7 @@ impl HarnessArgs {
                 eprintln!("error: {e}");
                 eprintln!(
                     "usage: [--scale small|medium|paper] [--reps N] [--seed N] [--threads N] \
-                     [--reuse rep|cell] [--eval exact|approx] [--windows N] \
-                     [--window-eps w1,w2,...]"
+                     [--reuse rep|cell] [--windows N] [--window-eps w1,w2,...]"
                 );
                 std::process::exit(2);
             }
@@ -221,18 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_parses_both_modes() {
-        assert_eq!(parse(&[]).unwrap().eval, EvalMode::Exact);
-        assert_eq!(parse(&["--eval", "exact"]).unwrap().eval, EvalMode::Exact);
-        assert_eq!(
-            parse(&["--eval", "approx"]).unwrap().eval,
-            EvalMode::Approx(pgb_queries::ApproxConfig::default())
-        );
-        assert!(parse(&["--eval", "sketchy"]).is_err());
-        assert!(parse(&["--eval"]).is_err());
-    }
-
-    #[test]
     fn reps_must_be_positive() {
         assert_eq!(parse(&["--reps", "1"]).unwrap().repetitions(), 1);
         assert!(parse(&["--reps", "0"]).is_err());
@@ -272,5 +247,7 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--scale", "huge"]).is_err());
         assert!(parse(&["--reps"]).is_err());
+        // A removed flag fails loudly rather than being ignored.
+        assert!(parse(&["--eval", "approx"]).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! # pgb-bench
 //!
 //! The PGB experiment harness: one binary per table / figure of the paper
-//! (see `src/bin/`), the sketch layer's Exact-vs-Approx measurement, and
-//! shared measurement utilities.
+//! (see `src/bin/`), the suite-scaling measurement, and shared measurement
+//! utilities.
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
@@ -18,8 +18,8 @@
 //! | `fig5_fig6_privskg_verify` | Figs. 5/6 — PrivSKG verification on CA-GrQc |
 //! | `fig7_der` | Fig. 7 — DER vs TmF vs PrivGraph |
 //! | `temporal_grid` | temporal scenario axis — per-window errors + drift |
-//! | `suite_eval_mode` | Exact vs Approx suite evaluation on a 10⁶-node BA graph (`BENCH_SUITE_SCALING.json`) |
-//! | `run_all` | everything above (except `temporal_grid` and `suite_eval_mode`), in sequence |
+//! | `suite_scaling` | exact suite evaluation on a 10⁶-node BA graph, 10⁷ at `--scale paper` (`BENCH_SUITE_SCALING.json`) |
+//! | `run_all` | everything above (except `temporal_grid` and `suite_scaling`), in sequence |
 //!
 //! Every binary accepts `--scale small|medium|paper` (default `small`),
 //! `--reps N`, `--seed N` and `--threads N` (the emitted numbers are

@@ -71,13 +71,12 @@ pub fn query_params_for(n: usize) -> QueryParams {
 /// A benchmark configuration following the paper's protocol (ε grid
 /// {0.1, 0.5, 1, 2, 5, 10}, all 15 queries), scaled by the harness
 /// arguments. `max_nodes` is the largest dataset in play, deciding the
-/// BFS mode; `--eval approx` swaps the suite's shared intermediates for
-/// their sketch-backed estimators.
+/// BFS mode.
 pub fn benchmark_config(args: &HarnessArgs, max_nodes: usize) -> BenchmarkConfig {
     BenchmarkConfig {
         epsilons: vec![0.1, 0.5, 1.0, 2.0, 5.0, 10.0],
         repetitions: args.repetitions(),
-        query_params: QueryParams { eval: args.eval, ..query_params_for(max_nodes) },
+        query_params: query_params_for(max_nodes),
         seed: args.seed,
         threads: args.threads,
         reuse: args.reuse,
@@ -119,23 +118,6 @@ mod tests {
         assert_eq!(c.repetitions, 2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.queries.len(), 15);
-    }
-
-    #[test]
-    fn config_propagates_eval_mode() {
-        use pgb_queries::{ApproxConfig, EvalMode};
-        let args =
-            HarnessArgs { eval: EvalMode::Approx(ApproxConfig::default()), ..Default::default() };
-        assert_eq!(
-            benchmark_config(&args, 100).query_params.eval,
-            EvalMode::Approx(ApproxConfig::default())
-        );
-        assert_eq!(
-            benchmark_config(&HarnessArgs::default(), 100).query_params.eval,
-            EvalMode::Exact
-        );
-        // The eval axis must not disturb the BFS-mode decision.
-        assert_eq!(benchmark_config(&args, 100).query_params.path_mode, PathMode::Exact);
     }
 
     #[test]

@@ -534,47 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_eval_csv_byte_identical_across_threads() {
-        // Sketch-backed evaluation rides the same determinism contract as
-        // everything else: the sketches draw from derived per-intermediate
-        // streams and their chunk merges are exact-integer or ordered, so
-        // the CSV must be byte-identical at any thread budget. It must
-        // also differ from the exact CSV only in
-        // the sketch-backed queries' rows (spot-checked via |E|).
-        let (algorithms, datasets, mut config) = tiny_setup();
-        config.queries = Query::ALL.to_vec();
-        config.query_params.eval =
-            pgb_queries::EvalMode::Approx(pgb_queries::ApproxConfig::default());
-        config.threads = 1;
-        let serial = run_benchmark(&algorithms, &datasets, &config).to_csv();
-        assert_eq!(serial.lines().count(), 61); // 2 algos × 2 ε × 15 queries + header
-        for threads in [2, 8, 0] {
-            config.threads = threads;
-            let other = run_benchmark(&algorithms, &datasets, &config).to_csv();
-            assert_eq!(serial, other, "approx CSV must not depend on threads = {threads}");
-        }
-        // |E| does not go through a sketch: its rows match exact evaluation.
-        config.query_params.eval = pgb_queries::EvalMode::Exact;
-        config.threads = 1;
-        let exact = run_benchmark(&algorithms, &datasets, &config);
-        let approx_results = run_benchmark(
-            &algorithms,
-            &datasets,
-            &BenchmarkConfig {
-                query_params: QueryParams {
-                    eval: pgb_queries::EvalMode::Approx(pgb_queries::ApproxConfig::default()),
-                    ..config.query_params
-                },
-                ..config.clone()
-            },
-        );
-        assert_eq!(
-            exact.error("TmF", "toy", 5.0, Query::EdgeCount),
-            approx_results.error("TmF", "toy", 5.0, Query::EdgeCount),
-        );
-    }
-
-    #[test]
     fn measure_reuse_parses_and_defaults_to_per_rep() {
         assert_eq!(BenchmarkConfig::default().reuse, MeasureReuse::PerRep);
         assert_eq!("rep".parse::<MeasureReuse>(), Ok(MeasureReuse::PerRep));

@@ -49,10 +49,10 @@ pub fn degree_histogram(g: &Graph) -> Vec<u64> {
 /// Normalised degree distribution derived from a [`degree_histogram`]:
 /// `p[d] = hist[d] / n`. Returns an empty vector when `n == 0`.
 ///
-/// The degree queries Q5/Q6 both reduce a histogram through this pair of
-/// `*_from_histogram` helpers, so the per-query path and the shared-pass
-/// suite evaluator in `pgb-queries` produce bit-identical values from one
-/// degree pass.
+/// [`degree_distribution`], [`degree_variance`] and the suite evaluator
+/// in `pgb-queries` (Q5/Q6, from one shared degree pass) all reduce a
+/// histogram through this pair of `*_from_histogram` helpers, so they
+/// produce bit-identical values.
 pub fn distribution_from_histogram(hist: &[u64], n: usize) -> Vec<f64> {
     if n == 0 {
         return Vec::new();

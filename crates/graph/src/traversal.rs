@@ -1,8 +1,7 @@
-//! Breadth-first traversal and connected components.
-//!
-//! These routines back every path-condition query in the benchmark
-//! (diameter, average shortest path, distance distribution) and the
-//! largest-component extraction used by eigenvector centrality.
+//! Breadth-first traversal and connected components: single-source BFS
+//! distances, component labelling and a connectivity check. The path
+//! queries (Q7–Q9) do not use them; `pgb_queries::path` runs its own
+//! bit-parallel multi-source BFS.
 
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -39,12 +38,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// The eccentricity (maximum finite BFS distance) of `src`, ignoring
-/// unreachable nodes. Returns 0 for isolated nodes.
-pub fn eccentricity(g: &Graph, src: NodeId) -> u32 {
-    bfs_distances(g, src).into_iter().filter(|&d| d != UNREACHABLE).max().unwrap_or(0)
-}
-
 /// Connected-component labelling.
 #[derive(Clone, Debug)]
 pub struct Components {
@@ -59,26 +52,6 @@ impl Components {
     /// Number of connected components.
     pub fn count(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// Label of the largest component (ties broken by lowest label).
-    pub fn largest(&self) -> u32 {
-        self.sizes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
-    }
-
-    /// The node ids belonging to component `label`, in increasing order.
-    pub fn members(&self, label: u32) -> Vec<NodeId> {
-        self.label
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == label)
-            .map(|(u, _)| u as NodeId)
-            .collect()
     }
 }
 
@@ -113,17 +86,6 @@ pub fn connected_components(g: &Graph) -> Components {
 /// Whether the graph is connected (the empty graph counts as connected).
 pub fn is_connected(g: &Graph) -> bool {
     g.node_count() == 0 || connected_components(g).count() == 1
-}
-
-/// Extracts the largest connected component as a relabelled subgraph,
-/// returning it together with the new-id → original-id mapping.
-pub fn largest_component(g: &Graph) -> (Graph, Vec<NodeId>) {
-    if g.node_count() == 0 {
-        return (Graph::new(0), Vec::new());
-    }
-    let comps = connected_components(g);
-    let members = comps.members(comps.largest());
-    g.induced_subgraph(&members)
 }
 
 #[cfg(test)]
@@ -162,20 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_ignores_other_components() {
-        let g = two_components();
-        assert_eq!(eccentricity(&g, 0), 2);
-        assert_eq!(eccentricity(&g, 3), 1);
-        assert_eq!(eccentricity(&g, 5), 0);
-    }
-
-    #[test]
     fn components_counts_and_sizes() {
         let c = connected_components(&two_components());
         assert_eq!(c.count(), 3);
         assert_eq!(c.sizes, vec![3, 2, 1]);
-        assert_eq!(c.largest(), 0);
-        assert_eq!(c.members(1), vec![3, 4]);
+        assert_eq!(c.label, vec![0, 0, 0, 1, 1, 2]);
     }
 
     #[test]
@@ -184,20 +137,5 @@ mod tests {
         assert!(is_connected(&Graph::from_edges(2, [(0, 1)]).unwrap()));
         assert!(!is_connected(&two_components()));
         assert!(!is_connected(&Graph::new(2)));
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let (sub, order) = largest_component(&two_components());
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn largest_component_of_empty_graph() {
-        let (sub, order) = largest_component(&Graph::new(0));
-        assert_eq!(sub.node_count(), 0);
-        assert!(order.is_empty());
     }
 }

@@ -101,9 +101,8 @@ impl ForwardOrientation {
         self.offsets.len() - 1
     }
 
-    /// The forward (higher-ranked) neighbours of `u`, id-sorted. Shared
-    /// with the wedge-sampling triangle sketch in [`crate::approx`].
-    pub(crate) fn forward(&self, u: usize) -> &[NodeId] {
+    /// The forward (higher-ranked) neighbours of `u`, id-sorted.
+    fn forward(&self, u: usize) -> &[NodeId] {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 

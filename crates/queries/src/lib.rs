@@ -11,15 +11,14 @@
 //! | topology  | Q10 GCC, Q11 ACC, Q12 CD (community detection), Q13 Mod, Q14 Ass |
 //! | centrality| Q15 EVC (eigenvector centrality) |
 //!
-//! [`Query::evaluate`] computes any single query against a graph, returning
-//! a [`QueryValue`]. [`QuerySuite::evaluate_all`] evaluates a whole query
-//! subset in one pass, computing each shared intermediate (degree histogram,
-//! BFS sweep, triangle pass, Louvain run) at most once — see the [`suite`]
-//! module for the sharing plan and the RNG-stream discipline that keeps
-//! results independent of the requested subset. The error-metric pairing of
-//! Table IV lives in `pgb-core`, which compares true-vs-synthetic values.
+//! [`QuerySuite::evaluate_all`] evaluates a query subset exactly in one
+//! pass, computing each shared intermediate (degree histogram, BFS sweep,
+//! triangle pass, Louvain run) at most once — see the [`suite`] module for
+//! the sharing plan and the RNG-stream discipline that keeps results
+//! independent of the requested subset. [`Query::evaluate`] is its
+//! one-query case. The error-metric pairing of Table IV lives in
+//! `pgb-core`, which compares true-vs-synthetic values.
 
-pub mod approx;
 pub mod centrality;
 pub mod clustering;
 pub mod counting;
@@ -29,7 +28,7 @@ pub mod suite;
 pub mod temporal;
 pub mod topology;
 
-pub use suite::{ApproxReport, QuerySuite, SuiteStats};
+pub use suite::{QuerySuite, SuiteStats};
 pub use temporal::{suite_drift, suite_drift_sequence, SuiteDrift};
 
 use pgb_graph::Graph;
@@ -52,84 +51,6 @@ pub enum PathMode {
     },
 }
 
-/// Sketch parameters for [`EvalMode::Approx`]. See [`approx`] for the
-/// estimators each knob feeds and the error bounds they report.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ApproxConfig {
-    /// HyperLogLog precision `p` for the HyperANF path sweep: `2^p`
-    /// one-byte registers per node (clamped to `4..=16`). Relative error
-    /// scales as `1.04 / sqrt(2^p)`; memory as `2 · n · 2^p` bytes.
-    pub hll_precision: u8,
-    /// Cap on HyperANF sweep iterations (i.e. on the distance levels
-    /// explored). The sweep normally stops at its register fixpoint well
-    /// before this.
-    pub max_sweep_iters: usize,
-    /// Wedge samples per sampling pass for the triangle sketch (Q3/Q10)
-    /// and the local-clustering sketch (Q11).
-    pub wedge_samples: usize,
-    /// Node-degree samples for the sampled degree histogram (Q5/Q6).
-    pub histogram_samples: usize,
-    /// Confidence level the reported error bounds hold at (e.g. `0.99`).
-    pub confidence: f64,
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        ApproxConfig {
-            hll_precision: 4,
-            max_sweep_iters: 64,
-            wedge_samples: 1 << 16,
-            histogram_samples: 1 << 16,
-            confidence: 0.99,
-        }
-    }
-}
-
-/// How [`QuerySuite::evaluate_all`] computes the super-linear shared
-/// intermediates.
-///
-/// This is a *suite-level* axis: [`Query::evaluate`] (the single-query
-/// path) always evaluates exactly, and the deterministic queries
-/// (Q1/Q2/Q4, Q12–Q15) are identical under both modes. Approximate
-/// evaluation draws its randomness from dedicated derived streams, so
-/// switching modes never perturbs the exact path's RNG cursor (the
-/// golden CSVs only exercise `Exact`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum EvalMode {
-    /// Every shared intermediate computed exactly (BFS sweep, forward
-    /// intersection, full degree histogram). The default.
-    #[default]
-    Exact,
-    /// Sketch-backed intermediates with reported error bounds: a
-    /// HyperANF register sweep for Q7–Q9, wedge sampling for Q3/Q10/Q11,
-    /// and a sampled degree histogram for Q5/Q6. See [`approx`].
-    Approx(ApproxConfig),
-}
-
-impl EvalMode {
-    /// Harness-facing name (the `--eval` flag value).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EvalMode::Exact => "exact",
-            EvalMode::Approx(_) => "approx",
-        }
-    }
-}
-
-impl std::str::FromStr for EvalMode {
-    type Err = String;
-
-    /// Parses the harness `--eval` flag: `exact`, or `approx` (with the
-    /// default [`ApproxConfig`]).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(EvalMode::Exact),
-            "approx" => Ok(EvalMode::Approx(ApproxConfig::default())),
-            other => Err(format!("unknown eval mode {other:?} (expected exact|approx)")),
-        }
-    }
-}
-
 /// Evaluation parameters shared by all queries.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryParams {
@@ -139,20 +60,11 @@ pub struct QueryParams {
     pub evc_max_iters: usize,
     /// Convergence threshold (L1 change) for eigenvector centrality.
     pub evc_tolerance: f64,
-    /// Exact or sketch-backed evaluation of the suite's shared
-    /// intermediates (honoured by [`QuerySuite`]; ignored by the
-    /// single-query [`Query::evaluate`] path, which is always exact).
-    pub eval: EvalMode,
 }
 
 impl Default for QueryParams {
     fn default() -> Self {
-        QueryParams {
-            path_mode: PathMode::Exact,
-            evc_max_iters: 200,
-            evc_tolerance: 1e-9,
-            eval: EvalMode::Exact,
-        }
+        QueryParams { path_mode: PathMode::Exact, evc_max_iters: 200, evc_tolerance: 1e-9 }
     }
 }
 
@@ -171,7 +83,9 @@ pub enum Query {
     DegreeVariance,
     /// Q6: degree distribution.
     DegreeDistribution,
-    /// Q7: diameter (largest eccentricity in the largest component).
+    /// Q7: diameter — the largest finite distance from any source the BFS
+    /// sweep covers, over all components (a lower bound under
+    /// [`PathMode::Sampled`]).
     Diameter,
     /// Q8: average of all shortest paths.
     AveragePathLength,
@@ -237,49 +151,17 @@ impl Query {
         }
     }
 
-    /// Evaluates this query on `g`.
-    ///
-    /// `rng` powers the randomised components (Louvain's node order, BFS
-    /// source sampling); scalar queries ignore it.
+    /// Evaluates this query on `g`: a one-query
+    /// [`QuerySuite::evaluate_all`], so the value is the one the full
+    /// suite computes for it at the same caller seed.
     pub fn evaluate<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         params: &QueryParams,
         rng: &mut R,
     ) -> QueryValue {
-        match self {
-            Query::NodeCount => QueryValue::Scalar(g.node_count() as f64),
-            Query::EdgeCount => QueryValue::Scalar(g.edge_count() as f64),
-            Query::Triangles => QueryValue::Scalar(counting::triangle_count(g) as f64),
-            Query::AverageDegree => QueryValue::Scalar(g.average_degree()),
-            Query::DegreeVariance => QueryValue::Scalar(pgb_graph::degree::degree_variance(g)),
-            Query::DegreeDistribution => {
-                QueryValue::Distribution(pgb_graph::degree::degree_distribution(g))
-            }
-            Query::Diameter => {
-                QueryValue::Scalar(path::path_stats(g, params.path_mode, rng).diameter as f64)
-            }
-            Query::AveragePathLength => {
-                QueryValue::Scalar(path::path_stats(g, params.path_mode, rng).average_length)
-            }
-            Query::DistanceDistribution => QueryValue::Distribution(
-                path::path_stats(g, params.path_mode, rng).distance_distribution,
-            ),
-            Query::GlobalClustering => QueryValue::Scalar(clustering::global_clustering(g)),
-            Query::AverageClustering => QueryValue::Scalar(clustering::average_clustering(g)),
-            Query::CommunityDetection => {
-                QueryValue::Partition(topology::detect_communities(g, rng))
-            }
-            Query::Modularity => QueryValue::Scalar(topology::detected_modularity(g, rng)),
-            Query::Assortativity => {
-                QueryValue::Scalar(pgb_graph::degree::assortativity(g).unwrap_or(0.0))
-            }
-            Query::EigenvectorCentrality => QueryValue::Vector(centrality::eigenvector_centrality(
-                g,
-                params.evc_max_iters,
-                params.evc_tolerance,
-            )),
-        }
+        let mut values = QuerySuite::evaluate_all(g, std::slice::from_ref(self), params, rng);
+        values.pop().expect("one value per query")
     }
 }
 

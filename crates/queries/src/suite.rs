@@ -12,13 +12,12 @@
 //! * one **Louvain run** feeds Q12 (community detection) and Q13
 //!   (modularity).
 //!
-//! Evaluating queries independently via [`Query::evaluate`] recomputes each
-//! of these once per dependent query — three BFS sweeps, three triangle
-//! passes, two Louvain runs for the full suite. `evaluate_all` computes each
-//! shared intermediate lazily and at most once, and every reduction goes
-//! through the same helper functions as the per-query path, so deterministic
-//! queries (everything except Louvain-backed Q12/Q13, and Q7–Q9 under
-//! [`crate::PathMode::Sampled`]) return bit-identical values either way.
+//! Evaluating queries one at a time via [`Query::evaluate`] (a one-query
+//! suite) recomputes each of these once per dependent query — three BFS
+//! sweeps, three triangle passes, two Louvain runs for the full suite.
+//! `evaluate_all` computes each shared intermediate lazily and at most once,
+//! and the RNG-stream discipline below makes every query's value the same
+//! either way at the same caller seed.
 //!
 //! ## Parallelism
 //!
@@ -42,12 +41,7 @@
 //!
 //! * the BFS source sample (only drawn upon under `PathMode::Sampled`) uses
 //!   the `PATH` stream;
-//! * the Louvain node order uses the `LOUVAIN` stream;
-//! * under [`EvalMode::Approx`], the HyperANF hash seed, the wedge-sample
-//!   draws, and the degree-sample draws use the `HLL`, `TRI_SKETCH`, and
-//!   `HIST` streams respectively — *never* the exact path's streams, so
-//!   toggling the mode cannot perturb an exact evaluation's RNG cursor
-//!   (the golden CSVs only exercise `Exact`).
+//! * the Louvain node order uses the `LOUVAIN` stream.
 //!
 //! Consequences: (1) the caller's RNG advances by exactly one draw no matter
 //! which queries are requested, (2) the value computed for a query is
@@ -55,19 +49,8 @@
 //! (3) a benchmark harness that seeds the caller RNG per cell gets results
 //! that are independent of thread count and query-subset choice — the
 //! property behind `pgb-core`'s byte-identical-CSV guarantee.
-//!
-//! ## Approximate evaluation
-//!
-//! With [`QueryParams::eval`] set to [`EvalMode::Approx`], the three
-//! super-linear shared intermediates are replaced by the sketches in
-//! [`crate::approx`] (HyperANF for the BFS sweep, wedge sampling for the
-//! triangle pass, degree sampling for the histogram), each at most once,
-//! under the same subset-independence and thread-count guarantees. The
-//! sketches' reported error bounds are surfaced through
-//! [`QuerySuite::evaluate_all_with_report`].
 
-use crate::approx;
-use crate::{centrality, counting, path, topology, EvalMode, Query, QueryParams, QueryValue};
+use crate::{centrality, counting, path, topology, Query, QueryParams, QueryValue};
 use pgb_community::Partition;
 use pgb_graph::degree::{distribution_from_histogram, variance_from_histogram};
 use pgb_graph::Graph;
@@ -78,15 +61,6 @@ use rand::{Rng, SeedableRng};
 const PATH_STREAM: u64 = 1;
 /// Stream tag for the Louvain node order (Q12/Q13).
 const LOUVAIN_STREAM: u64 = 2;
-/// Stream tag for the HyperANF hash seed (Q7–Q9 under [`EvalMode::Approx`]).
-const HLL_STREAM: u64 = 3;
-/// Stream tag for the wedge-sampling triangle sketch (Q3/Q10/Q11 under
-/// [`EvalMode::Approx`]).
-const TRI_SKETCH_STREAM: u64 = 4;
-/// Stream tag for the sampled degree histogram (Q5/Q6 under
-/// [`EvalMode::Approx`]).
-const HIST_STREAM: u64 = 5;
-
 /// Derives the deterministic RNG for one randomised intermediate from the
 /// per-evaluation base seed (same mixer family as `pgb-core`'s per-cell
 /// derivation).
@@ -114,42 +88,16 @@ pub struct SuiteStats {
     pub louvain_runs: usize,
 }
 
-/// Error bounds reported by one [`QuerySuite::evaluate_all_with_report`]
-/// call under [`EvalMode::Approx`]. Every field is `None`/default until the
-/// sketch that produces it actually runs (and always under
-/// [`EvalMode::Exact`]); bounds hold at [`ApproxReport::confidence`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ApproxReport {
-    /// Confidence level of every bound below (0 until a sketch runs).
-    pub confidence: f64,
-    /// Absolute Hoeffding bound on the Q3 triangle estimate.
-    pub triangles_bound: Option<f64>,
-    /// Absolute Hoeffding bound on the Q10 GCC estimate.
-    pub gcc_bound: Option<f64>,
-    /// Absolute Hoeffding bound on the Q11 ACC estimate.
-    pub acc_bound: Option<f64>,
-    /// Relative HLL bound on the neighbourhood-function values behind
-    /// Q7–Q9.
-    pub path_rel_bound: Option<f64>,
-    /// Whether the HyperANF sweep hit its iteration cap before its
-    /// register fixpoint.
-    pub path_saturated: bool,
-}
-
-/// Lazily computed shared intermediates for one graph. The histogram is
-/// stored with the population count the `*_from_histogram` helpers divide
-/// by (`n` exactly, the sample count under [`EvalMode::Approx`]).
+/// Lazily computed shared intermediates for one graph.
 struct SharedPasses<'g> {
     g: &'g Graph,
     params: QueryParams,
     base: u64,
-    degree_hist: Option<(Vec<u64>, usize)>,
+    degree_hist: Option<Vec<u64>>,
     path: Option<path::PathStats>,
     triangles: Option<Vec<u64>>,
-    tri_sketch: Option<approx::TriangleSketch>,
     louvain: Option<(Partition, f64)>,
     stats: SuiteStats,
-    report: ApproxReport,
 }
 
 impl<'g> SharedPasses<'g> {
@@ -161,56 +109,24 @@ impl<'g> SharedPasses<'g> {
             degree_hist: None,
             path: None,
             triangles: None,
-            tri_sketch: None,
             louvain: None,
             stats: SuiteStats::default(),
-            report: ApproxReport::default(),
         }
     }
 
-    /// The approx configuration, if this evaluation is sketch-backed.
-    fn approx_cfg(&self) -> Option<crate::ApproxConfig> {
-        match self.params.eval {
-            EvalMode::Exact => None,
-            EvalMode::Approx(cfg) => Some(cfg),
-        }
-    }
-
-    fn degree_hist(&mut self) -> (&[u64], usize) {
+    fn degree_hist(&mut self) -> &[u64] {
         if self.degree_hist.is_none() {
             self.stats.degree_passes += 1;
-            self.degree_hist = Some(match self.approx_cfg() {
-                None => (pgb_graph::degree::degree_histogram(self.g), self.g.node_count()),
-                Some(cfg) => {
-                    self.report.confidence = cfg.confidence;
-                    let mut rng = stream(self.base, HIST_STREAM);
-                    let s =
-                        approx::sampled_degree_histogram(self.g, cfg.histogram_samples, &mut rng);
-                    (s.hist, s.samples)
-                }
-            });
+            self.degree_hist = Some(pgb_graph::degree::degree_histogram(self.g));
         }
-        let (hist, denom) = self.degree_hist.as_ref().expect("filled above");
-        (hist, *denom)
+        self.degree_hist.as_deref().expect("filled above")
     }
 
     fn path_stats(&mut self) -> &path::PathStats {
         if self.path.is_none() {
             self.stats.bfs_sweeps += 1;
-            self.path = Some(match self.approx_cfg() {
-                None => {
-                    let mut rng = stream(self.base, PATH_STREAM);
-                    path::path_stats(self.g, self.params.path_mode, &mut rng)
-                }
-                Some(cfg) => {
-                    let mut rng = stream(self.base, HLL_STREAM);
-                    let sk = approx::hll_path_stats(self.g, &cfg, &mut rng);
-                    self.report.confidence = cfg.confidence;
-                    self.report.path_rel_bound = Some(sk.rel_bound);
-                    self.report.path_saturated = sk.saturated;
-                    sk.stats
-                }
-            });
+            let mut rng = stream(self.base, PATH_STREAM);
+            self.path = Some(path::path_stats(self.g, self.params.path_mode, &mut rng));
         }
         self.path.as_ref().expect("filled above")
     }
@@ -227,23 +143,6 @@ impl<'g> SharedPasses<'g> {
         self.triangles_per_node().iter().sum::<u64>() / 3
     }
 
-    /// The shared wedge-sampling sketch (Q3/Q10/Q11 under approx mode).
-    /// Counted as the evaluation's one triangle pass.
-    fn tri_sketch(&mut self, cfg: &crate::ApproxConfig) -> approx::TriangleSketch {
-        if self.tri_sketch.is_none() {
-            self.stats.triangle_passes += 1;
-            let fwd = counting::ForwardOrientation::new(self.g);
-            let mut rng = stream(self.base, TRI_SKETCH_STREAM);
-            let sk = approx::triangle_sketch(self.g, &fwd, cfg, &mut rng);
-            self.report.confidence = cfg.confidence;
-            self.report.triangles_bound = Some(sk.triangles_bound);
-            self.report.gcc_bound = Some(sk.gcc_bound);
-            self.report.acc_bound = Some(sk.acc_bound);
-            self.tri_sketch = Some(sk);
-        }
-        self.tri_sketch.expect("filled above")
-    }
-
     fn louvain(&mut self) -> &(Partition, f64) {
         if self.louvain.is_none() {
             self.stats.louvain_runs += 1;
@@ -258,43 +157,33 @@ impl<'g> SharedPasses<'g> {
         match q {
             Query::NodeCount => QueryValue::Scalar(g.node_count() as f64),
             Query::EdgeCount => QueryValue::Scalar(g.edge_count() as f64),
-            Query::Triangles => match self.approx_cfg() {
-                None => QueryValue::Scalar(self.triangle_total() as f64),
-                Some(cfg) => QueryValue::Scalar(self.tri_sketch(&cfg).triangles),
-            },
+            Query::Triangles => QueryValue::Scalar(self.triangle_total() as f64),
             Query::AverageDegree => QueryValue::Scalar(g.average_degree()),
             Query::DegreeVariance => {
-                let (hist, denom) = self.degree_hist();
-                QueryValue::Scalar(variance_from_histogram(hist, denom))
+                QueryValue::Scalar(variance_from_histogram(self.degree_hist(), g.node_count()))
             }
-            Query::DegreeDistribution => {
-                let (hist, denom) = self.degree_hist();
-                QueryValue::Distribution(distribution_from_histogram(hist, denom))
-            }
+            Query::DegreeDistribution => QueryValue::Distribution(distribution_from_histogram(
+                self.degree_hist(),
+                g.node_count(),
+            )),
             Query::Diameter => QueryValue::Scalar(self.path_stats().diameter as f64),
             Query::AveragePathLength => QueryValue::Scalar(self.path_stats().average_length),
             Query::DistanceDistribution => {
                 QueryValue::Distribution(self.path_stats().distance_distribution.clone())
             }
-            Query::GlobalClustering => match self.approx_cfg() {
-                None => {
-                    let triangles = self.triangle_total();
-                    QueryValue::Scalar(crate::clustering::global_clustering_from_counts(
-                        triangles,
-                        counting::wedge_count(g),
-                    ))
-                }
-                Some(cfg) => QueryValue::Scalar(self.tri_sketch(&cfg).gcc),
-            },
-            Query::AverageClustering => match self.approx_cfg() {
-                None => {
-                    let per_node = self.triangles_per_node();
-                    QueryValue::Scalar(crate::clustering::average_clustering_from_triangles(
-                        g, per_node,
-                    ))
-                }
-                Some(cfg) => QueryValue::Scalar(self.tri_sketch(&cfg).acc),
-            },
+            Query::GlobalClustering => {
+                let triangles = self.triangle_total();
+                QueryValue::Scalar(crate::clustering::global_clustering_from_counts(
+                    triangles,
+                    counting::wedge_count(g),
+                ))
+            }
+            Query::AverageClustering => {
+                let per_node = self.triangles_per_node();
+                QueryValue::Scalar(crate::clustering::average_clustering_from_triangles(
+                    g, per_node,
+                ))
+            }
             Query::CommunityDetection => QueryValue::Partition(self.louvain().0.labels().to_vec()),
             Query::Modularity => QueryValue::Scalar(self.louvain().1),
             Query::Assortativity => {
@@ -337,24 +226,10 @@ impl QuerySuite {
         params: &QueryParams,
         rng: &mut R,
     ) -> (Vec<QueryValue>, SuiteStats) {
-        let (values, stats, _) = Self::evaluate_all_with_report(g, queries, params, rng);
-        (values, stats)
-    }
-
-    /// [`QuerySuite::evaluate_all_with_stats`] plus the [`ApproxReport`]
-    /// error bounds. Under [`EvalMode::Exact`] the report stays at its
-    /// default (no bounds); under [`EvalMode::Approx`] each sketch that
-    /// runs fills in its bound.
-    pub fn evaluate_all_with_report<R: Rng + ?Sized>(
-        g: &Graph,
-        queries: &[Query],
-        params: &QueryParams,
-        rng: &mut R,
-    ) -> (Vec<QueryValue>, SuiteStats, ApproxReport) {
         let base: u64 = rng.gen();
         let mut passes = SharedPasses::new(g, *params, base);
         let values = queries.iter().map(|&q| passes.evaluate(q)).collect();
-        (values, passes.stats, passes.report)
+        (values, passes.stats)
     }
 }
 
@@ -465,128 +340,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    fn approx_params() -> QueryParams {
-        QueryParams {
-            eval: crate::EvalMode::Approx(crate::ApproxConfig::default()),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn approx_shared_passes_run_at_most_once_for_full_suite() {
-        let g = two_triangles();
-        let mut rng = StdRng::seed_from_u64(20);
-        let (values, stats, report) =
-            QuerySuite::evaluate_all_with_report(&g, &Query::ALL, &approx_params(), &mut rng);
-        assert_eq!(values.len(), 15);
-        assert_eq!(
-            stats,
-            SuiteStats { degree_passes: 1, bfs_sweeps: 1, triangle_passes: 1, louvain_runs: 1 }
-        );
-        assert_eq!(report.confidence, 0.99);
-        assert!(report.triangles_bound.is_some());
-        assert!(report.gcc_bound.is_some());
-        assert!(report.acc_bound.is_some());
-        assert!(report.path_rel_bound.is_some());
-        assert!(!report.path_saturated);
-    }
-
-    #[test]
-    fn approx_deterministic_queries_match_exact() {
-        // Q1/Q2/Q4, Q12–Q15 do not go through any sketch: identical values
-        // under both modes at the same caller seed.
-        let g = two_triangles();
-        let exact = QuerySuite::evaluate_all(
-            &g,
-            &Query::ALL,
-            &QueryParams::default(),
-            &mut StdRng::seed_from_u64(21),
-        );
-        let approx = QuerySuite::evaluate_all(
-            &g,
-            &Query::ALL,
-            &approx_params(),
-            &mut StdRng::seed_from_u64(21),
-        );
-        for q in [
-            Query::NodeCount,
-            Query::EdgeCount,
-            Query::AverageDegree,
-            Query::CommunityDetection,
-            Query::Modularity,
-            Query::Assortativity,
-            Query::EigenvectorCentrality,
-        ] {
-            let i = q.id() - 1;
-            assert_eq!(exact[i], approx[i], "{q:?} must be mode-independent");
-        }
-    }
-
-    #[test]
-    fn approx_subset_independent_results() {
-        let g = two_triangles();
-        let params = approx_params();
-        let full =
-            QuerySuite::evaluate_all(&g, &Query::ALL, &params, &mut StdRng::seed_from_u64(78));
-        for (i, &q) in Query::ALL.iter().enumerate() {
-            let alone = QuerySuite::evaluate_all(&g, &[q], &params, &mut StdRng::seed_from_u64(78));
-            assert_eq!(alone[0], full[i], "{q:?} differs alone vs in the full suite");
-        }
-    }
-
-    #[test]
-    fn approx_rng_advances_by_one_draw() {
-        let g = two_triangles();
-        let mut a = StdRng::seed_from_u64(22);
-        let mut b = StdRng::seed_from_u64(22);
-        QuerySuite::evaluate_all(&g, &Query::ALL, &approx_params(), &mut a);
-        QuerySuite::evaluate_all(&g, &[Query::NodeCount], &QueryParams::default(), &mut b);
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn approx_exact_on_noise_free_cases() {
-        // The two-triangles graph is tiny; the sketch's sampling passes see
-        // every wedge many times, but exactness is only guaranteed where the
-        // estimator has zero variance — the node-count-scaled values.
-        let g = two_triangles();
-        let mut rng = StdRng::seed_from_u64(23);
-        let values = QuerySuite::evaluate_all(
-            &g,
-            &[Query::NodeCount, Query::EdgeCount, Query::AverageDegree],
-            &approx_params(),
-            &mut rng,
-        );
-        assert_eq!(values[0], QueryValue::Scalar(6.0));
-        assert_eq!(values[1], QueryValue::Scalar(7.0));
-    }
-
-    #[test]
-    fn approx_empty_and_edgeless_graphs() {
-        for g in [Graph::new(0), Graph::new(4)] {
-            let mut rng = StdRng::seed_from_u64(24);
-            let values = QuerySuite::evaluate_all(&g, &Query::ALL, &approx_params(), &mut rng);
-            assert_eq!(values.len(), 15);
-            for (q, v) in Query::ALL.iter().zip(&values) {
-                if let QueryValue::Scalar(x) = v {
-                    assert!(x.is_finite(), "{q:?} -> {x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_report_is_empty() {
-        let g = two_triangles();
-        let mut rng = StdRng::seed_from_u64(25);
-        let (_, _, report) = QuerySuite::evaluate_all_with_report(
-            &g,
-            &Query::ALL,
-            &QueryParams::default(),
-            &mut rng,
-        );
-        assert_eq!(report, ApproxReport::default());
     }
 }

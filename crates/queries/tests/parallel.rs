@@ -20,7 +20,7 @@ use pgb_graph::Graph;
 use pgb_par::with_parallelism;
 use pgb_queries::counting::{triangle_count, triangles_per_node, wedge_count};
 use pgb_queries::path::{path_stats, PathStats};
-use pgb_queries::{ApproxConfig, EvalMode, PathMode, Query, QueryParams, QuerySuite, QueryValue};
+use pgb_queries::{PathMode, Query, QueryParams, QuerySuite};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -215,43 +215,6 @@ proptest! {
         for threads in [2, 8, 0] {
             let got = run(threads);
             prop_assert_eq!(&got.0, &reference.0, "values drifted at threads = {}", threads);
-            prop_assert_eq!(got.1, reference.1, "caller RNG position, threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn approx_evaluate_all_bit_identical_at_all_budgets(
-        n in 2usize..80,
-        p in 0u64..250,
-        seed in 0u64..1 << 32,
-    ) {
-        // The sketch-backed evaluation path (HyperANF sweep, wedge
-        // sampling, degree sampling) must honour the same bit-identity
-        // contract as the exact passes: identical QueryValues and caller
-        // RNG position at every thread budget. Small sketch sizes keep the
-        // case cheap — bit-identity is size-independent.
-        let g = random_graph(n, p, seed);
-        let params = QueryParams {
-            eval: EvalMode::Approx(ApproxConfig {
-                hll_precision: 5,
-                max_sweep_iters: 32,
-                wedge_samples: 4096,
-                histogram_samples: 4096,
-                confidence: 0.95,
-            }),
-            ..QueryParams::default()
-        };
-        let run = |threads: usize| {
-            with_parallelism(threads, || {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-                let values = QuerySuite::evaluate_all(&g, &Query::ALL, &params, &mut rng);
-                (values, rng.gen::<u64>())
-            })
-        };
-        let reference = run(1);
-        for threads in [2, 8, 0] {
-            let got = run(threads);
-            prop_assert_eq!(&got.0, &reference.0, "approx values drifted at threads = {}", threads);
             prop_assert_eq!(got.1, reference.1, "caller RNG position, threads = {}", threads);
         }
     }
@@ -468,98 +431,4 @@ fn path_stats_bytes_are_pinned() {
         })
         .collect();
     assert!(moved.is_empty(), "Q7-Q9 bytes moved:\n{}", moved.join("\n"));
-}
-
-/// Pulls the scalar value of `q` out of a full-suite result vector.
-fn scalar_of(values: &[QueryValue], q: Query) -> f64 {
-    values[q.id() - 1].as_scalar().expect("scalar query")
-}
-
-/// Accuracy harness: evaluates the full suite exactly and approximately
-/// over `seeds` independent ER graphs and returns, per checked query, the
-/// fraction of runs whose approximation error stayed within the sketch's
-/// *own reported bound*. The bounds are probabilistic (Hoeffding at the
-/// configured confidence, HLL's normal-approximation RSE), so the test
-/// asserts the hit *fraction*, not every individual case.
-fn bound_hit_fractions(seeds: u64) -> (f64, f64, f64, f64) {
-    let params_exact = QueryParams::default();
-    let cfg = ApproxConfig::default();
-    let params_approx = QueryParams { eval: EvalMode::Approx(cfg), ..QueryParams::default() };
-    let (mut tri_hits, mut gcc_hits, mut acc_hits, mut path_hits) = (0u32, 0u32, 0u32, 0u32);
-    for seed in 0..seeds {
-        let mut model_rng = StdRng::seed_from_u64(1000 + seed);
-        let g = pgb_models::erdos_renyi_gnp(300, 0.03, &mut model_rng);
-        let exact = QuerySuite::evaluate_all(
-            &g,
-            &Query::ALL,
-            &params_exact,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let (approx, _, report) = QuerySuite::evaluate_all_with_report(
-            &g,
-            &Query::ALL,
-            &params_approx,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let within =
-            |q: Query, bound: f64| (scalar_of(&approx, q) - scalar_of(&exact, q)).abs() <= bound;
-        tri_hits += u32::from(within(Query::Triangles, report.triangles_bound.unwrap()));
-        gcc_hits += u32::from(within(Query::GlobalClustering, report.gcc_bound.unwrap()));
-        acc_hits += u32::from(within(Query::AverageClustering, report.acc_bound.unwrap()));
-        // The HLL bound is *relative* and covers the neighbourhood-function
-        // values the path statistics derive from; the derived average adds
-        // cancellation across levels, so a 2× allowance is the honest
-        // per-run check (the assert below is on the hit fraction).
-        let exact_avg = scalar_of(&exact, Query::AveragePathLength);
-        let approx_avg = scalar_of(&approx, Query::AveragePathLength);
-        let rel = (approx_avg - exact_avg).abs() / exact_avg.max(f64::MIN_POSITIVE);
-        path_hits += u32::from(rel <= 2.0 * report.path_rel_bound.unwrap());
-        // Diameter is a lower bound by construction, like sampled BFS.
-        assert!(
-            scalar_of(&approx, Query::Diameter) <= scalar_of(&exact, Query::Diameter),
-            "HLL diameter must lower-bound the exact diameter (seed {seed})"
-        );
-    }
-    let frac = |hits: u32| hits as f64 / seeds as f64;
-    (frac(tri_hits), frac(gcc_hits), frac(acc_hits), frac(path_hits))
-}
-
-#[test]
-fn approx_estimates_stay_within_reported_bounds() {
-    // 40 independent graphs; at 99% configured confidence the expected
-    // miss count is < 1 per query, so requiring ≥ 90% hits leaves room
-    // for binomial noise without letting a broken bound slip through.
-    let (tri, gcc, acc, path) = bound_hit_fractions(40);
-    assert!(tri >= 0.9, "triangle bound hit fraction {tri}");
-    assert!(gcc >= 0.9, "GCC bound hit fraction {gcc}");
-    assert!(acc >= 0.9, "ACC bound hit fraction {acc}");
-    assert!(path >= 0.9, "path bound hit fraction {path}");
-}
-
-#[test]
-fn approx_degree_distribution_converges_on_exact() {
-    // The sampled histogram is unbiased; at 2^16 samples its total
-    // variation distance from the exact distribution on a 300-node ER
-    // graph must be small.
-    let mut model_rng = StdRng::seed_from_u64(77);
-    let g = pgb_models::erdos_renyi_gnp(300, 0.03, &mut model_rng);
-    let exact = QuerySuite::evaluate_all(
-        &g,
-        &[Query::DegreeDistribution],
-        &QueryParams::default(),
-        &mut StdRng::seed_from_u64(1),
-    );
-    let approx = QuerySuite::evaluate_all(
-        &g,
-        &[Query::DegreeDistribution],
-        &QueryParams { eval: EvalMode::Approx(ApproxConfig::default()), ..QueryParams::default() },
-        &mut StdRng::seed_from_u64(1),
-    );
-    let (QueryValue::Distribution(e), QueryValue::Distribution(a)) = (&exact[0], &approx[0]) else {
-        panic!("expected distributions");
-    };
-    let len = e.len().max(a.len());
-    let at = |v: &Vec<f64>, i: usize| v.get(i).copied().unwrap_or(0.0);
-    let tv: f64 = (0..len).map(|i| (at(e, i) - at(a, i)).abs()).sum::<f64>() / 2.0;
-    assert!(tv < 0.05, "total variation distance {tv}");
 }

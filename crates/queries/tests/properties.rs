@@ -16,24 +16,6 @@ fn raw_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
-/// The queries whose value does not depend on the RNG under
-/// `PathMode::Exact`: everything except the Louvain-backed Q12/Q13.
-const DETERMINISTIC: [Query; 13] = [
-    Query::NodeCount,
-    Query::EdgeCount,
-    Query::Triangles,
-    Query::AverageDegree,
-    Query::DegreeVariance,
-    Query::DegreeDistribution,
-    Query::Diameter,
-    Query::AveragePathLength,
-    Query::DistanceDistribution,
-    Query::GlobalClustering,
-    Query::AverageClustering,
-    Query::Assortativity,
-    Query::EigenvectorCentrality,
-];
-
 proptest! {
     #[test]
     fn clustering_coefficients_bounded((n, edges) in raw_edges()) {
@@ -106,25 +88,24 @@ proptest! {
     }
 
     #[test]
-    fn evaluate_all_matches_per_query_for_deterministic_queries(
+    fn evaluate_all_matches_per_query_for_every_query(
         (n, edges) in raw_edges(),
         seed in 0u64..200,
     ) {
-        // In exact path mode, every query except Louvain-backed Q12/Q13 is
-        // RNG-independent, and the suite evaluator reduces each shared
-        // intermediate through the same helpers as the per-query path —
-        // so the values must be *identical*, not merely close.
+        // `Query::evaluate` is a one-query suite, so under the suite's
+        // RNG-stream discipline every query — Louvain-backed Q12/Q13 and
+        // sampled Q7–Q9 included — must return *identical* values alone
+        // and in the full suite at the same caller seed.
         let g = Graph::from_edges(n, edges).unwrap();
-        let params = QueryParams::default();
+        let params = QueryParams { path_mode: PathMode::Sampled { sources: 4 }, ..Default::default() };
         let all = QuerySuite::evaluate_all(
             &g,
-            &DETERMINISTIC,
+            &Query::ALL,
             &params,
             &mut StdRng::seed_from_u64(seed),
         );
-        for (&q, suite_value) in DETERMINISTIC.iter().zip(&all) {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-            let single = q.evaluate(&g, &params, &mut rng);
+        for (&q, suite_value) in Query::ALL.iter().zip(&all) {
+            let single = q.evaluate(&g, &params, &mut StdRng::seed_from_u64(seed));
             prop_assert_eq!(&single, suite_value, "query {:?}", q);
         }
     }
