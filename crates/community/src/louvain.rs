@@ -5,19 +5,27 @@
 //! (Q12, on unweighted graphs) and inside PrivGraph's phase 1, which runs
 //! it on a *noisy weighted super-graph* — hence the weighted entry point.
 //!
+//! Level 0 does no lift: local moving and the first coarsening read the
+//! input graph through a small private adjacency trait, the unweighted
+//! CSR [`Graph`] at unit weights or the caller's [`WeightedGraph`] as it
+//! is (never cloned). Unit weights sum exactly, so [`louvain`] gives the
+//! same bytes as [`louvain_weighted`] on the unit-weight lift
+//! [`WeightedGraph::from_graph`]. Every later level runs on the
+//! aggregated [`WeightedGraph`].
+//!
 //! ## What is parallel, what is not
 //!
 //! The init and aggregation scans run on the ambient
-//! [`pgb_par::current_parallelism`] budget: lifting the input graph
-//! ([`WeightedGraph::from_graph`]), the per-level weighted-degree vector,
-//! and the community coarsening ([`WeightedGraph::aggregate`]) — all
-//! bit-identical at any thread count. The **local-moving sweep itself
+//! [`pgb_par::current_parallelism`] budget: the per-level weighted-degree
+//! vector and the community coarsening ([`WeightedGraph::aggregate`]) —
+//! both bit-identical at any thread count. The **local-moving sweep itself
 //! stays sequential by design**:
 //! each move reads the community totals left by every previous move, so a
 //! deterministic parallel variant would need a fundamentally different
 //! algorithm (graph colouring or delta-screening with a fixed merge
 //! order), not a chunked port — recorded as a ROADMAP follow-up.
 
+use crate::weighted::{aggregate, Adjacency};
 use crate::{Partition, WeightedGraph};
 use pgb_graph::Graph;
 use rand::Rng;
@@ -40,9 +48,9 @@ impl Default for LouvainParams {
 }
 
 /// Runs Louvain on an unweighted graph; returns the partition of the
-/// original nodes.
+/// original nodes. Level 0 reads the CSR directly at unit weights.
 pub fn louvain<R: Rng + ?Sized>(g: &Graph, params: &LouvainParams, rng: &mut R) -> Partition {
-    louvain_levels(WeightedGraph::from_graph(g), params, rng)
+    louvain_levels(g, params, rng)
 }
 
 /// Runs Louvain on a weighted graph; returns the partition of the original
@@ -52,47 +60,68 @@ pub fn louvain_weighted<R: Rng + ?Sized>(
     params: &LouvainParams,
     rng: &mut R,
 ) -> Partition {
-    louvain_levels(g.clone(), params, rng)
+    louvain_levels(g, params, rng)
 }
 
-/// The level loop, starting from the level-0 graph `current`.
-fn louvain_levels<R: Rng + ?Sized>(
-    mut current: WeightedGraph,
+/// The level loop, starting from the level-0 graph `g`; every later level
+/// runs on the graph aggregated from the one before.
+fn louvain_levels<G: Adjacency, R: Rng + ?Sized>(
+    g: &G,
     params: &LouvainParams,
     rng: &mut R,
 ) -> Partition {
-    let n = current.node_count();
+    let n = g.node_count();
     if n == 0 {
         return Partition::from_labels(Vec::new());
     }
     // node → community at the *current* level, starting as identity; the
     // mapping chain is composed across levels.
     let mut mapping: Vec<u32> = (0..n as u32).collect();
+    // `None` before level 0 has run; afterwards the loop stops as soon as a
+    // level returns no coarser graph.
+    let mut coarse: Option<WeightedGraph> = None;
     for _level in 0..params.max_levels {
-        let (labels, improved) = local_moving(&current, params, rng);
-        if !improved {
+        coarse = match &coarse {
+            None => level(g, &mut mapping, params, rng),
+            Some(w) => level(w, &mut mapping, params, rng),
+        };
+        if coarse.is_none() {
             break;
         }
-        // Compact labels and compose with the running mapping.
-        let mut compact = Partition::from_labels(labels);
-        let k = compact.normalize();
-        for m in &mut mapping {
-            *m = compact.label(*m);
-        }
-        if k == current.node_count() {
-            break; // no aggregation happened
-        }
-        current = current.aggregate(compact.labels(), k);
     }
     let mut p = Partition::from_labels(mapping);
     p.normalize();
     p
 }
 
+/// Runs local moving on `g` and composes the compacted labels into
+/// `mapping`. Returns the aggregated graph for the next level, or `None`
+/// when no node moved or no communities merged.
+fn level<G: Adjacency, R: Rng + ?Sized>(
+    g: &G,
+    mapping: &mut [u32],
+    params: &LouvainParams,
+    rng: &mut R,
+) -> Option<WeightedGraph> {
+    let (labels, improved) = local_moving(g, params, rng);
+    if !improved {
+        return None;
+    }
+    let mut compact = Partition::from_labels(labels);
+    let k = compact.normalize();
+    for m in mapping.iter_mut() {
+        *m = compact.label(*m);
+    }
+    if k == g.node_count() {
+        return None; // no aggregation happened
+    }
+    Some(aggregate(g, compact.labels(), k))
+}
+
 /// One level of local moving. Returns the level's labels and whether any
 /// node changed community.
-fn local_moving<R: Rng + ?Sized>(
-    g: &WeightedGraph,
+fn local_moving<G: Adjacency, R: Rng + ?Sized>(
+    g: &G,
     params: &LouvainParams,
     rng: &mut R,
 ) -> (Vec<u32>, bool) {
@@ -129,7 +158,7 @@ fn local_moving<R: Rng + ?Sized>(
             for c in touched.drain(..) {
                 weight_to[c as usize] = 0.0;
             }
-            for &(v, w) in g.neighbors(u) {
+            for (v, w) in g.weighted_neighbors(u) {
                 let c = labels[v as usize];
                 if weight_to[c as usize] == 0.0 {
                     touched.push(c);

@@ -8,11 +8,78 @@
 //! *arithmetic* out of the chunk merge (merges only append contribution
 //! lists in node order); every weight sum happens afterwards in a fixed
 //! order, so the resulting graph is bit-identical at any thread count.
+//!
+//! Coarsening reads its input through the crate-private `Adjacency`
+//! trait, so Louvain coarsens its level-0 [`Graph`] without lifting it.
 
 use pgb_graph::{Graph, NodeId};
 
 /// Nodes per chunk for the parallel scans.
 const NODE_CHUNK: usize = 16_384;
+
+/// What Louvain's local moving and aggregation read of a graph. Level 0
+/// reads the unweighted CSR [`Graph`] directly (unit weights, no
+/// self-loops); every later level reads an aggregated [`WeightedGraph`].
+/// A `Graph` gives the same values, in the same order, as its
+/// [`WeightedGraph::from_graph`] lift: unit weights sum exactly, so its
+/// weighted degree is `deg as f64` and its total weight `2m`.
+pub(crate) trait Adjacency: Sync {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// Total weight `2m`.
+    fn total_weight(&self) -> f64;
+    /// Incident edge weights plus twice the self-loop weight.
+    fn weighted_degree(&self, u: NodeId) -> f64;
+    /// Self-loop weight at `u`.
+    fn self_loop(&self, u: NodeId) -> f64;
+    /// Neighbours of `u` with their (strictly positive) edge weights, in
+    /// stored order; self-loops excluded.
+    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_;
+}
+
+impl Adjacency for Graph {
+    fn node_count(&self) -> usize {
+        Graph::node_count(self)
+    }
+
+    fn total_weight(&self) -> f64 {
+        2.0 * self.edge_count() as f64
+    }
+
+    fn weighted_degree(&self, u: NodeId) -> f64 {
+        self.degree(u) as f64
+    }
+
+    fn self_loop(&self, _u: NodeId) -> f64 {
+        0.0
+    }
+
+    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.neighbors(u).iter().map(|&v| (v, 1.0))
+    }
+}
+
+impl Adjacency for WeightedGraph {
+    fn node_count(&self) -> usize {
+        WeightedGraph::node_count(self)
+    }
+
+    fn total_weight(&self) -> f64 {
+        WeightedGraph::total_weight(self)
+    }
+
+    fn weighted_degree(&self, u: NodeId) -> f64 {
+        WeightedGraph::weighted_degree(self, u)
+    }
+
+    fn self_loop(&self, u: NodeId) -> f64 {
+        WeightedGraph::self_loop(self, u)
+    }
+
+    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.neighbors(u).iter().copied()
+    }
+}
 
 /// An undirected graph with `f64` edge weights and per-node self-loop
 /// weights (self-loops arise from community aggregation). Every stored
@@ -133,88 +200,96 @@ impl WeightedGraph {
     /// (PrivGraph's noisy super-graphs) every output field is bit-identical
     /// to the pre-parallel implementation, at any thread count.
     pub fn aggregate(&self, labels: &[u32], k: usize) -> WeightedGraph {
-        assert_eq!(labels.len(), self.node_count(), "label vector length mismatch");
-        let buckets: Vec<Vec<(u32, f64)>> = pgb_par::par_fold_chunks(
-            self.node_count(),
-            NODE_CHUNK,
-            || vec![Vec::new(); k],
-            |buckets: &mut Vec<Vec<(u32, f64)>>, range| {
-                for u in range {
-                    let cu = labels[u];
-                    if self.self_loops[u] > 0.0 {
-                        buckets[cu as usize].push((cu, self.self_loops[u]));
-                    }
-                    for &(v, w) in &self.adj[u] {
-                        if v as usize > u {
-                            let cv = labels[v as usize];
-                            if cu == cv {
-                                buckets[cu as usize].push((cu, w));
-                            } else {
-                                buckets[cu as usize].push((cv, w));
-                                buckets[cv as usize].push((cu, w));
-                            }
-                        }
-                    }
-                }
-            },
-            |buckets, other| {
-                for (b, mut o) in buckets.iter_mut().zip(other) {
-                    b.append(&mut o);
-                }
-            },
-        );
-        let rows: Vec<(Vec<(NodeId, f64)>, f64)> =
-            pgb_par::par_map_chunks(k, NODE_CHUNK, |range, out| {
-                // `pos[c2]` is c2's index in the row being folded, u32::MAX
-                // when absent; reset from the row after each community.
-                let mut pos = vec![u32::MAX; k];
-                for c in range {
-                    let c = c as u32;
-                    let mut list: Vec<(NodeId, f64)> = Vec::new();
-                    let mut self_w = 0.0f64;
-                    for &(c2, w) in &buckets[c as usize] {
-                        if c2 == c {
-                            self_w += w;
-                            continue;
-                        }
-                        let slot = &mut pos[c2 as usize];
-                        if *slot == u32::MAX {
-                            *slot = list.len() as u32;
-                            list.push((c2, w));
-                        } else {
-                            list[*slot as usize].1 += w;
-                        }
-                    }
-                    for &(c2, _) in &list {
-                        pos[c2 as usize] = u32::MAX;
-                    }
-                    out.push((list, self_w));
-                }
-            });
-        let mut adj = Vec::with_capacity(k);
-        let mut self_loops = Vec::with_capacity(k);
-        for (list, s) in rows {
-            adj.push(list);
-            self_loops.push(s);
-        }
-        // `total` in chronological (ascending-node) contribution order:
-        // exactly the `total += 2.0 * w` sequence the old sequential
-        // `add_edge` loop performed, so float weights reproduce the
-        // pre-parallel bits — and the order is fixed, so neither chunking
-        // nor threads can move it.
-        let mut total = 0.0;
-        for u in 0..self.node_count() {
-            if self.self_loops[u] > 0.0 {
-                total += 2.0 * self.self_loops[u];
-            }
-            for &(v, w) in &self.adj[u] {
-                if v as usize > u {
-                    total += 2.0 * w;
-                }
-            }
-        }
-        WeightedGraph { adj, self_loops, total }
+        aggregate(self, labels, k)
     }
+}
+
+/// [`WeightedGraph::aggregate`] over any [`Adjacency`]: Louvain coarsens
+/// its level-0 [`Graph`] through this without lifting it first.
+pub(crate) fn aggregate<G: Adjacency>(g: &G, labels: &[u32], k: usize) -> WeightedGraph {
+    assert_eq!(labels.len(), g.node_count(), "label vector length mismatch");
+    let buckets: Vec<Vec<(u32, f64)>> = pgb_par::par_fold_chunks(
+        g.node_count(),
+        NODE_CHUNK,
+        || vec![Vec::new(); k],
+        |buckets: &mut Vec<Vec<(u32, f64)>>, range| {
+            for u in range {
+                let cu = labels[u];
+                let self_w = g.self_loop(u as NodeId);
+                if self_w > 0.0 {
+                    buckets[cu as usize].push((cu, self_w));
+                }
+                for (v, w) in g.weighted_neighbors(u as NodeId) {
+                    if v as usize > u {
+                        let cv = labels[v as usize];
+                        if cu == cv {
+                            buckets[cu as usize].push((cu, w));
+                        } else {
+                            buckets[cu as usize].push((cv, w));
+                            buckets[cv as usize].push((cu, w));
+                        }
+                    }
+                }
+            }
+        },
+        |buckets, other| {
+            for (b, mut o) in buckets.iter_mut().zip(other) {
+                b.append(&mut o);
+            }
+        },
+    );
+    let rows: Vec<(Vec<(NodeId, f64)>, f64)> =
+        pgb_par::par_map_chunks(k, NODE_CHUNK, |range, out| {
+            // `pos[c2]` is c2's index in the row being folded, u32::MAX
+            // when absent; reset from the row after each community.
+            let mut pos = vec![u32::MAX; k];
+            for c in range {
+                let c = c as u32;
+                let mut list: Vec<(NodeId, f64)> = Vec::new();
+                let mut self_w = 0.0f64;
+                for &(c2, w) in &buckets[c as usize] {
+                    if c2 == c {
+                        self_w += w;
+                        continue;
+                    }
+                    let slot = &mut pos[c2 as usize];
+                    if *slot == u32::MAX {
+                        *slot = list.len() as u32;
+                        list.push((c2, w));
+                    } else {
+                        list[*slot as usize].1 += w;
+                    }
+                }
+                for &(c2, _) in &list {
+                    pos[c2 as usize] = u32::MAX;
+                }
+                out.push((list, self_w));
+            }
+        });
+    let mut adj = Vec::with_capacity(k);
+    let mut self_loops = Vec::with_capacity(k);
+    for (list, s) in rows {
+        adj.push(list);
+        self_loops.push(s);
+    }
+    // `total` in chronological (ascending-node) contribution order:
+    // exactly the `total += 2.0 * w` sequence the old sequential
+    // `add_edge` loop performed, so float weights reproduce the
+    // pre-parallel bits — and the order is fixed, so neither chunking
+    // nor threads can move it.
+    let mut total = 0.0;
+    for u in 0..g.node_count() {
+        let self_w = g.self_loop(u as NodeId);
+        if self_w > 0.0 {
+            total += 2.0 * self_w;
+        }
+        for (v, w) in g.weighted_neighbors(u as NodeId) {
+            if v as usize > u {
+                total += 2.0 * w;
+            }
+        }
+    }
+    WeightedGraph { adj, self_loops, total }
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@ use pgb_datasets::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The budgets every digest is checked at: inline, parallel,
+/// oversubscribed, and the ambient default.
+const BUDGETS: [usize; 4] = [1, 2, 8, 0];
+
 /// 64-bit FNV-1a with the standard prime 2^40 + 0x1b3, continuing from
 /// `h`. Not `pgb_par::fnv1a`, whose multiplier differs: the digests below
 /// were pinned with this one.
@@ -44,7 +48,7 @@ fn noisy_weighted_graph() -> WeightedGraph {
 #[test]
 fn louvain_bytes_are_pinned() {
     // One digest per Table VI graph (dataset seed 0), chaining Louvain
-    // runs at RNG seeds 0, 1 and 2.
+    // runs at RNG seeds 0, 1 and 2; the same at every thread budget.
     let pinned: [(Dataset, u64); 8] = [
         (Dataset::Minnesota, 0xb88c_c2a6_b4b0_89c3),
         (Dataset::Facebook, 0x935c_fb62_8004_3f44),
@@ -59,13 +63,19 @@ fn louvain_bytes_are_pinned() {
     let mut drifted = Vec::new();
     for (dataset, want) in pinned {
         let g = dataset.generate(0);
-        let mut h = 0xCBF2_9CE4_8422_2325;
-        for seed in 0..3 {
-            let p = louvain(&g, &LouvainParams::default(), &mut StdRng::seed_from_u64(seed));
-            h = digest(h, &p, modularity(&g, &p));
-        }
-        if h != want {
-            drifted.push(format!("{}: {h:#018x}", dataset.name()));
+        for threads in BUDGETS {
+            let h = pgb_par::with_parallelism(threads, || {
+                let mut h = 0xCBF2_9CE4_8422_2325;
+                for seed in 0..3 {
+                    let p =
+                        louvain(&g, &LouvainParams::default(), &mut StdRng::seed_from_u64(seed));
+                    h = digest(h, &p, modularity(&g, &p));
+                }
+                h
+            });
+            if h != want {
+                drifted.push(format!("{} at budget {threads}: {h:#018x}", dataset.name()));
+            }
         }
     }
 
@@ -73,7 +83,7 @@ fn louvain_bytes_are_pinned() {
     // give the same bytes at every thread budget.
     const WEIGHTED: u64 = 0x1d15_063f_6973_4a60;
     let w = noisy_weighted_graph();
-    for threads in [1, 2, 8, 0] {
+    for threads in BUDGETS {
         let h = pgb_par::with_parallelism(threads, || {
             let p = louvain_weighted(&w, &LouvainParams::default(), &mut StdRng::seed_from_u64(5));
             digest(0xCBF2_9CE4_8422_2325, &p, modularity_weighted(&w, p.labels()))

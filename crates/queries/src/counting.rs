@@ -5,24 +5,27 @@
 //! degree-ordered forward orientation of the graph, built **once** and
 //! shared by [`triangle_count`] and [`triangles_per_node`] (the suite
 //! evaluator additionally derives the total from the per-node pass, so the
-//! full 15-query suite orients and intersects exactly once per graph).
+//! full 15-query suite orients and counts exactly once per graph).
 //!
-//! The intersection loops are chunked over pivot nodes and run on the
-//! ambient [`pgb_par::current_parallelism`] budget. Per-chunk credit
-//! arrays are merged in chunk order, and because every count is an exact
-//! integer the result is bit-identical to a sequential pass at any thread
-//! count — the same discipline the generators follow in `pgb-core`. The
-//! sequential reference lives with the equivalence tests
-//! (`tests/parallel.rs`).
+//! Triangles are found per pivot node `u` with a marker array: mark the
+//! forward list `F(u)`, scan each `F(v)` for `v ∈ F(u)` against the marks,
+//! unmark. The pivots are chunked and run on the ambient
+//! [`pgb_par::current_parallelism`] budget; every chunk carries its own
+//! marker and credit arrays, and the credit arrays are merged in chunk
+//! order. Every count is an exact integer, so the result is bit-identical
+//! to a sequential pass at any thread count — the same discipline the
+//! generators follow in `pgb-core`. The sequential reference lives with
+//! the equivalence tests (`tests/parallel.rs`).
 
 use pgb_graph::{Graph, NodeId};
 
 /// Pivot nodes per chunk for the parallel triangle pass. Coarse on
-/// purpose: every chunk produces a full `n`-length credit array that
-/// lives until the chunk-order merge, so the chunk count (at most
+/// purpose: every chunk produces a full `n`-length credit array (8 bytes
+/// a node) and an `n`-length marker array (1 byte a node) that live until
+/// the chunk-order merge, so the chunk count (at most
 /// `TRIANGLE_CHUNK_DIVISOR`, the divisor of `n` that sets the chunk
 /// size) bounds transient memory at
-/// `(TRIANGLE_CHUNK_DIVISOR + 1) × n × 8` bytes (≈ 13.6 MB at n = 10⁵)
+/// `(TRIANGLE_CHUNK_DIVISOR + 1) × n × 9` bytes (≈ 15.3 MB at n = 10⁵)
 /// while still leaving an 8-way budget enough chunks to load-balance
 /// skewed pivots. Depends only on `n` — never on the thread count.
 const TRIANGLE_CHUNK_DIVISOR: usize = 16;
@@ -43,10 +46,11 @@ const NODE_CHUNK: usize = 16_384;
 /// the lexicographic pair `(degree, id)`.
 ///
 /// Orienting towards higher degree bounds every forward list by roughly
-/// `O(√m)` on skewed (power-law) graphs, so the intersection cost
-/// `Σ_edges min(|F(u)|, |F(v)|)` drops well below the id-ordered variant —
-/// the standard forward/“compact-forward” trick. Forward lists preserve
-/// the CSR id-sort, so two lists intersect with one linear merge.
+/// `O(√m)` on skewed (power-law) graphs — the standard
+/// forward/“compact-forward” trick. A pivot `u` marks `F(u)` in an
+/// `n`-slot marker array once and then tests every `w ∈ F(v)`,
+/// `v ∈ F(u)`, with one lookup, so the whole pass costs
+/// `Σ_{u→v} |F(v)| = O(m√m)` lookups. Forward lists keep the CSR id-sort.
 ///
 /// Counts are orientation-independent graph properties, so everything
 /// derived here is bit-identical to an id-ordered sequential pass.
@@ -106,65 +110,75 @@ impl ForwardOrientation {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
+    /// Finds every triangle whose minimum-rank corner is `u` and calls
+    /// `found(v, w)` once for each, with `v ∈ F(u)` and `w ∈ F(u) ∩ F(v)`.
+    /// Marks `F(u)` in `mark`, scans each `F(v)` against the marks, then
+    /// unmarks: `mark` is all-false on entry and on return.
+    fn pivot(&self, u: usize, mark: &mut [bool], mut found: impl FnMut(NodeId, NodeId)) {
+        let fu = self.forward(u);
+        if fu.len() < 2 {
+            return; // a triangle needs two forward neighbours of `u`
+        }
+        for &v in fu {
+            mark[v as usize] = true;
+        }
+        for &v in fu {
+            for &w in self.forward(v as usize) {
+                if mark[w as usize] {
+                    found(v, w);
+                }
+            }
+        }
+        for &v in fu {
+            mark[v as usize] = false;
+        }
+    }
+
     /// Exact triangle count: each triangle is found exactly once, at its
-    /// minimum-rank corner, by intersecting two forward lists.
+    /// minimum-rank corner. Each chunk carries its own marker array.
     pub fn triangle_count(&self) -> u64 {
         let n = self.node_count();
         pgb_par::par_fold_chunks(
             n,
             triangle_chunk(n),
-            || 0u64,
-            |count, range| {
+            || (0u64, vec![false; n]),
+            |(count, mark), range| {
                 for u in range {
-                    let fu = self.forward(u);
-                    for &v in fu {
-                        *count += sorted_intersection_count(fu, self.forward(v as usize));
-                    }
+                    self.pivot(u, mark, |_, _| *count += 1);
                 }
             },
-            |count, other| *count += other,
+            |acc, other| acc.0 += other.0,
         )
+        .0
     }
 
     /// Per-node triangle participation: `t[u]` = number of triangles
     /// through `u`. Each chunk of pivots credits all three corners into
-    /// its own array; chunk arrays merge in chunk order (exact `u64`
-    /// adds, so the merge grouping cannot change the bits).
+    /// its own array, next to its own marker array; chunk arrays merge in
+    /// chunk order (exact `u64` adds, so the merge grouping cannot change
+    /// the bits).
     pub fn triangles_per_node(&self) -> Vec<u64> {
         let n = self.node_count();
         pgb_par::par_fold_chunks(
             n,
             triangle_chunk(n),
-            || vec![0u64; n],
-            |t, range| {
+            || (vec![0u64; n], vec![false; n]),
+            |(t, mark), range| {
                 for u in range {
-                    let fu = self.forward(u);
-                    for &v in fu {
-                        let fv = self.forward(v as usize);
-                        let (mut i, mut j) = (0usize, 0usize);
-                        while i < fu.len() && j < fv.len() {
-                            match fu[i].cmp(&fv[j]) {
-                                std::cmp::Ordering::Less => i += 1,
-                                std::cmp::Ordering::Greater => j += 1,
-                                std::cmp::Ordering::Equal => {
-                                    let w = fu[i];
-                                    t[u] += 1;
-                                    t[v as usize] += 1;
-                                    t[w as usize] += 1;
-                                    i += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
+                    self.pivot(u, mark, |v, w| {
+                        t[u] += 1;
+                        t[v as usize] += 1;
+                        t[w as usize] += 1;
+                    });
                 }
             },
-            |t, other| {
-                for (a, b) in t.iter_mut().zip(other) {
+            |acc, other| {
+                for (a, b) in acc.0.iter_mut().zip(other.0) {
                     *a += b;
                 }
             },
         )
+        .0
     }
 }
 
@@ -180,23 +194,6 @@ pub fn triangle_count(g: &Graph) -> u64 {
 /// [`ForwardOrientation`]; share one across calls where possible.
 pub fn triangles_per_node(g: &Graph) -> Vec<u64> {
     ForwardOrientation::new(g).triangles_per_node()
-}
-
-/// Number of elements common to two sorted slices.
-fn sorted_intersection_count(a: &[NodeId], b: &[NodeId]) -> u64 {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Number of wedges (paths of length 2): `Σ_u C(dᵤ, 2)`. Chunked over

@@ -133,6 +133,38 @@ fn matches_seq_reference_on_known_graphs() {
     }
 }
 
+#[test]
+fn multi_chunk_triangle_pass_matches_seq_at_all_budgets() {
+    // The proptest below draws graphs that fit in one pivot chunk (at
+    // least 1024 pivots each). At n = 5000 the pass splits into 5 chunks,
+    // so per-chunk marker and credit arrays and their chunk-order merge
+    // are exercised. A hub adjacent to every third node and a 40-clique
+    // add skewed forward lists and dense triangles on top of a sparse
+    // random background.
+    let n = 5000u32;
+    let mut rng = StdRng::seed_from_u64(5000);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for _ in 0..3 {
+            edges.push((u, rng.gen_range(0..n)));
+        }
+    }
+    edges.extend((3..n).step_by(3).map(|v| (0, v)));
+    for u in 4000..4040 {
+        edges.extend((u + 1..4040).map(|v| (u, v)));
+    }
+    let g = Graph::from_edges(n as usize, edges).unwrap();
+    let seq_per_node = seq::triangles_per_node(&g);
+    let seq_total = seq::triangle_count(&g);
+    assert!(seq_total >= 9880, "the 40-clique alone has C(40, 3) triangles");
+    for threads in BUDGETS {
+        let (per_node, total) =
+            with_parallelism(threads, || (triangles_per_node(&g), triangle_count(&g)));
+        assert_eq!(per_node, seq_per_node, "per-node, threads = {threads}");
+        assert_eq!(total, seq_total, "total, threads = {threads}");
+    }
+}
+
 proptest! {
     #[test]
     fn triangle_pass_matches_seq_at_all_budgets(
