@@ -41,16 +41,6 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     best
 }
 
-/// The acceptance form used inside Markov chains whose stationary
-/// distribution is the exponential mechanism (PrivHRG): the
-/// Metropolis–Hastings acceptance probability for moving from a state with
-/// quality `current` to one with quality `proposed`.
-pub fn mcmc_acceptance(current: f64, proposed: f64, sensitivity: f64, epsilon: f64) -> f64 {
-    assert!(epsilon > 0.0 && sensitivity > 0.0, "invalid ε or Δ");
-    let log_ratio = epsilon * (proposed - current) / (2.0 * sensitivity);
-    log_ratio.min(0.0).exp()
-}
-
 /// Exponential mechanism over a *sparse* score vector: `total` candidates
 /// of which only `nonzero` (index, score) pairs have non-zero quality;
 /// all others implicitly score 0.
@@ -163,14 +153,6 @@ mod tests {
         let scores = [1e308, 1e308 - 1.0];
         let i = exponential_mechanism(&scores, 1.0, 1.0, &mut rng);
         assert!(i < 2);
-    }
-
-    #[test]
-    fn acceptance_probability_bounds() {
-        assert_eq!(mcmc_acceptance(0.0, 1.0, 1.0, 1.0), 1.0); // uphill always accepted
-        let p = mcmc_acceptance(1.0, 0.0, 1.0, 2.0);
-        assert!((p - (-1.0f64).exp()).abs() < 1e-12);
-        assert!(mcmc_acceptance(10.0, -10.0, 1.0, 1.0) < 1e-4);
     }
 
     #[test]

@@ -34,33 +34,6 @@ pub fn laplace_mechanism<R: Rng + ?Sized>(
     value + sample_laplace(sensitivity / epsilon, rng)
 }
 
-/// Applies the Laplace mechanism element-wise to a vector query whose
-/// *total* L1 sensitivity is `sensitivity` (the noise scale is shared, as
-/// in the vector Laplace mechanism).
-pub fn laplace_mechanism_vec<R: Rng + ?Sized>(
-    values: &[f64],
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> Vec<f64> {
-    let scale = sensitivity / epsilon;
-    assert!(scale > 0.0 && scale.is_finite(), "invalid Laplace scale {scale}");
-    values.iter().map(|&v| v + sample_laplace(scale, rng)).collect()
-}
-
-/// Noisy non-negative integer count: Laplace mechanism followed by rounding
-/// and clamping at zero — the standard post-processing PGB's algorithms use
-/// for counts (edge counts, degree values, community sizes).
-pub fn noisy_count<R: Rng + ?Sized>(
-    count: u64,
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> u64 {
-    let noisy = laplace_mechanism(count as f64, sensitivity, epsilon, rng);
-    noisy.round().max(0.0) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,30 +82,6 @@ mod tests {
         let loose = spread(0.1, &mut rng);
         let tight = spread(10.0, &mut rng);
         assert!(loose > 50.0 * tight, "loose {loose} tight {tight}");
-    }
-
-    #[test]
-    fn vector_mechanism_length() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = laplace_mechanism_vec(&[1.0, 2.0, 3.0], 2.0, 1.0, &mut rng);
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn noisy_count_clamps_at_zero() {
-        let mut rng = StdRng::seed_from_u64(6);
-        // With tiny epsilon the noise dwarfs the count; clamping must hold.
-        for _ in 0..1000 {
-            let c = noisy_count(1, 1.0, 0.01, &mut rng);
-            assert!(c < u64::MAX / 2); // no negative wraparound
-        }
-    }
-
-    #[test]
-    fn noisy_count_accurate_at_high_epsilon() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let c = noisy_count(1000, 1.0, 100.0, &mut rng);
-        assert!((990..=1010).contains(&c), "count {c}");
     }
 
     #[test]

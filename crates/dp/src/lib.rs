@@ -5,16 +5,14 @@
 //! sensitivity / budget bookkeeping they are calibrated with.
 //!
 //! * [`laplace`] — the Laplace mechanism for numeric queries (ε-DP).
-//! * [`geometric`] — the two-sided geometric (discrete Laplace) mechanism
-//!   for integer counts.
 //! * [`exponential`] — the exponential mechanism for categorical selection.
 //! * [`randomized_response`](mod@randomized_response) — Warner's randomized response for bits.
-//! * [`sensitivity`] — global / local / smooth sensitivity, including the
-//!   smooth-sensitivity-calibrated Laplace noise that gives (ε, δ)-DP
+//! * [`sensitivity`] — global / local / smooth sensitivity, and the
+//!   smooth-sensitivity calibration of Laplace noise that gives (ε, δ)-DP
 //!   (used by DP-dK and PrivSKG).
-//! * [`budget`] — ε/δ privacy parameters, sequential-composition budget
-//!   accounting, and the labelled [`BudgetAccountant`] that mechanisms'
-//!   measure phases register their splits against.
+//! * [`budget`] — the labelled [`BudgetAccountant`]: sequential-composition
+//!   ε accounting that mechanisms' measure phases register their splits
+//!   against.
 //! * [`window`] — sliding-window composition for temporal releases: a
 //!   per-window ε split ([`WindowComposition`]) whose spends are checked
 //!   against both the window share and the overall grant.
@@ -26,30 +24,29 @@
 //! reproducible from a seed.
 //!
 //! ```
-//! use pgb_dp::budget::PrivacyParams;
+//! use pgb_dp::budget::BudgetAccountant;
 //! use pgb_dp::laplace::laplace_mechanism;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let eps = PrivacyParams::pure(1.0).unwrap();
+//! let mut acc = BudgetAccountant::new(1.0).unwrap();
+//! let eps = acc.spend("count", 1.0).unwrap();
 //! // A counting query has global sensitivity 1.
-//! let noisy = laplace_mechanism(42.0, 1.0, eps.epsilon(), &mut rng);
+//! let noisy = laplace_mechanism(42.0, 1.0, eps, &mut rng);
 //! assert!((noisy - 42.0).abs() < 50.0); // Lap(1) noise, loose sanity bound
 //! ```
 
 pub mod budget;
 pub mod exponential;
-pub mod geometric;
 pub mod laplace;
 pub mod randomized_response;
 pub mod sensitivity;
 pub mod testing;
 pub mod window;
 
-pub use budget::{Budget, BudgetAccountant, BudgetError, PrivacyParams};
+pub use budget::{BudgetAccountant, BudgetError};
 pub use exponential::exponential_mechanism;
-pub use geometric::{geometric_mechanism, sample_two_sided_geometric};
 pub use laplace::{laplace_mechanism, sample_laplace};
 pub use randomized_response::{randomized_response, rr_flip_probability, rr_keep_probability};
-pub use sensitivity::{smooth_laplace_mechanism, smooth_sensitivity, SmoothParams};
+pub use sensitivity::{smooth_sensitivity, SmoothParams};
 pub use window::WindowComposition;

@@ -3,8 +3,7 @@
 //! Keeping a bit with probability `e^ε / (1 + e^ε)` and flipping it
 //! otherwise satisfies ε-DP for that bit. Applied to adjacency-vector
 //! entries it is the canonical Edge-LDP primitive; the paper's §IV-B notes
-//! its density problem on sparse graphs, which the `density_inflation`
-//! helper quantifies.
+//! its density problem on sparse graphs.
 
 use rand::Rng;
 
@@ -27,24 +26,6 @@ pub fn randomized_response<R: Rng + ?Sized>(bit: bool, epsilon: f64, rng: &mut R
     } else {
         !bit
     }
-}
-
-/// Unbiased estimator inverting RR aggregates: given `noisy_ones` positive
-/// reports out of `total` randomized bits, estimates the true number of
-/// ones.
-pub fn rr_unbias(noisy_ones: f64, total: f64, epsilon: f64) -> f64 {
-    let p = rr_keep_probability(epsilon);
-    // E[noisy] = p·ones + (1 − p)(total − ones)  ⇒  solve for ones.
-    (noisy_ones - (1.0 - p) * total) / (2.0 * p - 1.0)
-}
-
-/// Expected edge count after applying RR to every cell of an `n`-node
-/// graph's adjacency upper triangle with `m` true edges — the "density
-/// problem": for sparse graphs this is dominated by flipped zeros.
-pub fn density_inflation(n: usize, m: usize, epsilon: f64) -> f64 {
-    let cells = n as f64 * (n as f64 - 1.0) / 2.0;
-    let p = rr_keep_probability(epsilon);
-    m as f64 * p + (cells - m as f64) * (1.0 - p)
 }
 
 #[cfg(test)]
@@ -84,31 +65,5 @@ mod tests {
         let p = rr_keep_probability(eps);
         let ratio = p / (1.0 - p);
         assert!((ratio - eps.exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unbias_recovers_truth_in_expectation() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let eps = 1.0;
-        let total = 200_000usize;
-        let true_ones = 2_000usize;
-        let mut noisy_ones = 0usize;
-        for i in 0..total {
-            if randomized_response(i < true_ones, eps, &mut rng) {
-                noisy_ones += 1;
-            }
-        }
-        let est = rr_unbias(noisy_ones as f64, total as f64, eps);
-        assert!((est - true_ones as f64).abs() < 900.0, "estimate {est}");
-    }
-
-    #[test]
-    fn density_inflation_explodes_for_sparse_graphs() {
-        // 10⁴ nodes, 10⁴ edges, ε = 1: noisy graph is ~10⁷ edges.
-        let inflated = density_inflation(10_000, 10_000, 1.0);
-        assert!(inflated > 1e6, "inflated {inflated}");
-        // With a huge ε the count stays near the truth.
-        let faithful = density_inflation(10_000, 10_000, 20.0);
-        assert!((faithful - 10_000.0).abs() < 200.0, "faithful {faithful}");
     }
 }

@@ -9,9 +9,6 @@
 //! DP-dK and PrivSKG — the two smooth-sensitivity algorithms in the
 //! benchmark (Table I, column Δ) — calibrate through this module.
 
-use crate::laplace::sample_laplace;
-use rand::Rng;
-
 /// Parameters of a smooth-sensitivity-calibrated mechanism.
 #[derive(Clone, Copy, Debug)]
 pub struct SmoothParams {
@@ -67,19 +64,6 @@ where
     best
 }
 
-/// Adds Laplace noise calibrated to smooth sensitivity:
-/// `value + Lap(2 S_β(D) / ε)`, which is (ε, δ)-DP when
-/// `params = SmoothParams::for_laplace(ε, δ)` and `smooth_sens = S_β(D)`.
-pub fn smooth_laplace_mechanism<R: Rng + ?Sized>(
-    value: f64,
-    smooth_sens: f64,
-    params: SmoothParams,
-    rng: &mut R,
-) -> f64 {
-    assert!(smooth_sens > 0.0, "smooth sensitivity must be positive, got {smooth_sens}");
-    value + sample_laplace(2.0 * smooth_sens / params.epsilon, rng)
-}
-
 /// Local sensitivity at distance `k` for the **dK-2 series** (joint degree
 /// distribution) under edge neighbouring: toggling one edge `{u, v}`
 /// changes the degree of `u` and `v`, relocating every incident edge's JDD
@@ -107,8 +91,6 @@ pub fn wedge_local_sensitivity_at(d_max: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn beta_calibration_formula() {
@@ -149,17 +131,6 @@ mod tests {
         let s_small_beta = smooth_sensitivity(ls, 0.01, 10_000);
         let s_large_beta = smooth_sensitivity(ls, 1.0, 10_000);
         assert!(s_small_beta >= s_large_beta);
-    }
-
-    #[test]
-    fn smooth_laplace_centers_on_value() {
-        let mut rng = StdRng::seed_from_u64(40);
-        let params = SmoothParams::for_laplace(2.0, 0.01);
-        let n = 50_000;
-        let mean =
-            (0..n).map(|_| smooth_laplace_mechanism(10.0, 3.0, params, &mut rng)).sum::<f64>()
-                / n as f64;
-        assert!((mean - 10.0).abs() < 0.2, "mean {mean}");
     }
 
     #[test]

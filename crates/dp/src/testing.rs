@@ -1,8 +1,7 @@
 //! Statistical assertion helpers for testing randomised mechanisms.
 //!
 //! The DP mechanisms in this crate have closed-form moments (Laplace:
-//! `Var = 2b²`, two-sided geometric: `Var = 2α/(1−α)²`) and closed-form
-//! selection probabilities (exponential mechanism: softmax in
+//! `Var = 2b²`) and closed-form selection probabilities (exponential mechanism: softmax in
 //! `ε·q/(2Δq)`). Their tests draw large fixed-seed samples and check the
 //! empirical statistics against those forms; this module centralises the
 //! estimators and the tolerance discipline so every mechanism test states

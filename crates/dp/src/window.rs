@@ -9,11 +9,11 @@
 //!    the labelled global ledger can never be overdrawn and stays auditable
 //!    (`entries()` sums to `spent()` exactly, as with any accountant);
 //! 2. **the window shares** — the grant is pre-split proportionally to the
-//!    window weights with the same exact-FP arithmetic as [`Budget::split`]
-//!    (`total · w / Σw`), and a spend against window `w` is additionally
-//!    checked against that window's share (with the usual
-//!    `EPS_SLACK` tolerance), so no interleaving of spends across windows
-//!    can push one window past its allocation.
+//!    window weights with the same exact-FP arithmetic as
+//!    [`BudgetAccountant::split`] (`total · w / Σw`), and a spend against
+//!    window `w` is additionally checked against that window's share (with
+//!    the usual `EPS_SLACK` tolerance), so no interleaving of spends across
+//!    windows can push one window past its allocation.
 //!
 //! Failed spends mutate nothing at either level.
 
@@ -52,7 +52,7 @@ impl WindowComposition {
 
     /// A split of `total` ε proportional to `weights` (one per window).
     /// Weights must be positive and finite; shares are `total · w / Σw`,
-    /// matching [`crate::Budget::split`]'s arithmetic exactly.
+    /// matching [`BudgetAccountant::split`]'s arithmetic exactly.
     pub fn weighted(total: f64, weights: &[f64]) -> Result<Self, BudgetError> {
         let accountant = BudgetAccountant::new(total)?;
         if weights.is_empty() || weights.iter().any(|&w| !(w > 0.0 && w.is_finite())) {
@@ -160,9 +160,9 @@ mod tests {
         let comp = WindowComposition::weighted(2.0, &[1.0, 3.0]).unwrap();
         assert!((comp.share(0) - 0.5).abs() < 1e-12);
         assert!((comp.share(1) - 1.5).abs() < 1e-12);
-        // Same inputs through Budget::split must agree bit-for-bit.
-        let mut b = crate::Budget::new(2.0).unwrap();
-        let shares = b.split(&[1.0, 3.0]).unwrap();
+        // Same inputs through BudgetAccountant::split must agree bit-for-bit.
+        let mut acc = BudgetAccountant::new(2.0).unwrap();
+        let shares = acc.split(&[("a", 1.0), ("b", 3.0)]).unwrap();
         assert_eq!(comp.share(0).to_bits(), shares[0].to_bits());
         assert_eq!(comp.share(1).to_bits(), shares[1].to_bits());
     }

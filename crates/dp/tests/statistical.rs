@@ -5,7 +5,6 @@
 //! distributional drift, not unlucky draws.
 
 use pgb_dp::exponential::{exponential_mechanism, exponential_mechanism_sparse};
-use pgb_dp::geometric::sample_two_sided_geometric;
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::testing::{assert_chi_square, assert_mean, assert_variance};
 use rand::rngs::StdRng;
@@ -26,21 +25,6 @@ fn laplace_scale_matches_closed_form() {
         let abs: Vec<f64> = samples.iter().map(|x| x.abs()).collect();
         // |X| is Exp(1/b): mean b, variance b².
         assert_mean(&abs, scale, scale * scale, Z);
-    }
-}
-
-#[test]
-fn two_sided_geometric_variance_matches_closed_form() {
-    // TwoSidedGeometric(α): mean 0, Var = 2α/(1−α)². α = e^(−ε/Δ) for the
-    // ε values the geometric mechanism sees.
-    let mut rng = StdRng::seed_from_u64(1002);
-    for epsilon in [0.5f64, 1.0, 2.0] {
-        let alpha = (-epsilon).exp();
-        let samples: Vec<f64> =
-            (0..100_000).map(|_| sample_two_sided_geometric(alpha, &mut rng) as f64).collect();
-        let var = 2.0 * alpha / (1.0 - alpha).powi(2);
-        assert_mean(&samples, 0.0, var, Z);
-        assert_variance(&samples, var, Z);
     }
 }
 

@@ -4,7 +4,7 @@
 //! These are the *representations* used by DP-dK and DGG (degree information,
 //! Fig. 1 of the paper) and the inputs to the degree queries Q4–Q6.
 
-use crate::{Graph, NodeId};
+use crate::Graph;
 use std::collections::HashMap;
 
 /// The degree of every node, indexed by node id.
@@ -49,10 +49,10 @@ pub fn degree_histogram(g: &Graph) -> Vec<u64> {
 /// Normalised degree distribution derived from a [`degree_histogram`]:
 /// `p[d] = hist[d] / n`. Returns an empty vector when `n == 0`.
 ///
-/// [`degree_distribution`], [`degree_variance`] and the suite evaluator
-/// in `pgb-queries` (Q5/Q6, from one shared degree pass) all reduce a
-/// histogram through this pair of `*_from_histogram` helpers, so they
-/// produce bit-identical values.
+/// [`degree_distribution`] and the suite evaluator in `pgb-queries`
+/// (Q5/Q6, from one shared degree pass) all reduce a histogram through
+/// this pair of `*_from_histogram` helpers, so they produce bit-identical
+/// values.
 pub fn distribution_from_histogram(hist: &[u64], n: usize) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
@@ -79,12 +79,6 @@ pub fn variance_from_histogram(hist: &[u64], n: usize) -> f64 {
 /// `d`. Returns an empty vector for the empty graph.
 pub fn degree_distribution(g: &Graph) -> Vec<f64> {
     distribution_from_histogram(&degree_histogram(g), g.node_count())
-}
-
-/// Sample variance-style degree variance `E[d²] − E[d]²` (population form,
-/// as used by the Q5 "degree variance" query). 0.0 for graphs with no nodes.
-pub fn degree_variance(g: &Graph) -> f64 {
-    variance_from_histogram(&degree_histogram(g), g.node_count())
 }
 
 /// The dK-2 series (joint degree distribution): for every edge `{u, v}`
@@ -166,14 +160,6 @@ pub fn assortativity(g: &Graph) -> Option<f64> {
     }
 }
 
-/// An entry of a node id paired with its degree; helper for degree-ordered
-/// processing in BTER and Chung–Lu.
-pub fn nodes_by_degree_desc(g: &Graph) -> Vec<(NodeId, u32)> {
-    let mut v: Vec<(NodeId, u32)> = g.nodes().map(|u| (u, g.degree(u) as u32)).collect();
-    v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,13 +190,13 @@ mod tests {
     #[test]
     fn variance_of_regular_graph_is_zero() {
         let cycle = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert!(degree_variance(&cycle).abs() < 1e-12);
+        assert!(variance_from_histogram(&degree_histogram(&cycle), 4).abs() < 1e-12);
     }
 
     #[test]
     fn variance_of_star() {
         // degrees 4,1,1,1,1: mean 1.6, E[d^2] = (16+4)/5 = 4 -> var = 1.44
-        assert!((degree_variance(&star5()) - 1.44).abs() < 1e-12);
+        assert!((variance_from_histogram(&degree_histogram(&star5()), 5) - 1.44).abs() < 1e-12);
     }
 
     #[test]
@@ -262,13 +248,5 @@ mod tests {
             Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]).unwrap();
         let r = assortativity(&g).unwrap();
         assert!((-1.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn nodes_by_degree_desc_order() {
-        let v = nodes_by_degree_desc(&star5());
-        assert_eq!(v[0], (0, 4));
-        assert_eq!(v.len(), 5);
-        assert!(v.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 }

@@ -34,14 +34,12 @@ pub mod degree;
 pub mod error;
 pub mod graph;
 pub mod io;
-pub mod matrix;
 pub mod temporal;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{Graph, NodeId};
-pub use matrix::BitMatrix;
 pub use temporal::{SnapshotSequence, TemporalEdge, Timestamp};
 
 /// Crate-wide result alias.

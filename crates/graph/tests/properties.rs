@@ -4,7 +4,7 @@ use pgb_graph::degree::{
     assortativity, degree_histogram, degree_sequence, joint_degree_distribution,
 };
 use pgb_graph::traversal::{bfs_distances, connected_components, UNREACHABLE};
-use pgb_graph::{BitMatrix, Graph, GraphBuilder};
+use pgb_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
 
 /// Strategy: a random edge set over up to 40 nodes (possibly with
@@ -100,14 +100,6 @@ proptest! {
             }
         }
         prop_assert_eq!(count, g.edge_count());
-    }
-
-    #[test]
-    fn bitmatrix_roundtrip((n, edges) in raw_edges()) {
-        let g = Graph::from_edges(n, edges).unwrap();
-        let m = BitMatrix::from_graph(&g);
-        prop_assert_eq!(m.edge_count(), g.edge_count());
-        prop_assert_eq!(m.to_graph().edge_vec(), g.edge_vec());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Partition-similarity metrics for the community-detection query (Q12):
-//! NMI (E11), ARI (E9), AMI (E10), and average F1 (E6).
+//! The partition-similarity metric for the community-detection query
+//! (Q12): normalized mutual information (NMI).
 //!
 //! Partitions are label vectors over the same node set; label values are
 //! arbitrary (they are compacted internally).
@@ -90,134 +90,6 @@ pub fn normalized_mutual_information(a: &[u32], b: &[u32]) -> f64 {
     (mutual_information(&c) / denom).clamp(0.0, 1.0)
 }
 
-fn choose2(x: u64) -> f64 {
-    (x as f64) * (x as f64 - 1.0) / 2.0
-}
-
-/// Adjusted Rand index (Hubert & Arabie correction; metric E9). 1.0 for
-/// identical partitions, ≈0 for independent ones; can be negative.
-pub fn adjusted_rand_index(a: &[u32], b: &[u32]) -> f64 {
-    let c = contingency(a, b);
-    let sum_cells: f64 = sorted_cells(&c).into_iter().map(|(_, nij)| choose2(nij)).sum();
-    let sum_rows: f64 = c.row_sums.iter().map(|&x| choose2(x)).sum();
-    let sum_cols: f64 = c.col_sums.iter().map(|&x| choose2(x)).sum();
-    let total = choose2(c.n);
-    if total < 1e-15 {
-        return 1.0;
-    }
-    let expected = sum_rows * sum_cols / total;
-    let max_index = (sum_rows + sum_cols) / 2.0;
-    if (max_index - expected).abs() < 1e-15 {
-        return 1.0; // both partitions all-singletons or single-cluster
-    }
-    (sum_cells - expected) / (max_index - expected)
-}
-
-/// Log-factorial table: `table[k] = ln(k!)`.
-fn log_factorials(up_to: usize) -> Vec<f64> {
-    let mut t = vec![0.0; up_to + 1];
-    for k in 1..=up_to {
-        t[k] = t[k - 1] + (k as f64).ln();
-    }
-    t
-}
-
-/// Expected mutual information under the permutation (hypergeometric)
-/// model of Vinh, Epps & Bailey (ICML 2009).
-fn expected_mutual_information(c: &Contingency, lf: &[f64]) -> f64 {
-    let n = c.n;
-    let nf = n as f64;
-    let mut emi = 0.0;
-    for &ai in &c.row_sums {
-        for &bj in &c.col_sums {
-            if ai == 0 || bj == 0 {
-                continue;
-            }
-            let lo = 1.max((ai + bj).saturating_sub(n));
-            let hi = ai.min(bj);
-            for nij in lo..=hi {
-                let nij_f = nij as f64;
-                // Hypergeometric P(nij) in log space.
-                let log_p = lf[ai as usize]
-                    + lf[bj as usize]
-                    + lf[(n - ai) as usize]
-                    + lf[(n - bj) as usize]
-                    - lf[n as usize]
-                    - lf[nij as usize]
-                    - lf[(ai - nij) as usize]
-                    - lf[(bj - nij) as usize]
-                    - lf[(n - ai - bj + nij) as usize];
-                let term = (nij_f / nf) * ((nf * nij_f) / (ai as f64 * bj as f64)).ln();
-                emi += log_p.exp() * term;
-            }
-        }
-    }
-    emi
-}
-
-/// Adjusted mutual information (metric E10):
-/// `(MI − E[MI]) / (mean(H(A), H(B)) − E[MI])` with arithmetic-mean
-/// normalisation. 1.0 for identical partitions, ≈0 for independent ones.
-pub fn adjusted_mutual_information(a: &[u32], b: &[u32]) -> f64 {
-    let c = contingency(a, b);
-    let (ha, hb) = (entropy(&c.row_sums, c.n), entropy(&c.col_sums, c.n));
-    let mean_h = (ha + hb) / 2.0;
-    if mean_h < 1e-15 {
-        return 1.0;
-    }
-    let lf = log_factorials(c.n as usize);
-    let mi = mutual_information(&c);
-    let emi = expected_mutual_information(&c, &lf);
-    let denom = mean_h - emi;
-    if denom.abs() < 1e-15 {
-        return if (mi - emi).abs() < 1e-15 { 1.0 } else { 0.0 };
-    }
-    ((mi - emi) / denom).clamp(-1.0, 1.0)
-}
-
-/// Average F1 score between two covers (metric E6): for each community in
-/// `a`, the best F1 against any community in `b`, and vice versa; the two
-/// directional averages are averaged (Yang & Leskovec's Avg-F1, as used by
-/// PrivCom).
-pub fn average_f1(a: &[u32], b: &[u32]) -> f64 {
-    let c = contingency(a, b);
-    if c.cells.is_empty() {
-        return 1.0;
-    }
-    // For the best-match search, group cells by row and by column.
-    let mut by_row: HashMap<u32, Vec<(u32, u64)>> = HashMap::new();
-    let mut by_col: HashMap<u32, Vec<(u32, u64)>> = HashMap::new();
-    for (&(i, j), &nij) in &c.cells {
-        by_row.entry(i).or_default().push((j, nij));
-        by_col.entry(j).or_default().push((i, nij));
-    }
-    let f1 = |overlap: u64, size_a: u64, size_b: u64| -> f64 {
-        if overlap == 0 {
-            return 0.0;
-        }
-        let p = overlap as f64 / size_b as f64;
-        let r = overlap as f64 / size_a as f64;
-        2.0 * p * r / (p + r)
-    };
-    let dir = |groups: &HashMap<u32, Vec<(u32, u64)>>, sizes: &[u64], other: &[u64]| -> f64 {
-        // Deterministic reduction order (see `sorted_cells`).
-        let mut keys: Vec<u32> = groups.keys().copied().collect();
-        keys.sort_unstable();
-        let mut total = 0.0;
-        for i in keys {
-            let best = groups[&i]
-                .iter()
-                .map(|&(j, nij)| f1(nij, sizes[i as usize], other[j as usize]))
-                .fold(0.0f64, f64::max);
-            total += best;
-        }
-        total / groups.len() as f64
-    };
-    let f_ab = dir(&by_row, &c.row_sums, &c.col_sums);
-    let f_ba = dir(&by_col, &c.col_sums, &c.row_sums);
-    (f_ab + f_ba) / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +99,12 @@ mod tests {
     #[test]
     fn identical_partitions_score_one() {
         assert!((normalized_mutual_information(&A, &A) - 1.0).abs() < 1e-12);
-        assert!((adjusted_rand_index(&A, &A) - 1.0).abs() < 1e-12);
-        assert!((adjusted_mutual_information(&A, &A) - 1.0).abs() < 1e-9);
-        assert!((average_f1(&A, &A) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn relabeled_partitions_score_one() {
         let b = [7, 7, 7, 3, 3, 3];
         assert!((normalized_mutual_information(&A, &b) - 1.0).abs() < 1e-12);
-        assert!((adjusted_rand_index(&A, &b) - 1.0).abs() < 1e-12);
-        assert!((average_f1(&A, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -246,17 +113,6 @@ mod tests {
         let a = [0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2];
         let b = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1];
         assert!(normalized_mutual_information(&a, &b) < 0.05);
-        assert!(adjusted_rand_index(&a, &b).abs() < 0.2);
-        // Chance-corrected MI of independent partitions is ≈ 0 or slightly
-        // negative (here −0.133 exactly).
-        assert!(adjusted_mutual_information(&a, &b) < 0.05);
-    }
-
-    #[test]
-    fn ari_known_value() {
-        // sklearn reference: ARI([0,0,1,1], [0,0,1,2]) = 0.5714285714...
-        let got = adjusted_rand_index(&[0, 0, 1, 1], &[0, 0, 1, 2]);
-        assert!((got - 0.571_428_571_4).abs() < 1e-9, "{got}");
     }
 
     #[test]
@@ -268,37 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn ami_known_value() {
-        // Hand computation under the hypergeometric model: 4/7.
-        let got = adjusted_mutual_information(&[0, 0, 1, 1], &[0, 0, 1, 2]);
-        assert!((got - 0.571_428_571_4).abs() < 1e-9, "{got}");
-    }
-
-    #[test]
-    fn ami_lower_than_nmi_for_random() {
-        // AMI corrects optimistic chance agreement that inflates NMI for
-        // many small clusters.
-        let a = [0, 1, 2, 3, 4, 5, 6, 7];
-        let b = [0, 0, 1, 1, 2, 2, 3, 3];
-        let nmi = normalized_mutual_information(&a, &b);
-        let ami = adjusted_mutual_information(&a, &b);
-        assert!(ami < nmi, "ami {ami} nmi {nmi}");
-    }
-
-    #[test]
     fn trivial_partitions() {
         let ones = [0, 0, 0, 0];
         assert!((normalized_mutual_information(&ones, &ones) - 1.0).abs() < 1e-12);
-        assert!((adjusted_rand_index(&ones, &ones) - 1.0).abs() < 1e-12);
-        assert!((adjusted_mutual_information(&ones, &ones) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f1_partial_overlap() {
-        let a = [0, 0, 0, 0, 1, 1];
-        let b = [0, 0, 1, 1, 1, 1];
-        let f = average_f1(&a, &b);
-        assert!(f > 0.4 && f < 0.9, "f1 {f}");
     }
 
     #[test]
@@ -309,8 +137,6 @@ mod tests {
             (normalized_mutual_information(&a, &b) - normalized_mutual_information(&b, &a)).abs()
                 < 1e-12
         );
-        assert!((adjusted_rand_index(&a, &b) - adjusted_rand_index(&b, &a)).abs() < 1e-12);
-        assert!((average_f1(&a, &b) - average_f1(&b, &a)).abs() < 1e-12);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Distribution-comparison metrics: KL divergence, Hellinger distance, and
-//! the Kolmogorov–Smirnov statistic.
+//! The distribution-comparison metric: KL divergence.
 //!
 //! Inputs are non-negative weight vectors indexed by a common discrete
 //! support (e.g. degree). Vectors of different lengths are implicitly
-//! zero-padded to the longer support, and every metric normalises its
-//! inputs to probability vectors first.
+//! zero-padded to the longer support, and both are normalised to
+//! probability vectors first.
 //!
 //! **Zero-mass inputs** (an all-zero weight vector — e.g. the degree
-//! distribution of an edgeless synthetic graph at tiny ε) are valid for
-//! the bounded metrics: [`hellinger_distance`] and [`ks_statistic`] treat
-//! zero-mass-vs-anything as the maximal distance `1.0` and
-//! zero-vs-zero as `0.0`, instead of panicking and aborting a whole
-//! benchmark run. [`kl_divergence`] is already total over zero-mass
-//! inputs via its additive smoothing (a zero vector smooths to uniform).
+//! distribution of an edgeless synthetic graph at tiny ε) are valid:
+//! [`kl_divergence`] is total over them via its additive smoothing (a
+//! zero vector smooths to uniform), so they never abort a benchmark run.
 
 /// Additive smoothing applied before KL so that empty bins on either side
 /// stay finite; matches the evaluation convention of the PGB reference
@@ -26,41 +22,16 @@ fn validate_weights(weights: &[f64]) {
     );
 }
 
-fn normalized(weights: &[f64], len: usize, smoothing: f64) -> Vec<f64> {
+fn normalized(weights: &[f64], len: usize) -> Vec<f64> {
     validate_weights(weights);
     let mut p: Vec<f64> =
-        (0..len).map(|i| weights.get(i).copied().unwrap_or(0.0) + smoothing).collect();
+        (0..len).map(|i| weights.get(i).copied().unwrap_or(0.0) + KL_SMOOTHING).collect();
     let total: f64 = p.iter().sum();
     assert!(total > 0.0, "distribution must have positive mass");
     for x in &mut p {
         *x /= total;
     }
     p
-}
-
-/// Normalises to `len` bins by the positive total `mass` the caller
-/// already computed — the smoothing-free metrics validate and sum each
-/// vector exactly once, in [`positive_masses`].
-fn normalized_by_mass(weights: &[f64], len: usize, mass: f64) -> Vec<f64> {
-    debug_assert!(mass > 0.0);
-    (0..len).map(|i| weights.get(i).copied().unwrap_or(0.0) / mass).collect()
-}
-
-/// Validates both weight vectors and resolves the zero-mass edge cases
-/// shared by the bounded metrics: `Err(distance)` short-circuits
-/// (zero-vs-zero compares two empty distributions — `0.0`;
-/// zero-vs-anything is maximally far — `1.0`, the supremum of both
-/// Hellinger and KS), `Ok((p_mass, q_mass))` means both masses are
-/// positive and the metric proper should run on them.
-fn positive_masses(p_weights: &[f64], q_weights: &[f64]) -> Result<(f64, f64), f64> {
-    validate_weights(p_weights);
-    validate_weights(q_weights);
-    let (p_mass, q_mass) = (p_weights.iter().sum(), q_weights.iter().sum());
-    match (p_mass > 0.0, q_mass > 0.0) {
-        (true, true) => Ok((p_mass, q_mass)),
-        (false, false) => Err(0.0),
-        _ => Err(1.0),
-    }
 }
 
 /// Kullback–Leibler divergence `KL(P ‖ Q) = Σ pᵢ ln(pᵢ / qᵢ)` (metric E3),
@@ -70,48 +41,9 @@ fn positive_masses(p_weights: &[f64], q_weights: &[f64]) -> Result<(f64, f64), f
 /// one, following the paper's usage for degree and distance distributions.
 pub fn kl_divergence(p_weights: &[f64], q_weights: &[f64]) -> f64 {
     let len = p_weights.len().max(q_weights.len()).max(1);
-    let p = normalized(p_weights, len, KL_SMOOTHING);
-    let q = normalized(q_weights, len, KL_SMOOTHING);
+    let p = normalized(p_weights, len);
+    let q = normalized(q_weights, len);
     p.iter().zip(&q).map(|(&pi, &qi)| if pi > 0.0 { pi * (pi / qi).ln() } else { 0.0 }).sum()
-}
-
-/// Hellinger distance `(1/√2) ‖√P − √Q‖₂` (metric E4), in `[0, 1]`.
-///
-/// A zero-mass weight vector (nothing to normalise — e.g. an edgeless
-/// graph's degree histogram) is maximally far from any distribution:
-/// zero-vs-anything returns `1.0`, zero-vs-zero returns `0.0`.
-pub fn hellinger_distance(p_weights: &[f64], q_weights: &[f64]) -> f64 {
-    let (p_mass, q_mass) = match positive_masses(p_weights, q_weights) {
-        Ok(masses) => masses,
-        Err(d) => return d,
-    };
-    let len = p_weights.len().max(q_weights.len()).max(1);
-    let p = normalized_by_mass(p_weights, len, p_mass);
-    let q = normalized_by_mass(q_weights, len, q_mass);
-    let sq_sum: f64 = p.iter().zip(&q).map(|(&pi, &qi)| (pi.sqrt() - qi.sqrt()).powi(2)).sum();
-    (sq_sum / 2.0).sqrt()
-}
-
-/// Kolmogorov–Smirnov statistic `max |CDF_P − CDF_Q|` (metric E5) over the
-/// shared discrete support, in `[0, 1]`.
-///
-/// Zero-mass inputs follow the same convention as [`hellinger_distance`]:
-/// zero-vs-anything is `1.0`, zero-vs-zero is `0.0`.
-pub fn ks_statistic(p_weights: &[f64], q_weights: &[f64]) -> f64 {
-    let (p_mass, q_mass) = match positive_masses(p_weights, q_weights) {
-        Ok(masses) => masses,
-        Err(d) => return d,
-    };
-    let len = p_weights.len().max(q_weights.len()).max(1);
-    let p = normalized_by_mass(p_weights, len, p_mass);
-    let q = normalized_by_mass(q_weights, len, q_mass);
-    let (mut cp, mut cq, mut best) = (0.0f64, 0.0f64, 0.0f64);
-    for i in 0..len {
-        cp += p[i];
-        cq += q[i];
-        best = best.max((cp - cq).abs());
-    }
-    best
 }
 
 #[cfg(test)]
@@ -151,42 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn hellinger_bounds() {
-        assert!(hellinger_distance(&[1.0, 0.0], &[1.0, 0.0]).abs() < 1e-12);
-        // Disjoint supports → maximal distance 1.
-        assert!((hellinger_distance(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-12);
-        let mid = hellinger_distance(&[0.5, 0.5], &[0.9, 0.1]);
-        assert!(mid > 0.0 && mid < 1.0);
-    }
-
-    #[test]
-    fn hellinger_symmetric() {
-        let a = [0.2, 0.3, 0.5];
-        let b = [0.5, 0.25, 0.25];
-        assert!((hellinger_distance(&a, &b) - hellinger_distance(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ks_known_value() {
-        // CDFs: P = [0.5, 1.0], Q = [0.1, 1.0]; max gap 0.4.
-        assert!((ks_statistic(&[0.5, 0.5], &[0.1, 0.9]) - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ks_identical_zero_and_disjoint_one() {
-        let p = [0.3, 0.7];
-        assert!(ks_statistic(&p, &p).abs() < 1e-12);
-        assert!((ks_statistic(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn unnormalised_inputs_accepted() {
         // Weight vectors (histogram counts) are normalised internally.
         let a = [3.0, 3.0, 6.0];
         let b = [0.25, 0.25, 0.5];
         assert!(kl_divergence(&a, &b).abs() < 1e-6);
-        assert!(hellinger_distance(&a, &b).abs() < 1e-6);
-        assert!(ks_statistic(&a, &b).abs() < 1e-12);
     }
 
     #[test]
@@ -196,38 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_mass_vs_anything_is_maximal() {
-        // An all-zero weight vector (edgeless synthetic graph) must score
-        // as maximally far, not abort the benchmark.
-        assert_eq!(hellinger_distance(&[0.0, 0.0], &[0.3, 0.7]), 1.0);
-        assert_eq!(hellinger_distance(&[0.3, 0.7], &[0.0, 0.0]), 1.0);
-        assert_eq!(ks_statistic(&[0.0, 0.0, 0.0], &[1.0]), 1.0);
-        assert_eq!(ks_statistic(&[1.0], &[0.0, 0.0, 0.0]), 1.0);
-        // Empty slices are zero-mass too.
-        assert_eq!(hellinger_distance(&[], &[1.0]), 1.0);
-        assert_eq!(ks_statistic(&[1.0], &[]), 1.0);
-    }
-
-    #[test]
-    fn zero_mass_vs_zero_mass_is_zero() {
-        assert_eq!(hellinger_distance(&[0.0, 0.0], &[0.0]), 0.0);
-        assert_eq!(ks_statistic(&[0.0], &[0.0, 0.0]), 0.0);
-        assert_eq!(hellinger_distance(&[], &[]), 0.0);
-        assert_eq!(ks_statistic(&[], &[]), 0.0);
-    }
-
-    #[test]
     fn kl_total_over_zero_mass_via_smoothing() {
         // KL needs no special case: smoothing turns a zero vector into the
         // uniform distribution, so the divergence stays finite both ways.
         assert!(kl_divergence(&[0.0, 0.0], &[0.3, 0.7]).is_finite());
         assert!(kl_divergence(&[0.3, 0.7], &[0.0, 0.0]).is_finite());
         assert!(kl_divergence(&[0.0], &[0.0]).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn zero_mass_path_still_validates_weights() {
-        hellinger_distance(&[0.0, 0.0], &[f64::NAN]);
     }
 }

@@ -1,4 +1,4 @@
-//! Scalar and vector error metrics: RE, MRE, MAE, MSE.
+//! Scalar and vector error metrics: RE and MAE.
 
 /// Relative error `|true − noisy| / |true|` (metric E1).
 ///
@@ -19,19 +19,6 @@ pub fn relative_error(true_value: f64, noisy_value: f64) -> f64 {
     }
 }
 
-/// Mean relative error over paired per-element results (metric E2),
-/// `(1/n) Σ |Q(Gᵢ) − Q(G′ᵢ)|` in the paper's normalised form: the mean of
-/// per-pair relative errors.
-///
-/// # Panics
-/// Panics if the slices have different lengths or are empty.
-pub fn mean_relative_error(true_values: &[f64], noisy_values: &[f64]) -> f64 {
-    assert_eq!(true_values.len(), noisy_values.len(), "length mismatch");
-    assert!(!true_values.is_empty(), "MRE of empty slices is undefined");
-    let sum: f64 = true_values.iter().zip(noisy_values).map(|(&t, &n)| relative_error(t, n)).sum();
-    sum / true_values.len() as f64
-}
-
 /// Mean absolute error (metric E7).
 ///
 /// # Panics
@@ -40,17 +27,6 @@ pub fn mean_absolute_error(true_values: &[f64], noisy_values: &[f64]) -> f64 {
     assert_eq!(true_values.len(), noisy_values.len(), "length mismatch");
     assert!(!true_values.is_empty(), "MAE of empty slices is undefined");
     let sum: f64 = true_values.iter().zip(noisy_values).map(|(&t, &n)| (t - n).abs()).sum();
-    sum / true_values.len() as f64
-}
-
-/// Mean squared error (metric E8).
-///
-/// # Panics
-/// Panics if the slices have different lengths or are empty.
-pub fn mean_squared_error(true_values: &[f64], noisy_values: &[f64]) -> f64 {
-    assert_eq!(true_values.len(), noisy_values.len(), "length mismatch");
-    assert!(!true_values.is_empty(), "MSE of empty slices is undefined");
-    let sum: f64 = true_values.iter().zip(noisy_values).map(|(&t, &n)| (t - n).powi(2)).sum();
     sum / true_values.len() as f64
 }
 
@@ -72,27 +48,16 @@ mod tests {
     }
 
     #[test]
-    fn mre_averages_pairwise() {
-        let t = [10.0, 20.0];
-        let n = [12.0, 18.0];
-        // REs are 0.2 and 0.1.
-        assert!((mean_relative_error(&t, &n) - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mae_and_mse() {
+    fn mae_known_value() {
         let t = [1.0, 2.0, 3.0];
         let n = [2.0, 2.0, 1.0];
         assert!((mean_absolute_error(&t, &n) - 1.0).abs() < 1e-12);
-        assert!((mean_squared_error(&t, &n) - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn identical_vectors_zero_error() {
         let v = [3.0, 1.0, 4.0];
-        assert_eq!(mean_relative_error(&v, &v), 0.0);
         assert_eq!(mean_absolute_error(&v, &v), 0.0);
-        assert_eq!(mean_squared_error(&v, &v), 0.0);
     }
 
     #[test]
@@ -103,7 +68,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "undefined")]
-    fn empty_mre_panics() {
-        mean_relative_error(&[], &[]);
+    fn empty_mae_panics() {
+        mean_absolute_error(&[], &[]);
     }
 }

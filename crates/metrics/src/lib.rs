@@ -1,31 +1,23 @@
 //! # pgb-metrics
 //!
 //! The utility-error metrics of the PGB benchmark (element U of the
-//! 4-tuple; Table IV of the paper, metrics E1–E11):
+//! 4-tuple): the four that §V-D pairs with the query suite, through
+//! `pgb_core::benchmark::metric::metric_for`.
 //!
-//! | id | metric | module |
-//! |----|--------|--------|
-//! | E1 | relative error (RE) | [`error`] |
-//! | E2 | mean relative error (MRE) | [`error`] |
-//! | E3 | Kullback–Leibler divergence (KL) | [`distribution`] |
-//! | E4 | Hellinger distance (HD) | [`distribution`] |
-//! | E5 | Kolmogorov–Smirnov statistic (KS) | [`distribution`] |
-//! | E6 | average F1 score | [`clustering`] |
-//! | E7 | mean absolute error (MAE) | [`error`] |
-//! | E8 | mean squared error (MSE) | [`error`] |
-//! | E9 | adjusted Rand index (ARI) | [`clustering`] |
-//! | E10 | adjusted mutual information (AMI) | [`clustering`] |
-//! | E11 | normalized mutual information (NMI) | [`clustering`] |
+//! | id | metric | queries | module |
+//! |----|--------|---------|--------|
+//! | E1 | relative error (RE) | the scalar queries | [`error`] |
+//! | E3 | Kullback–Leibler divergence (KL) | degree and distance distributions | [`distribution`] |
+//! | E7 | mean absolute error (MAE) | eigenvector centrality | [`error`] |
+//! | E11 | normalized mutual information (NMI) | community detection | [`clustering`] |
 //!
-//! All distribution metrics operate on non-negative weight vectors and
-//! normalise internally; all clustering metrics operate on label vectors.
+//! KL operates on non-negative weight vectors and normalises internally;
+//! NMI operates on label vectors.
 
 pub mod clustering;
 pub mod distribution;
 pub mod error;
 
-pub use clustering::{
-    adjusted_mutual_information, adjusted_rand_index, average_f1, normalized_mutual_information,
-};
-pub use distribution::{hellinger_distance, kl_divergence, ks_statistic};
-pub use error::{mean_absolute_error, mean_relative_error, mean_squared_error, relative_error};
+pub use clustering::normalized_mutual_information;
+pub use distribution::kl_divergence;
+pub use error::{mean_absolute_error, relative_error};

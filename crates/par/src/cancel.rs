@@ -110,8 +110,9 @@ impl CancelToken {
         (self.inner.limit != u64::MAX).then_some(self.inner.limit)
     }
 
-    /// Ticks charged so far. Only a lower bound once cancelled — see
-    /// [`TokenState::ticks`].
+    /// Ticks charged so far. Monotone, but racy once the token cancels:
+    /// in-flight workers may each charge once more, so reports carry the
+    /// deterministic [`tick_limit`](Self::tick_limit), never this.
     pub fn ticks(&self) -> u64 {
         self.inner.ticks.load(Ordering::Relaxed)
     }
@@ -296,22 +297,6 @@ pub fn checkpoint(n: u64) {
     }
 }
 
-/// Non-panicking sibling of [`checkpoint`]: charges `n` ticks and returns
-/// the latched cause on failure, for boundaries that can return an error
-/// directly instead of unwinding.
-pub fn try_checkpoint(n: u64) -> Result<(), CancelCause> {
-    if charge_current(n) {
-        return Ok(());
-    }
-    Err(CANCEL_CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .and_then(|ctx| ctx.token.cause())
-            // charge_current only fails with an installed, cancelled token.
-            .unwrap_or(CancelCause::Manual)
-    }))
-}
-
 /// Raises [`CancelUnwind`] if the current token is cancelled (poll only —
 /// called by `run_chunks` on the calling thread after its scope joins, so
 /// the typed payload is not laundered through `std::thread::scope`'s
@@ -398,14 +383,5 @@ mod tests {
             .expect_err("budget of 0 cancels the first checkpoint");
         assert!(err.is::<CancelUnwind>(), "payload must be the typed marker");
         assert_eq!(t.cause(), Some(CancelCause::Ticks));
-    }
-
-    #[test]
-    fn try_checkpoint_reports_the_cause() {
-        let t = CancelToken::new(Some(1), None);
-        with_token(&t, || {
-            assert_eq!(try_checkpoint(1), Ok(()));
-            assert_eq!(try_checkpoint(1), Err(CancelCause::Ticks));
-        });
     }
 }

@@ -279,11 +279,6 @@ impl BudgetLedger {
         self.inner.lock().expect("ledger lock poisoned").available
     }
 
-    /// Tasks not yet claimed.
-    pub fn remaining_tasks(&self) -> usize {
-        self.tasks - self.inner.lock().expect("ledger lock poisoned").next
-    }
-
     /// Claims the next task, or `None` when the queue is drained. The
     /// returned grant divides the pool by the number of workers that can
     /// still be claiming concurrently (`min(workers, remaining tasks)`),

@@ -3,7 +3,7 @@
 //! enum dispatches to and adds the log-binned view used for plotting
 //! power-law distributions (Fig. 5 of the paper).
 
-pub use pgb_graph::degree::{degree_distribution, degree_variance};
+pub use pgb_graph::degree::degree_distribution;
 
 /// Log₂-binned degree histogram: bin `i` counts nodes with degree in
 /// `[2^i, 2^(i+1))`; degree-0 nodes land in a leading bin of their own.

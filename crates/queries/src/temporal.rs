@@ -41,18 +41,6 @@ pub fn inter_event_time_histogram(timestamps: &[Timestamp]) -> Vec<u64> {
     hist
 }
 
-/// [`inter_event_time_histogram`] normalised to a probability
-/// distribution, in the same shape the suite's distributional queries use
-/// (so `pgb-core`'s KL metric applies directly).
-pub fn inter_event_time_distribution(timestamps: &[Timestamp]) -> Vec<f64> {
-    let hist = inter_event_time_histogram(timestamps);
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    hist.iter().map(|&c| c as f64 / total as f64).collect()
-}
-
 /// Per-window suite values plus the per-window [`SuiteStats`] proving the
 /// shared-intermediate reuse, from one [`suite_drift`] call.
 #[derive(Clone, Debug)]
@@ -106,14 +94,6 @@ mod tests {
         assert_eq!(inter_event_time_histogram(&[]), Vec::<u64>::new());
         assert_eq!(inter_event_time_histogram(&[7]), Vec::<u64>::new());
         assert_eq!(inter_event_time_histogram(&[3, 1, 1, 6]), vec![1, 0, 1, 1]);
-        let d = inter_event_time_distribution(&[0, 1, 2, 3]);
-        assert_eq!(d, vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn iet_distribution_sums_to_one() {
-        let d = inter_event_time_distribution(&[0, 0, 5, 9, 14, 14]);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     fn ring_events(n: u32, per_window: u32) -> Vec<(u32, u32, u64)> {

@@ -3,17 +3,16 @@
 //! [`pgb_dp::BudgetAccountant`] enforces sequential composition for one
 //! principal on one thread; a service has many tenants and many threads.
 //! [`TenantAccountant`] lifts one accountant per tenant behind a single
-//! lock: every spend, split, and statement is atomic with respect to every
-//! other, so the underlying [`pgb_dp::Budget`] arithmetic — which already
-//! guarantees a failed spend mutates nothing — extends to arbitrary
-//! concurrent interleavings. The invariants the proptests in
-//! `tests/accountant.rs` pin down:
+//! lock: every spend and statement is atomic with respect to every other,
+//! so the accountant's arithmetic — which already guarantees a failed
+//! spend mutates nothing — extends to arbitrary concurrent interleavings.
+//! The invariants the proptests in `tests/accountant.rs` pin down:
 //!
 //! * **No overdraw, ever**: `consumed ≤ grant + ε_slack` regardless of how
-//!   spends, splits, and rejections interleave across threads.
-//! * **Conservation**: `consumed + remaining ≡ grant` (exactly, by
-//!   [`pgb_dp::Budget`]'s `remaining = max(total − spent, 0)` arithmetic,
-//!   up to the same `1e-9` slack the spend check allows).
+//!   spends and rejections interleave across threads.
+//! * **Conservation**: `consumed + remaining ≡ grant` (exactly, by the
+//!   accountant's `remaining = max(total − spent, 0)` arithmetic, up to
+//!   the same `1e-9` slack the spend check allows).
 //! * **Absorption**: a drained tenant stays drained — every later spend is
 //!   rejected with a structured [`ServeError::BudgetExhausted`].
 //! * **Audit completeness**: the labelled entries sum to exactly
@@ -122,53 +121,6 @@ impl TenantAccountant {
         }
     }
 
-    /// Drains everything `tenant` still holds under `label` and returns
-    /// the statement (`charged` is what was left, possibly `0.0` — a
-    /// drained tenant records no entry, exactly like
-    /// [`BudgetAccountant::spend_remaining`]).
-    pub fn spend_remaining(
-        &self,
-        tenant: &str,
-        label: impl Into<Cow<'static, str>>,
-    ) -> Result<BudgetStatement, ServeError> {
-        let label = label.into();
-        let mut tenants = self.lock();
-        let acc =
-            tenants.get_mut(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
-        let charged = acc.spend_remaining(label);
-        Ok(BudgetStatement {
-            tenant: tenant.to_string(),
-            charged,
-            spent: acc.spent(),
-            remaining: acc.remaining(),
-        })
-    }
-
-    /// Splits everything `tenant` still holds proportionally over the
-    /// labelled weights (one atomic multi-phase draw — sequential
-    /// composition over the shares by construction). Errors if the tenant
-    /// is already drained or a weight is invalid, mutating nothing.
-    pub fn split(
-        &self,
-        tenant: &str,
-        shares: &[(&'static str, f64)],
-    ) -> Result<Vec<f64>, ServeError> {
-        let mut tenants = self.lock();
-        let acc =
-            tenants.get_mut(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
-        match acc.split(shares) {
-            Ok(eps) => Ok(eps),
-            Err(pgb_dp::BudgetError::Exhausted { requested, remaining }) => {
-                Err(ServeError::BudgetExhausted {
-                    tenant: tenant.to_string(),
-                    requested,
-                    remaining,
-                })
-            }
-            Err(_) => Err(ServeError::InvalidGrant(f64::NAN)),
-        }
-    }
-
     /// The tenant's full audit statement (grant, consumption, labelled
     /// entries), read atomically.
     pub fn statement(&self, tenant: &str) -> Result<TenantStatement, ServeError> {
@@ -252,36 +204,5 @@ mod tests {
         );
         assert!(matches!(acc.register("neg", -1.0), Err(ServeError::InvalidGrant(_))));
         assert_eq!(acc.tenants(), vec!["t".to_string()]);
-    }
-
-    #[test]
-    fn split_draws_everything_atomically() {
-        let acc = TenantAccountant::new();
-        acc.register("t", 2.0).unwrap();
-        let shares = acc.split("t", &[("phase a", 1.0), ("phase b", 3.0)]).unwrap();
-        assert!((shares[0] - 0.5).abs() < 1e-12);
-        assert!((shares[1] - 1.5).abs() < 1e-12);
-        let st = acc.statement("t").unwrap();
-        assert_eq!(st.remaining, 0.0);
-        assert_eq!(st.entries.len(), 2);
-        // Drained: a further split is rejected.
-        assert!(matches!(
-            acc.split("t", &[("again", 1.0)]),
-            Err(ServeError::BudgetExhausted { .. })
-        ));
-    }
-
-    #[test]
-    fn spend_remaining_drains() {
-        let acc = TenantAccountant::new();
-        acc.register("t", 1.0).unwrap();
-        acc.spend("t", "a", 0.25).unwrap();
-        let st = acc.spend_remaining("t", "the rest").unwrap();
-        assert!((st.charged - 0.75).abs() < 1e-12);
-        assert_eq!(st.remaining, 0.0);
-        // Already drained: records nothing, charges nothing.
-        let st = acc.spend_remaining("t", "again").unwrap();
-        assert_eq!(st.charged, 0.0);
-        assert_eq!(acc.statement("t").unwrap().entries.len(), 2);
     }
 }

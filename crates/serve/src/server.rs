@@ -60,8 +60,7 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Default worker-thread budget (0 ⇒ the machine's available
     /// parallelism). [`Server::replay`] takes an explicit worker count —
-    /// the determinism contract is *about* varying it — and
-    /// [`Server::replay_default`] falls back to this.
+    /// the determinism contract is *about* varying it.
     pub threads: usize,
     /// How long a coalesced waiter waits on a measurement flight before
     /// giving up with [`ServeError::FlightTimedOut`]. Guards against a
@@ -446,11 +445,6 @@ impl Server {
             .collect();
 
         Transcript { records, tenants }
-    }
-
-    /// [`Server::replay`] at the configured thread budget.
-    pub fn replay_default(&self, log: &RequestLog) -> Transcript {
-        self.replay(log, self.config.threads)
     }
 
     /// Whether the server latched into the halted state after a WAL

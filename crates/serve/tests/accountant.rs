@@ -13,7 +13,7 @@
 use pgb_serve::{ServeError, TenantAccountant};
 use proptest::prelude::*;
 
-/// The ε slack `pgb_dp::Budget` allows a spend to overshoot by (floating
+/// The ε slack `pgb_dp::BudgetAccountant` allows a spend to overshoot by (floating
 /// accumulation tolerance), mirrored here so the tests assert the real
 /// contract rather than an idealized one.
 const EPS_SLACK: f64 = 1e-9;
@@ -85,7 +85,7 @@ proptest! {
     ) {
         let acc = TenantAccountant::new();
         acc.register("t", grant).unwrap();
-        let st = acc.spend_remaining("t", "drain").unwrap();
+        let st = acc.spend("t", "drain", grant).unwrap();
         prop_assert_eq!(st.charged.to_bits(), grant.to_bits());
         prop_assert_eq!(st.remaining, 0.0);
 

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// The ε slack `pgb_dp::Budget` allows accumulated spends to overshoot by.
+/// The ε slack `pgb_dp::BudgetAccountant` allows accumulated spends to overshoot by.
 const EPS_SLACK: f64 = 1e-9;
 
 const CHAOS_SEEDS: u64 = 64;

@@ -9,7 +9,7 @@ use pgb_serve::{read_contents, GenerateRequest, Server, ServerConfig, Wal, WAL_M
 use proptest::prelude::*;
 use rand::RngCore;
 
-/// The ε slack `pgb_dp::Budget` allows accumulated spends to overshoot by.
+/// The ε slack `pgb_dp::BudgetAccountant` allows accumulated spends to overshoot by.
 const EPS_SLACK: f64 = 1e-9;
 
 /// A fast deterministic stand-in mechanism so WAL tests never pay real
