@@ -13,7 +13,10 @@
 //!   offending bit pattern, and `sample` cannot fail — on any graph the
 //!   intermediate was measured from, including degenerate ones.
 
-use pgb_core::{standard_suite, Der, GenerateError, GraphGenerator, PrivGraph, PrivHrg};
+use pgb_core::{
+    standard_suite, Der, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph, PrivHrg,
+    PrivSkg,
+};
 use pgb_graph::Graph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -239,6 +242,76 @@ fn privgraph_output_bytes_are_pinned() {
             let digest = csr_digest(&m.sample(&mut rng));
             let n = g.node_count();
             assert_eq!(digest, pinned, "PrivGraph on n={n} at ε={epsilon}: digest {digest:#018x}");
+        }
+    }
+}
+
+/// Runs `f` at thread budget `threads` (0 ⇒ the ambient budget).
+fn at_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    if threads == 0 {
+        f()
+    } else {
+        pgb_par::with_parallelism(threads, f)
+    }
+}
+
+#[test]
+fn privskg_output_bytes_are_pinned() {
+    // PrivSKG's measure → sample path: noisy moments, the initiator fit,
+    // the chunked ball drops and the uniform subsample back to n. One
+    // graph with n < 2^k (subsampled) and one with n = 2^k (built
+    // directly), two budgets each, at every thread budget.
+    let graphs = [
+        pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025)),
+        pgb_models::barabasi_albert(1_024, 4, &mut StdRng::seed_from_u64(2026)),
+    ];
+    let pinned = [
+        [(0.5, 0x2f38_4268_32e6_8f91), (2.0, 0x2800_18a0_48ce_6e0b)],
+        [(0.5, 0x73a9_fa2b_893b_a28b), (2.0, 0x6cd4_928c_7a8e_551f)],
+    ];
+    for (g, runs) in graphs.iter().zip(pinned) {
+        for (epsilon, pinned) in runs {
+            for threads in [1usize, 2, 8, 0] {
+                let digest = at_budget(threads, || {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let m = PrivSkg::default().measure(g, epsilon, &mut rng).unwrap();
+                    csr_digest(&m.sample(&mut rng))
+                });
+                let n = g.node_count();
+                assert_eq!(
+                    digest, pinned,
+                    "PrivSKG on n={n} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dpdk_output_bytes_are_pinned() {
+    // DP-dK's realisation conforms its node count to the input's; each
+    // case below realises a surplus, which a uniform induced subsample
+    // removes. Both variants, two budgets each, at every thread budget.
+    let ba = pgb_models::barabasi_albert(1_000, 3, &mut StdRng::seed_from_u64(2027));
+    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
+    let cases = [
+        (DkVariant::Dk1, &ba, [(0.5, 0x6b1b_54cb_106c_fff4), (2.0, 0x22ef_8149_54fe_9abf)]),
+        (DkVariant::Dk2, &er, [(0.5, 0xa08b_5fbd_b628_5e19), (2.0, 0x81fd_3acb_dd0a_578b)]),
+    ];
+    for (variant, g, runs) in cases {
+        for (epsilon, pinned) in runs {
+            for threads in [1usize, 2, 8, 0] {
+                let digest = at_budget(threads, || {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let m =
+                        DpDk { variant, ..DpDk::default() }.measure(g, epsilon, &mut rng).unwrap();
+                    csr_digest(&m.sample(&mut rng))
+                });
+                assert_eq!(
+                    digest, pinned,
+                    "DP-dK {variant:?} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
+                );
+            }
         }
     }
 }
