@@ -121,9 +121,50 @@ impl WeightedGraph {
         WeightedGraph { adj, self_loops: vec![0.0; n], total }
     }
 
+    /// Builds the graph from weighted edges `(u, v, w)` with `u ≤ v`
+    /// (`u == v` is a self-loop), listed in strictly increasing `(u, v)`
+    /// order — the row order PrivGraph's noisy super-graph comes in.
+    ///
+    /// No pair repeats, so every edge is pushed without the linear find
+    /// of [`WeightedGraph::add_edge`]. Rows and `total` accumulate in the
+    /// same order as an `add_edge` loop over the same edges, so the
+    /// result is bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics if a pair has `u > v`, is out of range, does not follow its
+    /// predecessor strictly, or has a negative/NaN weight.
+    pub fn from_upper_edges(n: usize, edges: &[(NodeId, NodeId, f64)]) -> Self {
+        let mut g = WeightedGraph::new(n);
+        let mut prev = None;
+        for &(u, v, weight) in edges {
+            assert!(u <= v && prev < Some((u, v)), "edge ({u},{v}) out of order after {prev:?}");
+            prev = Some((u, v));
+            if !g.check_edge(u, v, weight) {
+                continue;
+            }
+            if u == v {
+                g.self_loops[u as usize] += weight;
+            } else {
+                g.adj[u as usize].push((v, weight));
+                g.adj[v as usize].push((u, weight));
+            }
+            g.total += 2.0 * weight;
+        }
+        g
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
+    }
+
+    /// Validates an edge for insertion; `false` means a zero weight,
+    /// which is dropped.
+    fn check_edge(&self, u: NodeId, v: NodeId, weight: f64) -> bool {
+        assert!(weight >= 0.0 && weight.is_finite(), "invalid weight {weight}");
+        let n = self.node_count();
+        assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range {n}");
+        weight != 0.0
     }
 
     /// Adds weight `weight` to the edge `{u, v}` (accumulating if called
@@ -132,10 +173,7 @@ impl WeightedGraph {
     /// # Panics
     /// Panics if an endpoint is out of range or `weight` is negative/NaN.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, weight: f64) {
-        assert!(weight >= 0.0 && weight.is_finite(), "invalid weight {weight}");
-        let n = self.node_count();
-        assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range {n}");
-        if weight == 0.0 {
+        if !self.check_edge(u, v, weight) {
             return;
         }
         if u == v {
@@ -433,6 +471,56 @@ mod tests {
             assert_eq!(agg.neighbors(c), reference.neighbors(c), "community {c}");
             assert_eq!(agg.self_loop(c).to_bits(), reference.self_loop(c).to_bits());
         }
+    }
+
+    /// Non-integer weights and self-loops in strictly increasing upper
+    /// order, some of them zero.
+    fn upper_edges() -> Vec<(NodeId, NodeId, f64)> {
+        let mut edges = Vec::new();
+        for u in 0..25u32 {
+            for v in u..25 {
+                if (u * 11 + v * 5) % 3 == 0 {
+                    let weight =
+                        if (u + v) % 7 == 0 { 0.0 } else { 0.3 + (v as f64) / (u as f64 + 1.9) };
+                    edges.push((u, v, weight));
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn from_upper_edges_bit_matches_add_edge() {
+        let edges = upper_edges();
+        assert!(edges.iter().any(|&(u, v, _)| u == v), "the fixture must hold self-loops");
+        let fast = WeightedGraph::from_upper_edges(25, &edges);
+        let mut slow = WeightedGraph::new(25);
+        for &(u, v, weight) in &edges {
+            slow.add_edge(u, v, weight);
+        }
+        assert_eq!(fast.total_weight().to_bits(), slow.total_weight().to_bits());
+        for u in 0..25u32 {
+            assert_eq!(fast.neighbors(u), slow.neighbors(u), "node {u}");
+            assert_eq!(fast.self_loop(u).to_bits(), slow.self_loop(u).to_bits(), "node {u}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn from_upper_edges_rejects_a_repeated_pair() {
+        WeightedGraph::from_upper_edges(3, &[(0, 1, 1.0), (0, 1, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn from_upper_edges_rejects_an_out_of_order_pair() {
+        WeightedGraph::from_upper_edges(3, &[(0, 2, 1.0), (0, 1, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn from_upper_edges_rejects_a_lower_pair() {
+        WeightedGraph::from_upper_edges(3, &[(1, 0, 1.0)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   and realised with the dK-2 stub-wiring constructor.
 
 use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
+    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis,
 };
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::sensitivity::{dk2_local_sensitivity_at, smooth_sensitivity, SmoothParams};
@@ -20,7 +20,7 @@ use pgb_dp::BudgetAccountant;
 use pgb_graph::degree::{degree_histogram, joint_degree_distribution, JointDegreeDistribution};
 use pgb_graph::Graph;
 use pgb_models::dk::{dk1_construct, dk2_construct};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Which dK series DP-dK targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -225,14 +225,9 @@ fn conform_node_count(g: Graph, n: usize, rng: &mut dyn RngCore) -> Graph {
             Graph::from_edges(n, g.edge_vec()).expect("ids bounded by the larger n")
         }
         std::cmp::Ordering::Greater => {
-            let mut ids: Vec<u32> = (0..g.node_count() as u32).collect();
-            for i in 0..n {
-                let j = rng.gen_range(i..ids.len());
-                ids.swap(i, j);
-            }
-            ids.truncate(n);
-            ids.sort_unstable();
-            g.induced_subgraph(&ids).0
+            let sub = NodeSubsample::uniform(g.node_count(), n, rng);
+            Graph::from_edges(n, g.edges().filter_map(|e| sub.edge(e)))
+                .expect("kept ids are ranks below n")
         }
     }
 }

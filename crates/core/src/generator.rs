@@ -1,8 +1,8 @@
 //! The [`GraphGenerator`] trait every PGB mechanism implements, and the
 //! error type shared by them.
 
-use pgb_graph::Graph;
-use rand::RngCore;
+use pgb_graph::{Graph, NodeId};
+use rand::{Rng, RngCore};
 use std::fmt;
 
 /// Errors a generation run can produce.
@@ -128,9 +128,61 @@ pub(crate) fn check_epsilon(epsilon: f64) -> Result<(), GenerateError> {
     }
 }
 
+/// A uniform `n`-node subsample of `0..total` as a relabelling table: a
+/// kept node maps to its rank among the kept nodes, a dropped one to
+/// `NodeId::MAX`. It is the projection PrivSKG and DP-dK apply when a
+/// realisation has more nodes than the input. Mapping a realisation's
+/// edges through [`NodeSubsample::edge`] and building the `n`-node graph
+/// gives the subgraph induced by the kept nodes, relabelled in id order.
+pub(crate) struct NodeSubsample {
+    new_id: Vec<NodeId>,
+}
+
+impl NodeSubsample {
+    /// Draws the kept nodes with a partial Fisher–Yates shuffle of the
+    /// first `n` slots (`n` draws, `n ≤ total`).
+    pub(crate) fn uniform(total: usize, n: usize, rng: &mut dyn RngCore) -> Self {
+        let mut ids: Vec<NodeId> = (0..total as NodeId).collect();
+        for i in 0..n {
+            let j = rng.gen_range(i..ids.len());
+            ids.swap(i, j);
+        }
+        let mut new_id = vec![NodeId::MAX; total];
+        for &u in &ids[..n] {
+            new_id[u as usize] = 0;
+        }
+        for (rank, slot) in new_id.iter_mut().filter(|slot| **slot != NodeId::MAX).enumerate() {
+            *slot = rank as NodeId;
+        }
+        NodeSubsample { new_id }
+    }
+
+    /// The relabelled edge `{u, v}`, or `None` if an end was dropped.
+    #[inline]
+    pub(crate) fn edge(&self, (u, v): (NodeId, NodeId)) -> Option<(NodeId, NodeId)> {
+        let (a, b) = (self.new_id[u as usize], self.new_id[v as usize]);
+        (a != NodeId::MAX && b != NodeId::MAX).then_some((a, b))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_subsample_keeps_n_nodes_ranked_in_id_order() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let sub = NodeSubsample::uniform(50, 20, &mut rng);
+        let kept: Vec<NodeId> = (0..50).filter(|&u| sub.edge((u, u)).is_some()).collect();
+        assert_eq!(kept.len(), 20);
+        for (rank, &u) in kept.iter().enumerate() {
+            assert_eq!(sub.edge((u, u)), Some((rank as NodeId, rank as NodeId)));
+        }
+        assert_eq!(sub.edge((kept[19], kept[0])), Some((19, 0)));
+        let dropped = (0..50).find(|u| !kept.contains(u)).unwrap();
+        assert_eq!(sub.edge((kept[0], dropped)), None);
+    }
 
     #[test]
     fn epsilon_validation() {

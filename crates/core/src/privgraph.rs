@@ -195,13 +195,9 @@ impl GraphGenerator for PrivGraph {
             super_of[u as usize] = (idx / t) as u32;
         }
         // True super-edge weights (intra super-node mass goes to loops).
-        let mut weights_matrix: std::collections::HashMap<(u32, u32), f64> =
-            std::collections::HashMap::new();
-        for (u, v) in graph.edges() {
-            let (a, b) = (super_of[u as usize], super_of[v as usize]);
-            let key = if a <= b { (a, b) } else { (b, a) };
-            *weights_matrix.entry(key).or_insert(0.0) += 1.0;
-        }
+        let super_pairs = PairRows::new(s, || {
+            graph.edges().map(|(u, v)| (super_of[u as usize], super_of[v as usize]))
+        });
         // Laplace on every super-pair (including empty ones — required for
         // DP; sensitivity 1). The s²/2 draws are independent, so rows are
         // chunked over derived streams; surviving super-edges come back in
@@ -209,21 +205,19 @@ impl GraphGenerator for PrivGraph {
         const SUPER_ROW_CHUNK: usize = 64;
         let surviving: Vec<(u32, u32, f64)> =
             pgb_par::par_collect(s, SUPER_ROW_CHUNK, rng, |rows, rng, out| {
+                let mut counts = vec![0.0; s];
                 for a in rows {
-                    for b in a..s {
-                        let key = (a as u32, b as u32);
-                        let true_w = weights_matrix.get(&key).copied().unwrap_or(0.0);
-                        let w = true_w + sample_laplace(1.0 / eps1, rng);
-                        if w > 0.5 {
-                            out.push((key.0, key.1, w.round()));
+                    super_pairs.with_row(a, &mut counts, |counts| {
+                        for (b, &true_w) in counts.iter().enumerate().skip(a) {
+                            let w = true_w + sample_laplace(1.0 / eps1, rng);
+                            if w > 0.5 {
+                                out.push((a as u32, b as u32, w.round()));
+                            }
                         }
-                    }
+                    });
                 }
             });
-        let mut noisy_super = WeightedGraph::new(s);
-        for (a, b, w) in surviving {
-            noisy_super.add_edge(a, b, w);
-        }
+        let noisy_super = WeightedGraph::from_upper_edges(s, &surviving);
         let super_partition = louvain_weighted(&noisy_super, &LouvainParams::default(), rng);
         let mut labels: Vec<u32> =
             (0..n as u32).map(|u| super_partition.label(super_of[u as usize])).collect();
@@ -322,18 +316,18 @@ impl GraphGenerator for PrivGraph {
         let noise_scale = 2.0 / eps3;
         // Intra-community degree of each node.
         let mut intra_degree = vec![0.0f64; n];
-        let mut inter_counts: std::collections::HashMap<(u32, u32), f64> =
-            std::collections::HashMap::new();
         for (u, v) in graph.edges() {
-            let (cu, cv) = (labels[u as usize], labels[v as usize]);
-            if cu == cv {
+            if labels[u as usize] == labels[v as usize] {
                 intra_degree[u as usize] += 1.0;
                 intra_degree[v as usize] += 1.0;
-            } else {
-                let key = if cu < cv { (cu, cv) } else { (cv, cu) };
-                *inter_counts.entry(key).or_insert(0.0) += 1.0;
             }
         }
+        let inter_pairs = PairRows::new(k, || {
+            graph
+                .edges()
+                .map(|(u, v)| (labels[u as usize], labels[v as usize]))
+                .filter(|(cu, cv)| cu != cv)
+        });
 
         // Noise pass over the extracted statistics — the tail of phase 2.
         // Intra: Laplace on every member's intra degree, one community per
@@ -365,17 +359,18 @@ impl GraphGenerator for PrivGraph {
         const INTER_ROW_CHUNK: usize = 16;
         let inter: Vec<(u32, u32, usize)> =
             pgb_par::par_collect(k, INTER_ROW_CHUNK, rng, |rows, rng, out| {
+                let mut counts = vec![0.0; k];
                 for a in rows {
-                    for c in (a + 1)..k {
-                        let true_w =
-                            inter_counts.get(&(a as u32, c as u32)).copied().unwrap_or(0.0);
-                        let w = (true_w + sample_laplace(noise_scale, rng)).round();
-                        if w <= 0.0 {
-                            continue;
+                    inter_pairs.with_row(a, &mut counts, |counts| {
+                        for (c, &true_w) in counts.iter().enumerate().skip(a + 1) {
+                            let w = (true_w + sample_laplace(noise_scale, rng)).round();
+                            if w <= 0.0 {
+                                continue;
+                            }
+                            let cap = (communities[a].len() * communities[c].len()) as f64;
+                            out.push((a as u32, c as u32, w.min(cap) as usize));
                         }
-                        let cap = (communities[a].len() * communities[c].len()) as f64;
-                        out.push((a as u32, c as u32, w.min(cap) as usize));
-                    }
+                    });
                 }
             });
         Ok(Box::new(PrivGraphSynthesis {
@@ -385,6 +380,54 @@ impl GraphGenerator for PrivGraph {
             inter,
             epsilon: acc.total(),
         }))
+    }
+}
+
+/// Unordered pairs `{a, b}` over `0..rows`, bucketed by their smaller
+/// end with one counting sort: row `a` lists the larger end of each of its
+/// pairs. PrivGraph noises the pair triangle row by row, and reads each
+/// row's true counts through a dense buffer instead of a hash map probe
+/// per cell.
+struct PairRows {
+    offsets: Vec<usize>,
+    ends: Vec<u32>,
+}
+
+impl PairRows {
+    /// Buckets the pairs `pairs()` yields; it is called twice (count,
+    /// then fill) and must yield the same pairs both times.
+    fn new<I: Iterator<Item = (u32, u32)>>(rows: usize, pairs: impl Fn() -> I) -> Self {
+        let mut offsets = vec![0usize; rows + 1];
+        for (a, b) in pairs() {
+            offsets[a.min(b) as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut cursor = offsets[..rows].to_vec();
+        let mut ends = vec![0u32; offsets[rows]];
+        for (a, b) in pairs() {
+            let r = a.min(b) as usize;
+            ends[cursor[r]] = a.max(b);
+            cursor[r] += 1;
+        }
+        PairRows { offsets, ends }
+    }
+
+    /// Runs `f` on row `a`'s pair counts, indexed by the larger end. The
+    /// counts are written into `counts`, which must be all zero and is
+    /// left all zero again. Each count is a sum of 1.0s, an exact integer,
+    /// so the order the pairs arrive in cannot change it.
+    fn with_row<T>(&self, a: usize, counts: &mut [f64], f: impl FnOnce(&[f64]) -> T) -> T {
+        let row = &self.ends[self.offsets[a]..self.offsets[a + 1]];
+        for &b in row {
+            counts[b as usize] += 1.0;
+        }
+        let out = f(counts);
+        for &b in row {
+            counts[b as usize] = 0.0;
+        }
+        out
     }
 }
 

@@ -10,16 +10,18 @@
 //! targets are pre-scaled by the matching subsampling factors, so the
 //! subsample's expected moments hit the noisy targets).
 
-use crate::generator::{check_epsilon, GenerateError, GraphGenerator, PrivateSynthesis};
+use crate::generator::{
+    check_epsilon, GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis,
+};
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::sensitivity::{
     smooth_sensitivity, triangle_local_sensitivity_at, wedge_local_sensitivity_at, SmoothParams,
 };
 use pgb_dp::BudgetAccountant;
-use pgb_graph::{Graph, NodeId};
+use pgb_graph::Graph;
 use pgb_models::{Initiator, KroneckerModel};
 use pgb_queries::counting::{triangle_count, wedge_count};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// The PrivSKG generator.
 #[derive(Clone, Debug)]
@@ -141,28 +143,25 @@ impl PrivateSynthesis for SkgSynthesis {
         // streams — same distribution as one serial pass, byte-identical
         // at any thread count.
         let drops = model.sample_drop_count(rng);
-        let pairs: Vec<(u32, u32)> =
+        let mut pairs: Vec<(u32, u32)> =
             pgb_par::par_collect(drops as usize, pgb_par::DEFAULT_CHUNK, rng, |range, rng, out| {
                 model.sample_drops(range.len() as u64, rng, out);
             });
-        let mut builder = pgb_graph::GraphBuilder::with_capacity(model.node_count(), pairs.len());
-        builder.extend(pairs);
-        let big =
-            builder.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by 2^k");
-
-        // Uniform induced subsample down to n nodes.
-        if big.node_count() == n {
-            return big;
+        // Uniform induced subsample down to n nodes, applied to the drops
+        // before anything is built: the CSR is canonical, so building the
+        // relabelled surviving pairs gives the induced subgraph of the
+        // 2^k-node graph without ever building that graph.
+        if model.node_count() != n {
+            let sub = NodeSubsample::uniform(model.node_count(), n, rng);
+            pairs.retain_mut(|pair| match sub.edge(*pair) {
+                Some(kept) => {
+                    *pair = kept;
+                    true
+                }
+                None => false,
+            });
         }
-        let mut ids: Vec<NodeId> = (0..big.node_count() as u32).collect();
-        for i in 0..n {
-            let j = rng.gen_range(i..ids.len());
-            ids.swap(i, j);
-        }
-        ids.truncate(n);
-        ids.sort_unstable();
-        let (sub, _) = big.induced_subgraph(&ids);
-        sub
+        Graph::from_edge_vec(n, pairs, pgb_par::current_parallelism()).expect("ids bounded by n")
     }
 }
 
@@ -251,6 +250,72 @@ mod tests {
             m.expected_wedges(),
             targets.wedges
         );
+    }
+
+    /// The construction `sample` replaced, kept as its oracle: build the
+    /// whole 2^k-node graph, then take the subgraph induced by a uniform
+    /// n-subset, relabelled in id order.
+    fn build_then_induce(model: &KroneckerModel, n: usize, rng: &mut dyn RngCore) -> Graph {
+        use rand::Rng;
+        let drops = model.sample_drop_count(rng);
+        let pairs: Vec<(u32, u32)> =
+            pgb_par::par_collect(drops as usize, pgb_par::DEFAULT_CHUNK, rng, |range, rng, out| {
+                model.sample_drops(range.len() as u64, rng, out);
+            });
+        let big = Graph::from_edges(model.node_count(), pairs).unwrap();
+        if big.node_count() == n {
+            return big;
+        }
+        let mut ids: Vec<u32> = (0..big.node_count() as u32).collect();
+        for i in 0..n {
+            let j = rng.gen_range(i..ids.len());
+            ids.swap(i, j);
+        }
+        ids.truncate(n);
+        ids.sort_unstable();
+        let mut new_id = vec![u32::MAX; big.node_count()];
+        for (i, &u) in ids.iter().enumerate() {
+            new_id[u as usize] = i as u32;
+        }
+        let mut edges = Vec::new();
+        for &u in &ids {
+            for &v in big.neighbors(u) {
+                if new_id[v as usize] != u32::MAX && u < v {
+                    edges.push((new_id[u as usize], new_id[v as usize]));
+                }
+            }
+        }
+        Graph::from_edges(n, edges).unwrap()
+    }
+
+    #[test]
+    fn sample_equals_build_then_induce() {
+        // n < 2^k (subsampled; at n = 6,000 enough pairs survive for the
+        // parallel build) and n = 2^k (built directly), at every thread
+        // budget.
+        let initiator = Initiator::new(0.99, 0.6, 0.4);
+        for (n, k) in [(6_000, 13), (300, 9), (1_024, 10)] {
+            let model = KroneckerModel { initiator, k };
+            let synthesis = SkgSynthesis { n, model: Some(model), epsilon: 1.0 };
+            for threads in [1usize, 2, 8, 0] {
+                let run = || {
+                    let (mut a, mut b) = (StdRng::seed_from_u64(435), StdRng::seed_from_u64(435));
+                    let got = synthesis.sample(&mut a);
+                    let want = build_then_induce(&model, n, &mut b);
+                    (
+                        (got.node_count(), got.edge_vec()),
+                        (want.node_count(), want.edge_vec()),
+                        a.next_u64(),
+                        b.next_u64(),
+                    )
+                };
+                let (got, want, cursor_a, cursor_b) =
+                    if threads == 0 { run() } else { pgb_par::with_parallelism(threads, run) };
+                assert!(want.1.len() > 100, "n={n}: too few edges to compare");
+                assert_eq!(got, want, "n={n}, threads={threads}");
+                assert_eq!(cursor_a, cursor_b, "n={n}, threads={threads}: RNG cursors diverged");
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,8 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
 /// PrivGraph's per-node community adjustment needs when the candidate set
 /// is large (e.g. one community per node initially).
 ///
+/// The indices in `nonzero` must be distinct.
+///
 /// # Panics
 /// Panics if `total == 0`, any index is out of range, `ε ≤ 0`, or
 /// `sensitivity ≤ 0`.
@@ -84,15 +86,15 @@ pub fn exponential_mechanism_sparse<R: Rng + ?Sized>(
         pick -= m;
     }
     // Landed in the zero-score mass: uniform among candidates not listed.
-    // Draw until an unlisted index comes up (listed indices are few).
-    let listed: std::collections::HashSet<usize> = nonzero.iter().map(|&(i, _)| i).collect();
-    if listed.len() >= total {
+    // Draw until an unlisted index comes up (listed indices are few, so a
+    // scan of them beats building a set on every call).
+    if nonzero.len() >= total {
         // All candidates listed; numerical slack pushed us past the end.
         return nonzero.last().expect("nonzero non-empty when covering all").0;
     }
     loop {
         let i = rng.gen_range(0..total);
-        if !listed.contains(&i) {
+        if nonzero.iter().all(|&(j, _)| j != i) {
             return i;
         }
     }

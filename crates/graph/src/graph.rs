@@ -433,35 +433,6 @@ impl Graph {
         }
     }
 
-    /// Extracts the subgraph induced by `nodes`, relabelling them
-    /// `0..nodes.len()` in the given order. Returns the subgraph and the
-    /// mapping from new ids to original ids.
-    ///
-    /// Duplicate entries in `nodes` are ignored after the first occurrence.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut new_id = vec![u32::MAX; self.node_count()];
-        let mut order: Vec<NodeId> = Vec::with_capacity(nodes.len());
-        for &u in nodes {
-            if new_id[u as usize] == u32::MAX {
-                new_id[u as usize] = order.len() as u32;
-                order.push(u);
-            }
-        }
-        let mut edges = Vec::new();
-        for &u in &order {
-            let nu = new_id[u as usize];
-            for &v in self.neighbors(u) {
-                let nv = new_id[v as usize];
-                if nv != u32::MAX && nu < nv {
-                    edges.push((nu, nv));
-                }
-            }
-        }
-        let sub = Graph::from_edges(order.len(), edges)
-            .expect("relabelled ids are in range by construction");
-        (sub, order)
-    }
-
     /// Consistency check used by tests and `debug_assert!`s: well-formed
     /// CSR (monotone offsets closing at `neighbors.len()`), sorted and
     /// deduplicated segments, symmetric adjacency with no self-loops, and
@@ -580,24 +551,6 @@ mod tests {
         assert!((g.density() - 2.0 * 2.0 / 12.0).abs() < 1e-12);
         assert_eq!(Graph::new(0).average_degree(), 0.0);
         assert_eq!(Graph::new(1).density(), 0.0);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = triangle_plus_pendant();
-        let (sub, order) = g.induced_subgraph(&[2, 3, 0]);
-        assert_eq!(order, vec![2, 3, 0]);
-        assert_eq!(sub.node_count(), 3);
-        // edges {2,3} -> {0,1} and {2,0} -> {0,2}
-        assert_eq!(sub.edge_vec(), vec![(0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn induced_subgraph_ignores_duplicates() {
-        let g = triangle_plus_pendant();
-        let (sub, order) = g.induced_subgraph(&[1, 1, 2]);
-        assert_eq!(order, vec![1, 2]);
-        assert_eq!(sub.edge_count(), 1);
     }
 
     #[test]

@@ -165,24 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_edges((n, edges) in raw_edges()) {
-        let g = Graph::from_edges(n, edges).unwrap();
-        // Take the even nodes.
-        let keep: Vec<u32> = (0..n as u32).filter(|u| u % 2 == 0).collect();
-        let (sub, order) = g.induced_subgraph(&keep);
-        prop_assert!(sub.check_invariants());
-        for (a, b) in sub.edges() {
-            prop_assert!(g.has_edge(order[a as usize], order[b as usize]));
-        }
-        // Count edges of g with both endpoints kept.
-        let expected = g
-            .edges()
-            .filter(|&(u, v)| u % 2 == 0 && v % 2 == 0)
-            .count();
-        prop_assert_eq!(sub.edge_count(), expected);
-    }
-
-    #[test]
     fn io_roundtrip_preserves_structure((n, edges) in raw_edges()) {
         let g = Graph::from_edges(n, edges).unwrap();
         let mut buf = Vec::new();

@@ -180,21 +180,20 @@ impl KroneckerModel {
             return;
         }
         let (pa, pb) = (a / total, b / total);
+        // Quadrant boundaries: r < t0 picks (0,0), r < t1 picks (0,1),
+        // r < t2 picks (1,0), else (1,1). pb ≥ 0 and f64 addition is
+        // monotone, so t0 ≤ t1 ≤ t2, and the row bit is one comparison
+        // and the column bit the parity of all three — no branch the CPU
+        // has to guess per level.
+        let (t0, t1, t2) = (pa, pa + pb, pa + 2.0 * pb);
         for _ in 0..count {
             let (mut u, mut v) = (0usize, 0usize);
             for _ in 0..self.k {
                 let r: f64 = rng.gen_range(0.0f64..1.0);
-                let (bu, bv) = if r < pa {
-                    (0, 0)
-                } else if r < pa + pb {
-                    (0, 1)
-                } else if r < pa + 2.0 * pb {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | bu;
-                v = (v << 1) | bv;
+                let bu = r >= t1;
+                let bv = (r >= t0) ^ bu ^ (r >= t2);
+                u = (u << 1) | bu as usize;
+                v = (v << 1) | bv as usize;
             }
             if u != v {
                 out.push((u as u32, v as u32));
@@ -316,6 +315,88 @@ mod tests {
         let m = KroneckerModel { initiator: Initiator::new(0.0, 0.0, 0.0), k: 4 };
         assert_eq!(m.sample_fast(&mut rng).edge_count(), 0);
         assert_eq!(m.sample_exact(&mut rng).edge_count(), 0);
+    }
+
+    /// The quadrant `if`/`else` chain `sample_drops` replaced, kept as its
+    /// oracle.
+    fn sample_drops_chain(
+        m: &KroneckerModel,
+        count: u64,
+        rng: &mut StdRng,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        let Initiator { a, b, c: _ } = m.initiator;
+        let total = m.initiator.total();
+        if total <= 0.0 {
+            return;
+        }
+        let (pa, pb) = (a / total, b / total);
+        for _ in 0..count {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..m.k {
+                let r: f64 = rng.gen_range(0.0f64..1.0);
+                let (bu, bv) = if r < pa {
+                    (0, 0)
+                } else if r < pa + pb {
+                    (0, 1)
+                } else if r < pa + 2.0 * pb {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                u = (u << 1) | bu;
+                v = (v << 1) | bv;
+            }
+            if u != v {
+                out.push((u as u32, v as u32));
+            }
+        }
+    }
+
+    /// Both kernels on one seed: the pushed pairs and the RNG cursor.
+    fn drops_both_ways(m: &KroneckerModel, count: u64, seed: u64) -> [(Vec<(u32, u32)>, u64); 2] {
+        let (mut fast, mut chain) = (Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(seed);
+        m.sample_drops(count, &mut rng, &mut fast);
+        let fast_next = rng.gen::<u64>();
+        let mut rng = StdRng::seed_from_u64(seed);
+        sample_drops_chain(m, count, &mut rng, &mut chain);
+        [(fast, fast_next), (chain, rng.gen::<u64>())]
+    }
+
+    #[test]
+    fn sample_drops_matches_the_quadrant_chain() {
+        // b = 0 collapses three thresholds into one; a = c and the
+        // (1, 0, 0) corner pin the ends of the range.
+        for (a, b, c) in [
+            (0.9, 0.5, 0.2),
+            (0.7, 0.0, 0.3),
+            (0.6, 0.3, 0.6),
+            (1.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0),
+            (0.0, 0.0, 1.0),
+        ] {
+            let m = KroneckerModel { initiator: Initiator::new(a, b, c), k: 12 };
+            let [fast, chain] = drops_both_ways(&m, 5_000, 124);
+            assert_eq!(fast, chain, "initiator ({a}, {b}, {c})");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sample_drops_matches_the_quadrant_chain_on_any_initiator(
+            a in 0.0f64..=1.0,
+            b in 0.0f64..=1.0,
+            c in 0.0f64..=1.0,
+            k in 1u32..16,
+            seed in 0u64..1_000,
+        ) {
+            let m = KroneckerModel { initiator: Initiator::new(a, b, c), k };
+            let [fast, chain] = drops_both_ways(&m, 500, seed);
+            proptest::prop_assert_eq!(fast, chain);
+        }
     }
 
     #[test]
