@@ -133,10 +133,13 @@ impl WeightedGraph {
     /// # Panics
     /// Panics if a pair has `u > v`, is out of range, does not follow its
     /// predecessor strictly, or has a negative/NaN weight.
-    pub fn from_upper_edges(n: usize, edges: &[(NodeId, NodeId, f64)]) -> Self {
+    pub fn from_upper_edges(
+        n: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
+    ) -> Self {
         let mut g = WeightedGraph::new(n);
         let mut prev = None;
-        for &(u, v, weight) in edges {
+        for (u, v, weight) in edges {
             assert!(u <= v && prev < Some((u, v)), "edge ({u},{v}) out of order after {prev:?}");
             prev = Some((u, v));
             if !g.check_edge(u, v, weight) {
@@ -493,7 +496,7 @@ mod tests {
     fn from_upper_edges_bit_matches_add_edge() {
         let edges = upper_edges();
         assert!(edges.iter().any(|&(u, v, _)| u == v), "the fixture must hold self-loops");
-        let fast = WeightedGraph::from_upper_edges(25, &edges);
+        let fast = WeightedGraph::from_upper_edges(25, edges.iter().copied());
         let mut slow = WeightedGraph::new(25);
         for &(u, v, weight) in &edges {
             slow.add_edge(u, v, weight);
@@ -508,19 +511,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of order")]
     fn from_upper_edges_rejects_a_repeated_pair() {
-        WeightedGraph::from_upper_edges(3, &[(0, 1, 1.0), (0, 1, 2.0)]);
+        WeightedGraph::from_upper_edges(3, [(0, 1, 1.0), (0, 1, 2.0)]);
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn from_upper_edges_rejects_an_out_of_order_pair() {
-        WeightedGraph::from_upper_edges(3, &[(0, 2, 1.0), (0, 1, 2.0)]);
+        WeightedGraph::from_upper_edges(3, [(0, 2, 1.0), (0, 1, 2.0)]);
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn from_upper_edges_rejects_a_lower_pair() {
-        WeightedGraph::from_upper_edges(3, &[(1, 0, 1.0)]);
+        WeightedGraph::from_upper_edges(3, [(1, 0, 1.0)]);
     }
 
     #[test]

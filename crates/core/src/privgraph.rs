@@ -217,7 +217,7 @@ impl GraphGenerator for PrivGraph {
                     });
                 }
             });
-        let noisy_super = WeightedGraph::from_upper_edges(s, &surviving);
+        let noisy_super = WeightedGraph::from_upper_edges(s, surviving);
         let super_partition = louvain_weighted(&noisy_super, &LouvainParams::default(), rng);
         let mut labels: Vec<u32> =
             (0..n as u32).map(|u| super_partition.label(super_of[u as usize])).collect();
