@@ -74,11 +74,7 @@ proptest! {
                     let two = m.sample(rng_b);
                     (fingerprint(&one), fingerprint(&two))
                 };
-                let (one, two) = if threads == 0 {
-                    body(&mut rng_a, &mut rng_b)
-                } else {
-                    pgb_par::with_parallelism(threads, || body(&mut rng_a, &mut rng_b))
-                };
+                let (one, two) = at_budget(threads, || body(&mut rng_a, &mut rng_b));
                 prop_assert_eq!(
                     one,
                     two,
