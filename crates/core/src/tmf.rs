@@ -295,6 +295,41 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_sample_bytes_are_pinned() {
+        // Measured survivor lists land just under m̃, so the end-to-end
+        // pins never reach the top-m̃ trim; these pin it directly, once
+        // cutting false positives only and once cutting both lists.
+        let mut rng = StdRng::seed_from_u64(415);
+        let g = toy_graph(&mut rng);
+        let kept_true = g.edge_vec();
+        let mut false_pos: Vec<(u32, u32)> = (0..399u32)
+            .flat_map(|i| [(i / 2, 399 - i / 3), (i, i + 1)])
+            .filter(|&(u, v)| u < v && !g.has_edge(u, v))
+            .collect();
+        false_pos.sort_unstable();
+        false_pos.dedup();
+        let total = kept_true.len() + false_pos.len();
+        for (m_tilde, pinned) in
+            [(total - 300, 0x6616_fab1_1592_3cc1), (kept_true.len() / 2, 0x5d12_2b30_df9a_1a24)]
+        {
+            let synth = TmfSynthesis {
+                n: g.node_count(),
+                m_tilde: m_tilde as u64,
+                kept_true: kept_true.clone(),
+                false_pos: false_pos.clone(),
+                epsilon: 1.0,
+            };
+            let out = synth.sample(&mut StdRng::seed_from_u64(416));
+            assert_eq!(out.edge_count(), m_tilde, "every kept pair is distinct");
+            let (offsets, neighbors) = out.csr();
+            let bytes: Vec<u8> =
+                offsets.iter().chain(neighbors).flat_map(|w| w.to_le_bytes()).collect();
+            let digest = pgb_par::fnv1a(&bytes);
+            assert_eq!(digest, pinned, "m̃={m_tilde}: digest {digest:#018x}");
+        }
+    }
+
+    #[test]
     fn tiny_graphs() {
         let mut rng = StdRng::seed_from_u64(413);
         assert_eq!(TmF::default().generate(&Graph::new(0), 1.0, &mut rng).unwrap().node_count(), 0);

@@ -14,8 +14,8 @@
 //!   intermediate was measured from, including degenerate ones.
 
 use pgb_core::{
-    standard_suite, Der, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph, PrivHrg,
-    PrivSkg,
+    standard_suite, Der, Dgg, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph, PrivHrg,
+    PrivSkg, TmF,
 };
 use pgb_graph::Graph;
 use proptest::prelude::*;
@@ -310,6 +310,73 @@ fn dpdk_output_bytes_are_pinned() {
             }
         }
     }
+}
+
+/// Asserts that `algo`'s measure → sample digest on each graph matches its
+/// pinned value at every budget and every thread budget in {1, 2, 8, 0}.
+fn assert_pinned_at_every_budget(algo: &dyn GraphGenerator, cases: [(&Graph, [(f64, u64); 2]); 2]) {
+    for (g, runs) in cases {
+        for (epsilon, pinned) in runs {
+            for threads in [1usize, 2, 8, 0] {
+                let digest = at_budget(threads, || {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let m = algo.measure(g, epsilon, &mut rng).unwrap();
+                    csr_digest(&m.sample(&mut rng))
+                });
+                let (name, n) = (algo.name(), g.node_count());
+                assert_eq!(
+                    digest, pinned,
+                    "{name} on n={n} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn tmf_output_bytes_are_pinned() {
+    // TmF's measure → sample path: the noisy edge count, the threshold,
+    // the chunked survivor and false-positive draws, and the top-m̃ trim.
+    // The BA graph has more than 2^15 kept pairs at both budgets.
+    let ba = pgb_models::barabasi_albert(9_000, 4, &mut StdRng::seed_from_u64(2028));
+    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
+    assert_pinned_at_every_budget(
+        &TmF::default(),
+        [
+            (&ba, [(0.5, 0xe815_b3a8_00f5_39d2), (2.0, 0xc2ea_fb56_f119_2ea6)]),
+            (&er, [(0.5, 0x6c9c_e0cd_eb0d_f79b), (2.0, 0x1408_da97_c8ae_72a4)]),
+        ],
+    );
+}
+
+#[test]
+fn dgg_output_bytes_are_pinned() {
+    // DGG's measure → sample path: the noisy degree sequence and BTER's
+    // affinity blocks plus its Chung–Lu phase.
+    let ba = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
+    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
+    assert_pinned_at_every_budget(
+        &Dgg::default(),
+        [
+            (&ba, [(0.5, 0x3fc4_952e_79cb_33d0), (2.0, 0x33f6_9b17_1aea_72e9)]),
+            (&er, [(0.5, 0x3e41_e5fe_e673_80b2), (2.0, 0x8401_55bb_e3ed_9f88)]),
+        ],
+    );
+}
+
+#[test]
+fn der_output_bytes_are_pinned() {
+    // DER's measure → sample path: the noisy quadtree and the per-leaf
+    // uniform reconstruction.
+    let ba = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
+    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
+    assert_pinned_at_every_budget(
+        &Der::default(),
+        [
+            (&ba, [(0.5, 0x2335_1ac7_0ae0_9e1e), (2.0, 0x9c48_1a43_c84f_7867)]),
+            (&er, [(0.5, 0x2870_d780_232d_7534), (2.0, 0x53f4_7b57_3871_1cb3)]),
+        ],
+    );
 }
 
 #[test]
