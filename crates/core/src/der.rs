@@ -14,7 +14,7 @@ use crate::generator::{
 };
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
-use pgb_graph::{Graph, GraphBuilder};
+use pgb_graph::Graph;
 use rand::{Rng, RngCore};
 
 /// The DER generator.
@@ -109,9 +109,7 @@ impl PrivateSynthesis for DerSynthesis {
                     sample_region_cells(&region, count, cells, rng, out);
                 }
             });
-        let mut b = GraphBuilder::with_capacity(self.n, pairs.len());
-        b.extend(pairs);
-        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
+        Graph::from_edges(self.n, pairs).expect("ids bounded by n")
     }
 }
 

@@ -19,7 +19,7 @@ use pgb_dp::sensitivity::{dk2_local_sensitivity_at, smooth_sensitivity, SmoothPa
 use pgb_dp::BudgetAccountant;
 use pgb_graph::degree::{degree_histogram, joint_degree_distribution, JointDegreeDistribution};
 use pgb_graph::Graph;
-use pgb_models::dk::{dk1_construct, dk2_construct};
+use pgb_models::dk::{dk1_construct, dk2_construct, Realisation};
 use rand::RngCore;
 
 /// Which dK series DP-dK targets.
@@ -88,11 +88,11 @@ impl PrivateSynthesis for DkSynthesis {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> Graph {
-        let out = match &self.series {
+        let realised = match &self.series {
             DkSeries::Dk1(hist) => dk1_construct(hist),
             DkSeries::Dk2(jdd) => dk2_construct(jdd, rng),
         };
-        conform_node_count(out, self.n, rng)
+        conform_node_count(realised, self.n, rng)
     }
 }
 
@@ -210,26 +210,24 @@ impl GraphGenerator for DpDk {
     }
 }
 
-/// Projects a realised dK graph onto exactly `n` nodes — the benchmark's
-/// pipeline invariant (the node set is public under Edge CDP, so this is
-/// free post-processing). The dK constructors size their output from the
+/// Builds a dK realisation on exactly `n` nodes — the benchmark's pipeline
+/// invariant (the node set is public under Edge CDP, so this is free
+/// post-processing). The dK constructors size their output from the
 /// *noisy* series: isolated nodes vanish from a JDD and noisy histogram
 /// mass rounds away from `n`, so the realisation can come back smaller or
-/// larger. Deficits are padded with isolated nodes; surpluses are removed
-/// by a uniform induced subsample — the same projection PrivSKG applies
-/// after Kronecker sampling.
-fn conform_node_count(g: Graph, n: usize, rng: &mut dyn RngCore) -> Graph {
-    match g.node_count().cmp(&n) {
-        std::cmp::Ordering::Equal => g,
-        std::cmp::Ordering::Less => {
-            Graph::from_edges(n, g.edge_vec()).expect("ids bounded by the larger n")
-        }
-        std::cmp::Ordering::Greater => {
-            let sub = NodeSubsample::uniform(g.node_count(), n, rng);
-            Graph::from_edges(n, g.edges().filter_map(|e| sub.edge(e)))
-                .expect("kept ids are ranks below n")
-        }
+/// larger. A deficit needs nothing (building on `n` nodes pads with
+/// isolated ones); a surplus is removed by a uniform induced subsample of
+/// the edge list — the same projection PrivSKG applies after Kronecker
+/// sampling. Either way the sample is built once.
+fn conform_node_count(
+    (realised_n, mut edges): Realisation,
+    n: usize,
+    rng: &mut dyn RngCore,
+) -> Graph {
+    if realised_n > n {
+        NodeSubsample::uniform(realised_n, n, rng).relabel(&mut edges);
     }
+    Graph::from_edges(n, edges).expect("ids conformed below n")
 }
 
 #[cfg(test)]

@@ -131,8 +131,8 @@ pub(crate) fn check_epsilon(epsilon: f64) -> Result<(), GenerateError> {
 /// A uniform `n`-node subsample of `0..total` as a relabelling table: a
 /// kept node maps to its rank among the kept nodes, a dropped one to
 /// `NodeId::MAX`. It is the projection PrivSKG and DP-dK apply when a
-/// realisation has more nodes than the input. Mapping a realisation's
-/// edges through [`NodeSubsample::edge`] and building the `n`-node graph
+/// realisation has more nodes than the input. Relabelling a realisation's
+/// edges with [`NodeSubsample::relabel`] and building the `n`-node graph
 /// gives the subgraph induced by the kept nodes, relabelled in id order.
 pub(crate) struct NodeSubsample {
     new_id: Vec<NodeId>,
@@ -162,6 +162,17 @@ impl NodeSubsample {
     pub(crate) fn edge(&self, (u, v): (NodeId, NodeId)) -> Option<(NodeId, NodeId)> {
         let (a, b) = (self.new_id[u as usize], self.new_id[v as usize]);
         (a != NodeId::MAX && b != NodeId::MAX).then_some((a, b))
+    }
+
+    /// Relabels `pairs` in place, dropping each pair with a dropped end.
+    pub(crate) fn relabel(&self, pairs: &mut Vec<(NodeId, NodeId)>) {
+        pairs.retain_mut(|pair| match self.edge(*pair) {
+            Some(kept) => {
+                *pair = kept;
+                true
+            }
+            None => false,
+        });
     }
 }
 

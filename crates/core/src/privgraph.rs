@@ -34,7 +34,7 @@ use pgb_community::{louvain_weighted, LouvainParams, Partition, WeightedGraph};
 use pgb_dp::exponential::exponential_mechanism_sparse;
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
-use pgb_graph::{Graph, GraphBuilder, NodeId};
+use pgb_graph::{Graph, NodeId};
 use pgb_models::chung_lu;
 use rand::{Rng, RngCore};
 
@@ -115,10 +115,9 @@ impl PrivateSynthesis for PrivGraphSynthesis {
                     if members.len() < 2 {
                         continue;
                     }
-                    let local = chung_lu(&noisy_degrees[ci], rng);
-                    for (a, c) in local.edges() {
+                    chung_lu(&noisy_degrees[ci], rng, |a, c| {
                         out.push((members[a as usize], members[c as usize]));
-                    }
+                    });
                 }
             });
         // Inter: each surviving noisy count is placed uniformly between
@@ -136,10 +135,8 @@ impl PrivateSynthesis for PrivGraphSynthesis {
                     }
                 }
             });
-        let mut b = GraphBuilder::with_capacity(self.n, intra_pairs.len() + inter_pairs.len());
-        b.extend(intra_pairs);
-        b.extend(inter_pairs);
-        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
+        Graph::from_edges(self.n, intra_pairs.into_iter().chain(inter_pairs))
+            .expect("ids bounded by n")
     }
 }
 

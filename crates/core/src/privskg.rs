@@ -152,16 +152,9 @@ impl PrivateSynthesis for SkgSynthesis {
         // relabelled surviving pairs gives the induced subgraph of the
         // 2^k-node graph without ever building that graph.
         if model.node_count() != n {
-            let sub = NodeSubsample::uniform(model.node_count(), n, rng);
-            pairs.retain_mut(|pair| match sub.edge(*pair) {
-                Some(kept) => {
-                    *pair = kept;
-                    true
-                }
-                None => false,
-            });
+            NodeSubsample::uniform(model.node_count(), n, rng).relabel(&mut pairs);
         }
-        Graph::from_edge_vec(n, pairs, pgb_par::current_parallelism()).expect("ids bounded by n")
+        Graph::from_edges(n, pairs).expect("ids bounded by n")
     }
 }
 
@@ -290,9 +283,8 @@ mod tests {
 
     #[test]
     fn sample_equals_build_then_induce() {
-        // n < 2^k (subsampled; at n = 6,000 enough pairs survive for the
-        // parallel build) and n = 2^k (built directly), at every thread
-        // budget.
+        // n < 2^k (subsampled; at n = 6,000 with more than 2^15 surviving
+        // pairs) and n = 2^k (built directly), at every thread budget.
         let initiator = Initiator::new(0.99, 0.6, 0.4);
         for (n, k) in [(6_000, 13), (300, 9), (1_024, 10)] {
             let model = KroneckerModel { initiator, k };

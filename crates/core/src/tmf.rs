@@ -16,7 +16,7 @@ use crate::generator::{
 };
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
-use pgb_graph::{Graph, GraphBuilder};
+use pgb_graph::Graph;
 use pgb_models::sampling::sample_binomial;
 use rand::{Rng, RngCore};
 
@@ -97,8 +97,6 @@ impl PrivateSynthesis for TmfSynthesis {
         if self.n < 2 || self.m_tilde == 0 {
             return Graph::new(self.n);
         }
-        let mut kept_true = self.kept_true.clone();
-        let mut false_pos = self.false_pos.clone();
         // The filter passes ≈ m̃ cells in expectation; enforce the top-m̃
         // cap by trimming false positives first (their noisy values are
         // stochastically smaller), then true survivors. Each trimmed list
@@ -106,30 +104,28 @@ impl PrivateSynthesis for TmfSynthesis {
         // plain prefix would bias survivors toward low node ids; a partial
         // Fisher–Yates on a derived stream keeps the subset uniform and the
         // trim decision (and the caller's RNG position) thread-invariant.
+        // Only a trim copies the lists; otherwise they are built as stored.
         let m_tilde = self.m_tilde as usize;
-        let (keep_true, keep_false) = if kept_true.len() + false_pos.len() > m_tilde {
-            let t = kept_true.len().min(m_tilde);
-            (t, m_tilde - t)
-        } else {
-            (kept_true.len(), false_pos.len())
-        };
-        if keep_true < kept_true.len() || keep_false < false_pos.len() {
-            let mut trim_rng = pgb_par::derive_stream(rng.next_u64(), 0);
-            for (list, keep) in [(&mut kept_true, keep_true), (&mut false_pos, keep_false)] {
-                if keep >= list.len() {
-                    continue; // this list survives whole; only the other is cut
-                }
+        if self.kept_true.len() + self.false_pos.len() <= m_tilde {
+            let pairs = self.kept_true.iter().chain(&self.false_pos).copied();
+            return Graph::from_edges(self.n, pairs).expect("ids bounded by n");
+        }
+        let keep_true = self.kept_true.len().min(m_tilde);
+        let mut trim_rng = pgb_par::derive_stream(rng.next_u64(), 0);
+        let mut trim = |list: &[(u32, u32)], keep: usize| {
+            let mut list = list.to_vec();
+            if keep < list.len() {
                 for i in 0..keep {
                     let j = trim_rng.gen_range(i..list.len());
                     list.swap(i, j);
                 }
                 list.truncate(keep);
             }
-        }
-        let mut b = GraphBuilder::with_capacity(self.n, keep_true + keep_false);
-        b.extend(kept_true);
-        b.extend(false_pos);
-        b.build_parallel(pgb_par::current_parallelism()).expect("ids bounded by n")
+            list
+        };
+        let kept_true = trim(&self.kept_true, keep_true);
+        let false_pos = trim(&self.false_pos, m_tilde - keep_true);
+        Graph::from_edges(self.n, kept_true.into_iter().chain(false_pos)).expect("ids bounded by n")
     }
 }
 
@@ -296,9 +292,9 @@ mod tests {
 
     #[test]
     fn trimmed_sample_bytes_are_pinned() {
-        // Measured survivor lists land just under m̃, so the end-to-end
-        // pins never reach the top-m̃ trim; these pin it directly, once
-        // cutting false positives only and once cutting both lists.
+        // Every end-to-end TmF pin in two_phase.rs samples fewer pairs
+        // than m̃, so none reaches the top-m̃ trim; these pin it directly,
+        // once cutting false positives only and once cutting both lists.
         let mut rng = StdRng::seed_from_u64(415);
         let g = toy_graph(&mut rng);
         let kept_true = g.edge_vec();

@@ -251,71 +251,10 @@ fn at_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     }
 }
 
-#[test]
-fn privskg_output_bytes_are_pinned() {
-    // PrivSKG's measure → sample path: noisy moments, the initiator fit,
-    // the chunked ball drops and the uniform subsample back to n. One
-    // graph with n < 2^k (subsampled) and one with n = 2^k (built
-    // directly), two budgets each, at every thread budget.
-    let graphs = [
-        pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025)),
-        pgb_models::barabasi_albert(1_024, 4, &mut StdRng::seed_from_u64(2026)),
-    ];
-    let pinned = [
-        [(0.5, 0x2f38_4268_32e6_8f91), (2.0, 0x2800_18a0_48ce_6e0b)],
-        [(0.5, 0x73a9_fa2b_893b_a28b), (2.0, 0x6cd4_928c_7a8e_551f)],
-    ];
-    for (g, runs) in graphs.iter().zip(pinned) {
-        for (epsilon, pinned) in runs {
-            for threads in [1usize, 2, 8, 0] {
-                let digest = at_budget(threads, || {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let m = PrivSkg::default().measure(g, epsilon, &mut rng).unwrap();
-                    csr_digest(&m.sample(&mut rng))
-                });
-                let n = g.node_count();
-                assert_eq!(
-                    digest, pinned,
-                    "PrivSKG on n={n} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn dpdk_output_bytes_are_pinned() {
-    // DP-dK's realisation conforms its node count to the input's; each
-    // case below realises a surplus, which a uniform induced subsample
-    // removes. Both variants, two budgets each, at every thread budget.
-    let ba = pgb_models::barabasi_albert(1_000, 3, &mut StdRng::seed_from_u64(2027));
-    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
-    let cases = [
-        (DkVariant::Dk1, &ba, [(0.5, 0x6b1b_54cb_106c_fff4), (2.0, 0x22ef_8149_54fe_9abf)]),
-        (DkVariant::Dk2, &er, [(0.5, 0xa08b_5fbd_b628_5e19), (2.0, 0x81fd_3acb_dd0a_578b)]),
-    ];
-    for (variant, g, runs) in cases {
-        for (epsilon, pinned) in runs {
-            for threads in [1usize, 2, 8, 0] {
-                let digest = at_budget(threads, || {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let m =
-                        DpDk { variant, ..DpDk::default() }.measure(g, epsilon, &mut rng).unwrap();
-                    csr_digest(&m.sample(&mut rng))
-                });
-                assert_eq!(
-                    digest, pinned,
-                    "DP-dK {variant:?} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
-                );
-            }
-        }
-    }
-}
-
 /// Asserts that `algo`'s measure → sample digest on each graph matches its
 /// pinned value at every budget and every thread budget in {1, 2, 8, 0}.
-fn assert_pinned_at_every_budget(algo: &dyn GraphGenerator, cases: [(&Graph, [(f64, u64); 2]); 2]) {
-    for (g, runs) in cases {
+fn assert_pinned_at_every_budget(algo: &dyn GraphGenerator, cases: &[(&Graph, [(f64, u64); 2])]) {
+    for &(g, runs) in cases {
         for (epsilon, pinned) in runs {
             for threads in [1usize, 2, 8, 0] {
                 let digest = at_budget(threads, || {
@@ -334,6 +273,40 @@ fn assert_pinned_at_every_budget(algo: &dyn GraphGenerator, cases: [(&Graph, [(f
 }
 
 #[test]
+fn privskg_output_bytes_are_pinned() {
+    // PrivSKG's measure → sample path: noisy moments, the initiator fit,
+    // the chunked ball drops and the uniform subsample back to n. One
+    // graph with n < 2^k (subsampled) and one with n = 2^k (built
+    // directly), two budgets each, at every thread budget.
+    let subsampled = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
+    let direct = pgb_models::barabasi_albert(1_024, 4, &mut StdRng::seed_from_u64(2026));
+    assert_pinned_at_every_budget(
+        &PrivSkg::default(),
+        &[
+            (&subsampled, [(0.5, 0x2f38_4268_32e6_8f91), (2.0, 0x2800_18a0_48ce_6e0b)]),
+            (&direct, [(0.5, 0x73a9_fa2b_893b_a28b), (2.0, 0x6cd4_928c_7a8e_551f)]),
+        ],
+    );
+}
+
+#[test]
+fn dpdk_output_bytes_are_pinned() {
+    // DP-dK's realisation conforms its node count to the input's; each
+    // case below realises a surplus, which a uniform induced subsample
+    // removes. Both variants, two budgets each, at every thread budget.
+    let ba = pgb_models::barabasi_albert(1_000, 3, &mut StdRng::seed_from_u64(2027));
+    let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
+    assert_pinned_at_every_budget(
+        &DpDk { variant: DkVariant::Dk1, ..DpDk::default() },
+        &[(&ba, [(0.5, 0x6b1b_54cb_106c_fff4), (2.0, 0x22ef_8149_54fe_9abf)])],
+    );
+    assert_pinned_at_every_budget(
+        &DpDk { variant: DkVariant::Dk2, ..DpDk::default() },
+        &[(&er, [(0.5, 0xa08b_5fbd_b628_5e19), (2.0, 0x81fd_3acb_dd0a_578b)])],
+    );
+}
+
+#[test]
 fn tmf_output_bytes_are_pinned() {
     // TmF's measure → sample path: the noisy edge count, the threshold,
     // the chunked survivor and false-positive draws, and the top-m̃ trim.
@@ -342,7 +315,7 @@ fn tmf_output_bytes_are_pinned() {
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
     assert_pinned_at_every_budget(
         &TmF::default(),
-        [
+        &[
             (&ba, [(0.5, 0xe815_b3a8_00f5_39d2), (2.0, 0xc2ea_fb56_f119_2ea6)]),
             (&er, [(0.5, 0x6c9c_e0cd_eb0d_f79b), (2.0, 0x1408_da97_c8ae_72a4)]),
         ],
@@ -357,7 +330,7 @@ fn dgg_output_bytes_are_pinned() {
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
     assert_pinned_at_every_budget(
         &Dgg::default(),
-        [
+        &[
             (&ba, [(0.5, 0x3fc4_952e_79cb_33d0), (2.0, 0x33f6_9b17_1aea_72e9)]),
             (&er, [(0.5, 0x3e41_e5fe_e673_80b2), (2.0, 0x8401_55bb_e3ed_9f88)]),
         ],
@@ -372,7 +345,7 @@ fn der_output_bytes_are_pinned() {
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
     assert_pinned_at_every_budget(
         &Der::default(),
-        [
+        &[
             (&ba, [(0.5, 0x2335_1ac7_0ae0_9e1e), (2.0, 0x9c48_1a43_c84f_7867)]),
             (&er, [(0.5, 0x2870_d780_232d_7534), (2.0, 0x53f4_7b57_3871_1cb3)]),
         ],

@@ -1,15 +1,16 @@
-//! Incremental edge accumulation with a single sort/dedup pass at build time.
+//! Incremental edge accumulation with a single counting-sort pass at build
+//! time.
 
 use crate::{Graph, NodeId, Result};
 
 /// Accumulates edges cheaply (no per-insertion ordering work) and produces a
-/// [`Graph`] with one sort/dedup pass.
+/// [`Graph`] with one counting-sort pass.
 ///
-/// This is the *only* incremental-construction path: [`Graph`] itself is an
-/// immutable CSR structure, so every constructor that discovers edges one at
-/// a time (all the synthetic-graph models, the DP mechanisms' construction
-/// phases) pushes them here and finalises once — `O(E log E)` total, ending
-/// in the two flat CSR allocations.
+/// [`Graph`] itself is an immutable CSR structure, so a constructor that
+/// discovers edges one at a time (the synthetic-graph models) pushes them
+/// here and finalises once through [`Graph::from_edges`], a counting sort
+/// in `O(n + E)` that ends in the two flat CSR allocations. Callers that
+/// already hold an edge list pass it to [`Graph::from_edges`] directly.
 ///
 /// ```
 /// use pgb_graph::GraphBuilder;
@@ -63,15 +64,6 @@ impl GraphBuilder {
     /// Finalises the accumulated edges into a [`Graph`].
     pub fn build(self) -> Result<Graph> {
         Graph::from_edges(self.n, self.edges)
-    }
-
-    /// Finalises with the sort/dedup pass spread over up to `threads`
-    /// workers (0 ⇒ available parallelism) — see [`Graph::from_edge_vec`].
-    /// Produces exactly the same graph as [`GraphBuilder::build`]; the
-    /// generators' parallel construction phases use this so the final
-    /// builder pass is not the one serial stage left on a big edge list.
-    pub fn build_parallel(self, threads: usize) -> Result<Graph> {
-        Graph::from_edge_vec(self.n, self.edges, threads)
     }
 
     /// Streaming construction: counting-sorts an edge stream directly into

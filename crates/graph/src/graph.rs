@@ -20,7 +20,7 @@ pub type NodeId = u32;
 ///
 /// A `Graph` is immutable once constructed: build it with
 /// [`Graph::from_edges`] or accumulate edges incrementally through
-/// [`crate::GraphBuilder`], which finalises into CSR with one sort/dedup
+/// [`crate::GraphBuilder`], which finalises into CSR with one counting-sort
 /// pass. (The pre-CSR `add_edge`/`remove_edge` entry points were removed —
 /// per-edge mutation of a flat layout would be `O(m)` per call, and no
 /// benchmark component mutates a graph after construction.)
@@ -50,12 +50,24 @@ impl Graph {
     ///
     /// Self-loops are dropped and duplicate edges collapsed, mirroring the
     /// preprocessing PGB applies to every dataset (the paper evaluates simple
-    /// undirected graphs only). Returns an error if an endpoint is `>= n`.
+    /// undirected graphs only). Returns an error for the first endpoint
+    /// `>= n` in input order (`u` checked before `v`), and
+    /// [`GraphError::TooManyEdges`] if the deduplicated edges overflow the
+    /// `u32` CSR offsets or more than `u32::MAX` out-of-order pairs must be
+    /// sorted.
+    ///
+    /// `O(n + E)`: the pairs are normalised to `u < v` in input order and,
+    /// unless they already arrived in order (grids, re-read
+    /// [`Graph::edges`]), put in order by two stable counting passes, by
+    /// `v` and then by `u`. One symmetric fill of the deduplicated pairs
+    /// then writes the CSR arrays.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Self>
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
-        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        let edges = edges.into_iter();
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.size_hint().0);
+        let mut in_order = true;
         for (u, v) in edges {
             if u as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node: u, n });
@@ -66,9 +78,34 @@ impl Graph {
             if u == v {
                 continue;
             }
-            pairs.push(if u < v { (u, v) } else { (v, u) });
+            let pair = if u < v { (u, v) } else { (v, u) };
+            in_order &= pairs.last().is_none_or(|&last| last <= pair);
+            pairs.push(pair);
         }
-        pairs.sort_unstable();
+        if !in_order {
+            if pairs.len() > u32::MAX as usize {
+                return Err(GraphError::TooManyEdges { edges: pairs.len() });
+            }
+            // `by_u[u]` and `by_v[v]` become each key's first slot.
+            let (mut by_u, mut by_v) = (vec![0u32; n + 1], vec![0u32; n + 1]);
+            for &(u, v) in &pairs {
+                by_u[u as usize + 1] += 1;
+                by_v[v as usize + 1] += 1;
+            }
+            for i in 0..n {
+                by_u[i + 1] += by_u[i];
+                by_v[i + 1] += by_v[i];
+            }
+            let mut by_larger = vec![(0, 0); pairs.len()];
+            for &pair in &pairs {
+                by_larger[by_v[pair.1 as usize] as usize] = pair;
+                by_v[pair.1 as usize] += 1;
+            }
+            for &pair in &by_larger {
+                pairs[by_u[pair.0 as usize] as usize] = pair;
+                by_u[pair.0 as usize] += 1;
+            }
+        }
         pairs.dedup();
         Self::from_sorted_unique_pairs(n, &pairs)
     }
@@ -85,117 +122,6 @@ impl Graph {
         } else {
             Ok(())
         }
-    }
-
-    /// Builds a graph from an owned edge vector with the sort/dedup work
-    /// spread over up to `threads` workers (0 ⇒ available parallelism).
-    ///
-    /// Semantically identical to [`Graph::from_edges`] — same
-    /// normalisation, same first-in-input-order range error, same final
-    /// CSR arrays — because the parallel path ends in the same sorted
-    /// deduplicated pair list. Small inputs (or `threads <= 1`) take the
-    /// serial path outright.
-    pub fn from_edge_vec(
-        n: usize,
-        mut pairs: Vec<(NodeId, NodeId)>,
-        threads: usize,
-    ) -> Result<Self> {
-        /// Below this many pushed edges the serial path wins: chunk
-        /// handoff and the k-way merge cost more than they save.
-        const PARALLEL_MIN_EDGES: usize = 1 << 15;
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        if threads <= 1 || pairs.len() < PARALLEL_MIN_EDGES {
-            return Self::from_edges(n, pairs);
-        }
-
-        // Dropped self-loops become a sentinel that sorts past every valid
-        // normalised pair (valid pairs have u < v, the sentinel has u == v),
-        // so they can be skipped during the merge without compacting chunks.
-        const SENTINEL: (NodeId, NodeId) = (NodeId::MAX, NodeId::MAX);
-        let chunk_len = pairs.len().div_ceil(threads);
-        // Phase 1+2 per chunk: validate + normalise in place, then sort the
-        // chunk. Each chunk reports its first out-of-range edge (by index)
-        // so the error, if any, matches the serial path's input-order pick.
-        let errors: Vec<std::sync::OnceLock<(usize, GraphError)>> =
-            (0..threads).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for (ci, chunk) in pairs.chunks_mut(chunk_len).enumerate() {
-                let slot = &errors[ci];
-                scope.spawn(move || {
-                    for (i, pair) in chunk.iter_mut().enumerate() {
-                        let (u, v) = *pair;
-                        let bad = if u as usize >= n {
-                            Some(u)
-                        } else if v as usize >= n {
-                            Some(v)
-                        } else {
-                            None
-                        };
-                        if let Some(node) = bad {
-                            let _ = slot
-                                .set((ci * chunk_len + i, GraphError::NodeOutOfRange { node, n }));
-                            break;
-                        }
-                        *pair = if u == v {
-                            SENTINEL
-                        } else if u < v {
-                            (u, v)
-                        } else {
-                            (v, u)
-                        };
-                    }
-                    if slot.get().is_none() {
-                        chunk.sort_unstable();
-                    }
-                });
-            }
-        });
-        if let Some((_, e)) =
-            errors.into_iter().filter_map(|slot| slot.into_inner()).min_by_key(|&(index, _)| index)
-        {
-            return Err(e);
-        }
-
-        // Phase 3: k-way merge of the sorted runs, deduplicating and
-        // skipping sentinels — the output is exactly `sort + dedup` of the
-        // normalised input, so the CSR fill below sees the same pair list
-        // as the serial path. The scan over run heads is O(k) per element
-        // with k ≤ `threads` runs (cheap next to the parallel sorts); once
-        // a single run remains its tail is drained in one bulk pass.
-        let runs: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk_len).collect();
-        let mut heads = vec![0usize; runs.len()];
-        let mut active: Vec<usize> = (0..runs.len()).collect();
-        let mut merged: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
-        let push = |merged: &mut Vec<(NodeId, NodeId)>, pair: (NodeId, NodeId)| {
-            if pair != SENTINEL && merged.last() != Some(&pair) {
-                merged.push(pair);
-            }
-        };
-        active.retain(|&r| !runs[r].is_empty());
-        while active.len() > 1 {
-            let (mut best_r, mut best_p) = (active[0], runs[active[0]][heads[active[0]]]);
-            for &r in &active[1..] {
-                let p = runs[r][heads[r]];
-                if p < best_p {
-                    (best_r, best_p) = (r, p);
-                }
-            }
-            heads[best_r] += 1;
-            push(&mut merged, best_p);
-            if heads[best_r] == runs[best_r].len() {
-                active.retain(|&r| r != best_r);
-            }
-        }
-        if let Some(&r) = active.first() {
-            for &pair in &runs[r][heads[r]..] {
-                push(&mut merged, pair);
-            }
-        }
-        Self::from_sorted_unique_pairs(n, &merged)
     }
 
     /// Constructs the CSR arrays directly from a replayable edge stream,
@@ -296,12 +222,12 @@ impl Graph {
         Ok(Graph { offsets: final_offsets, neighbors, m: write / 2 })
     }
 
-    /// The shared CSR construction tail: counting sort into the flat
-    /// arrays. `pairs` must be normalised (`u < v`), lexicographically
-    /// sorted, and deduplicated — then each node's segment comes out sorted
-    /// without a per-segment sort: for node w, every back-edge write (from
-    /// a pair `(u, w)`, `u < w`) happens before every forward write (from a
-    /// pair `(w, v)`, `v > w`), and both write subsequences are increasing.
+    /// The symmetric CSR fill. `pairs` must be normalised (`u < v`),
+    /// lexicographically sorted, and deduplicated — then each node's segment
+    /// comes out sorted without a per-segment sort: for node w, every
+    /// back-edge write (from a pair `(u, w)`, `u < w`) happens before every
+    /// forward write (from a pair `(w, v)`, `v > w`), and both write
+    /// subsequences are increasing.
     fn from_sorted_unique_pairs(n: usize, pairs: &[(NodeId, NodeId)]) -> Result<Self> {
         let m = pairs.len();
         Self::csr_capacity_check(m)?;
@@ -566,45 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn from_edge_vec_matches_from_edges() {
-        // Deterministic pseudo-random edge soup with duplicates, reversed
-        // pairs, and self-loops — both construction paths must agree on
-        // the exact CSR arrays. Large enough to cross the parallel
-        // threshold (2^15 pushed edges).
-        let n = 500u32;
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut edges = Vec::with_capacity(40_000);
-        for _ in 0..40_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            edges.push(((x % n as u64) as u32, ((x >> 32) % n as u64) as u32));
-        }
-        let serial = Graph::from_edges(n as usize, edges.clone()).unwrap();
-        for threads in [1, 2, 8] {
-            let parallel = Graph::from_edge_vec(n as usize, edges.clone(), threads).unwrap();
-            assert_eq!(parallel.csr(), serial.csr(), "threads = {threads}");
-            assert!(parallel.check_invariants());
-        }
-    }
-
-    #[test]
-    fn from_edge_vec_reports_first_error_in_input_order() {
-        let mut edges: Vec<(u32, u32)> = (0..40_000u32).map(|i| (i % 50, (i + 1) % 50)).collect();
-        edges[777] = (3, 99); // first bad edge
-        edges[30_000] = (98, 0); // later bad edge, likely another chunk
-        let err = Graph::from_edge_vec(50, edges, 4).unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfRange { node: 99, n: 50 }), "{err:?}");
-    }
-
-    #[test]
-    fn from_edge_vec_small_input_takes_serial_path() {
-        let g = Graph::from_edge_vec(4, vec![(0, 1), (1, 0), (2, 2), (2, 3)], 8).unwrap();
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.check_invariants());
-    }
-
-    #[test]
     fn csr_capacity_boundary() {
         // `2m` must fit in u32: m = 0x7FFF_FFFF is the last representable
         // edge count, m = 0x8000_0000 the first rejected one. Exercised on
@@ -625,8 +512,9 @@ mod tests {
 
     #[test]
     fn from_edge_stream_matches_from_edges() {
-        // Same deterministic edge soup as the from_edge_vec test: the
-        // streaming path must land on byte-identical CSR arrays.
+        // A deterministic edge soup with duplicates, reversed pairs and
+        // self-loops: the streaming path must land on byte-identical CSR
+        // arrays.
         let n = 500u32;
         let mut x = 0x243F_6A88_85A3_08D3u64;
         let mut edges = Vec::with_capacity(40_000);

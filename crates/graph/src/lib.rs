@@ -13,7 +13,7 @@
 //! extraction) walk contiguous memory, and membership tests are binary
 //! searches over sorted neighbour slices. Graphs are immutable after
 //! construction; incremental accumulation goes through [`GraphBuilder`],
-//! which finalises into CSR with a single sort/dedup pass.
+//! which finalises into CSR with a single counting-sort pass.
 //!
 //! ## Quick start
 //!

@@ -4,7 +4,7 @@ use pgb_graph::degree::{
     assortativity, degree_histogram, degree_sequence, joint_degree_distribution,
 };
 use pgb_graph::traversal::{bfs_distances, connected_components, UNREACHABLE};
-use pgb_graph::{Graph, GraphBuilder};
+use pgb_graph::{Graph, GraphBuilder, GraphError};
 use proptest::prelude::*;
 
 /// Strategy: a random edge set over up to 40 nodes (possibly with
@@ -13,6 +13,103 @@ fn raw_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..40).prop_flat_map(|n| {
         let edge = (0..n as u32, 0..n as u32);
         (Just(n), proptest::collection::vec(edge, 0..120))
+    })
+}
+
+/// The comparison-sort build that [`Graph::from_edges`] replaced, kept as
+/// its oracle: check and normalise the pairs in input order (`u` before
+/// `v`), sort, deduplicate, and fill the CSR arrays from the sorted pairs.
+fn sort_dedup_csr(n: usize, edges: &[(u32, u32)]) -> Result<(Vec<u32>, Vec<u32>), GraphError> {
+    let mut pairs = Vec::new();
+    for &(u, v) in edges {
+        if u as usize >= n {
+            return Err(GraphError::NodeOutOfRange { node: u, n });
+        }
+        if v as usize >= n {
+            return Err(GraphError::NodeOutOfRange { node: v, n });
+        }
+        if u != v {
+            pairs.push(if u < v { (u, v) } else { (v, u) });
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut offsets = vec![0u32; n + 1];
+    for &(u, v) in &pairs {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut neighbors = vec![0u32; 2 * pairs.len()];
+    for &(u, v) in &pairs {
+        neighbors[cursor[u as usize] as usize] = v;
+        cursor[u as usize] += 1;
+        neighbors[cursor[v as usize] as usize] = u;
+        cursor[v as usize] += 1;
+    }
+    Ok((offsets, neighbors))
+}
+
+/// Strategy: an edge list for the oracle comparison. `n` is 0, 1, small,
+/// or above 2^15; endpoints are drawn from the whole range or from a
+/// 16-node window, so duplicates and self-loops turn up at every `n`. The
+/// list is left as drawn (shuffled), or normalised and then sorted
+/// (presorted), sorted with every pair flipped, or sorted by smaller end
+/// only; then up to two endpoints may be set out of range, at most 2 past
+/// `n`.
+fn oracle_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    let n = (0u8..4, 2usize..40, (1usize << 15) + 1..(1 << 15) + 64)
+        .prop_map(|(kind, small, large)| [0, 1, small, large][kind as usize]);
+    n.prop_flat_map(|n| {
+        let hi = n.max(1) as u32;
+        let id = move || {
+            (0..hi, 0u8..2).prop_map(
+                move |(x, windowed)| {
+                    if windowed == 1 {
+                        hi - 1 - x % hi.min(16)
+                    } else {
+                        x
+                    }
+                },
+            )
+        };
+        let len = if n == 0 { 0..3 } else { 0..200 };
+        let edges = proptest::collection::vec((id(), id()), len);
+        let bad = proptest::collection::vec((0usize..1000, 0u8..2, 0u32..3), 0..3);
+        (Just(n), edges, 0u8..4, (0u8..4, bad))
+    })
+    .prop_map(|(n, mut edges, order, (gate, bad))| {
+        if order > 0 {
+            for e in &mut edges {
+                *e = (e.0.min(e.1), e.0.max(e.1));
+            }
+            if order == 3 {
+                edges.sort_by_key(|e| e.0);
+            } else {
+                edges.sort_unstable();
+            }
+            if order == 2 {
+                for e in &mut edges {
+                    *e = (e.1, e.0);
+                }
+            }
+        }
+        if gate == 0 && !edges.is_empty() {
+            let len = edges.len();
+            for (at, end_v, past) in bad {
+                let e = &mut edges[at % len];
+                let node = n as u32 + past;
+                if end_v == 1 {
+                    e.1 = node;
+                } else {
+                    e.0 = node;
+                }
+            }
+        }
+        (n, edges)
     })
 }
 
@@ -46,6 +143,20 @@ proptest! {
                 let expected = u != v && reference.contains(&canon(u, v));
                 prop_assert_eq!(g.has_edge(u, v), expected, "({}, {})", u, v);
             }
+        }
+    }
+
+    #[test]
+    fn from_edges_matches_sort_dedup_oracle((n, edges) in oracle_edges()) {
+        // Same CSR arrays on every input, and the same first error in input
+        // order, `u` checked before `v`.
+        match (Graph::from_edges(n, edges.iter().copied()), sort_dedup_csr(n, &edges)) {
+            (Ok(g), Ok((offsets, neighbors))) => {
+                prop_assert_eq!(g.csr(), (&offsets[..], &neighbors[..]));
+                prop_assert!(g.check_invariants());
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            (got, want) => prop_assert!(false, "from_edges {:?} vs oracle {:?}", got, want.map(|_| ())),
         }
     }
 

@@ -123,10 +123,7 @@ pub fn bter<R: Rng + ?Sized>(degrees: &[u32], params: &BterParams, rng: &mut R) 
     }
 
     // ---- Phase 2: Chung–Lu on the excess degrees ----
-    let cl = chung_lu(&excess, rng);
-    for (u, v) in cl.edges() {
-        b.push(u, v);
-    }
+    chung_lu(&excess, rng, |u, v| b.push(u, v));
     b.build().expect("ids bounded by n")
 }
 

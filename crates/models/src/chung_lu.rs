@@ -6,20 +6,29 @@
 //! `min(1, wᵤ wᵥ / Σw)`, so expected degrees approximate the targets.
 //! Implemented with the Miller–Hagberg (2011) sorted skip-sampling
 //! algorithm, which runs in `O(n + m)` expected time instead of `O(n²)`.
+//!
+//! [`chung_lu`] builds no graph of its own: it hands each edge to the
+//! caller, which adds the pairs to a larger edge list (PrivGraph's
+//! communities, BTER's excess-degree phase) and builds once.
 
-use pgb_graph::{Graph, GraphBuilder, NodeId};
+use pgb_graph::NodeId;
 use rand::Rng;
 
-/// Generates a Chung–Lu graph over `weights.len()` nodes. Node `u`'s
-/// expected degree approximates `weights[u]` (exactly when all
-/// `wᵤ wᵥ < Σw`). Non-finite or negative weights are treated as zero.
-pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Graph {
+/// Draws a Chung–Lu graph over nodes `0..weights.len()`, passing each edge
+/// to `emit` exactly once (never a self-loop). Node `u`'s expected degree
+/// approximates `weights[u]` (exactly when all `wᵤ wᵥ < Σw`). Non-finite or
+/// negative weights are treated as zero.
+pub fn chung_lu<R: Rng + ?Sized>(
+    weights: &[f64],
+    rng: &mut R,
+    mut emit: impl FnMut(NodeId, NodeId),
+) {
     let n = weights.len();
     let mut clean: Vec<f64> =
         weights.iter().map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 }).collect();
     let total: f64 = clean.iter().sum();
     if n < 2 || total <= 0.0 {
-        return Graph::new(n);
+        return;
     }
     // Sort nodes by weight descending; remember original ids.
     let mut order: Vec<NodeId> = (0..n as u32).collect();
@@ -28,7 +37,6 @@ pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Graph {
     });
     clean.sort_unstable_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
 
-    let mut b = GraphBuilder::with_capacity(n, (total / 2.0) as usize + 8);
     for i in 0..n - 1 {
         if clean[i] <= 0.0 {
             break; // all remaining weights are zero
@@ -48,25 +56,32 @@ pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Graph {
             // Accept with q/p: combined with the skip this realises an
             // exact Bernoulli(q) for position j (weights descend, q ≤ p).
             if rng.gen_range(0.0f64..1.0) < q / p {
-                b.push(order[i], order[j]);
+                emit(order[i], order[j]);
             }
             p = q;
             j += 1;
         }
     }
-    b.build().expect("ids bounded by n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgb_graph::{Graph, GraphBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The Chung–Lu graph `chung_lu` emits, built.
+    fn chung_lu_graph(weights: &[f64], rng: &mut StdRng) -> Graph {
+        let mut b = GraphBuilder::new(weights.len());
+        chung_lu(weights, rng, |u, v| b.push(u, v));
+        b.build().unwrap()
+    }
 
     #[test]
     fn zero_weights_give_empty_graph() {
         let mut rng = StdRng::seed_from_u64(80);
-        let g = chung_lu(&[0.0, 0.0, 0.0], &mut rng);
+        let g = chung_lu_graph(&[0.0, 0.0, 0.0], &mut rng);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.node_count(), 3);
     }
@@ -74,7 +89,7 @@ mod tests {
     #[test]
     fn negative_and_nan_weights_sanitised() {
         let mut rng = StdRng::seed_from_u64(81);
-        let g = chung_lu(&[-3.0, f64::NAN, 2.0, 2.0], &mut rng);
+        let g = chung_lu_graph(&[-3.0, f64::NAN, 2.0, 2.0], &mut rng);
         assert!(g.check_invariants());
         for u in [0u32, 1u32] {
             assert_eq!(g.degree(u), 0);
@@ -90,7 +105,7 @@ mod tests {
         let reps = 30;
         let mut deg_sum = vec![0.0f64; n];
         for _ in 0..reps {
-            let g = chung_lu(&weights, &mut rng);
+            let g = chung_lu_graph(&weights, &mut rng);
             for u in g.nodes() {
                 deg_sum[u as usize] += g.degree(u) as f64;
             }
@@ -105,7 +120,7 @@ mod tests {
     fn total_edges_close_to_half_weight_sum() {
         let mut rng = StdRng::seed_from_u64(83);
         let weights = vec![8.0; 600];
-        let g = chung_lu(&weights, &mut rng);
+        let g = chung_lu_graph(&weights, &mut rng);
         let m = g.edge_count() as f64;
         let expected = 8.0 * 600.0 / 2.0;
         assert!((m - expected).abs() < 5.0 * expected.sqrt(), "m {m} vs {expected}");
@@ -115,7 +130,7 @@ mod tests {
     fn handles_oversized_weights() {
         let mut rng = StdRng::seed_from_u64(84);
         // w_u w_v / S > 1 clamps to certain edges; must not panic or loop.
-        let g = chung_lu(&[100.0, 100.0, 1.0], &mut rng);
+        let g = chung_lu_graph(&[100.0, 100.0, 1.0], &mut rng);
         assert!(g.has_edge(0, 1));
         assert!(g.check_invariants());
     }
@@ -123,7 +138,7 @@ mod tests {
     #[test]
     fn single_node_graph() {
         let mut rng = StdRng::seed_from_u64(85);
-        let g = chung_lu(&[5.0], &mut rng);
+        let g = chung_lu_graph(&[5.0], &mut rng);
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.edge_count(), 0);
     }

@@ -7,17 +7,25 @@
 //!   stub-endpoints per degree class and wires JDD entries with collision
 //!   retries; realisation is approximate for noisy (inconsistent) targets,
 //!   like the reference generator's.
+//!
+//! Both constructors return the realisation as a node count and an edge
+//! list rather than a graph: the noisy target fixes the node count, which
+//! DP-dK then conforms to the input's before it builds the one graph.
 
 use crate::havel_hakimi::havel_hakimi;
 use pgb_graph::degree::{histogram_from_jdd, sequence_from_histogram, JointDegreeDistribution};
-use pgb_graph::{Graph, GraphBuilder, NodeId};
+use pgb_graph::NodeId;
 use rand::Rng;
+
+/// A realised dK target: its node count and its edges (each once, none a
+/// self-loop, every id below the count).
+pub type Realisation = (usize, Vec<(NodeId, NodeId)>);
 
 /// Realises a dK-1 target (degree histogram) with Havel–Hakimi. Histogram
 /// entry `hist[d]` is the number of nodes wanting degree `d`.
-pub fn dk1_construct(hist: &[u64]) -> Graph {
+pub fn dk1_construct(hist: &[u64]) -> Realisation {
     let seq = sequence_from_histogram(hist);
-    havel_hakimi(&seq)
+    (seq.len(), havel_hakimi(&seq))
 }
 
 /// Maximum wiring attempts per requested edge before it is abandoned.
@@ -29,11 +37,11 @@ const DK2_RETRIES: usize = 12;
 /// entry `((k1, k2), c)` then draws `c` edges between stub-bearing nodes of
 /// the two classes, rejecting self-loops, duplicate edges, and exhausted
 /// stubs. Inconsistent (noisy) targets realise partially.
-pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R) -> Graph {
+pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R) -> Realisation {
     let hist = histogram_from_jdd(jdd);
     let n: u64 = hist.iter().sum();
     if n == 0 {
-        return Graph::new(0);
+        return (0, Vec::new());
     }
     // Assign node ids to degree classes in ascending-degree order.
     let mut class_members: Vec<Vec<NodeId>> = vec![Vec::new(); hist.len()];
@@ -53,7 +61,7 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
     });
 
     let total_edges: u64 = jdd.values().sum();
-    let mut b = GraphBuilder::with_capacity(n as usize, total_edges as usize);
+    let mut edges = Vec::with_capacity(total_edges as usize);
     let mut placed: std::collections::HashSet<(NodeId, NodeId)> =
         std::collections::HashSet::with_capacity(total_edges as usize * 2);
     let pick = |class: &[NodeId], stubs: &[u32], rng: &mut R| -> Option<NodeId> {
@@ -89,7 +97,7 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
                 if placed.insert(key) {
                     remaining_stubs[u as usize] -= 1;
                     remaining_stubs[v as usize] -= 1;
-                    b.push(key.0, key.1);
+                    edges.push(key);
                     wired = true;
                     break;
                 }
@@ -101,20 +109,26 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
             }
         }
     }
-    b.build().expect("ids bounded by n")
+    (n as usize, edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgb_graph::degree::{degree_histogram, joint_degree_distribution};
+    use pgb_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A realisation, built.
+    fn built((n, edges): Realisation) -> Graph {
+        Graph::from_edges(n, edges).unwrap()
+    }
 
     #[test]
     fn dk1_realises_histogram() {
         // 4 nodes of degree 1, 2 of degree 2: e.g. two paths of 3 nodes.
-        let g = dk1_construct(&[0, 4, 2]);
+        let g = built(dk1_construct(&[0, 4, 2]));
         let hist = degree_histogram(&g);
         assert_eq!(hist, vec![0, 4, 2]);
     }
@@ -125,7 +139,7 @@ mod tests {
         // A 6-cycle: JDD is {(2,2): 6}.
         let mut jdd = JointDegreeDistribution::new();
         jdd.insert((2, 2), 6);
-        let g = dk2_construct(&jdd, &mut rng);
+        let g = built(dk2_construct(&jdd, &mut rng));
         assert_eq!(g.node_count(), 6);
         // Every realised edge joins degree-≤2 nodes; most of the 6 edges place.
         assert!(g.edge_count() >= 5, "placed {}", g.edge_count());
@@ -137,7 +151,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(101);
         let star = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
         let jdd = joint_degree_distribution(&star);
-        let g = dk2_construct(&jdd, &mut rng);
+        let g = built(dk2_construct(&jdd, &mut rng));
         let out = joint_degree_distribution(&g);
         assert_eq!(out.get(&(1, 4)).copied().unwrap_or(0), 4, "JDD {out:?}");
     }
@@ -147,7 +161,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(102);
         let g0 = crate::er::erdos_renyi_gnp(200, 0.05, &mut rng);
         let jdd = joint_degree_distribution(&g0);
-        let g1 = dk2_construct(&jdd, &mut rng);
+        let g1 = built(dk2_construct(&jdd, &mut rng));
         // Node and edge totals are approximately preserved.
         let m0 = g0.edge_count() as f64;
         let m1 = g1.edge_count() as f64;
@@ -158,7 +172,7 @@ mod tests {
     #[test]
     fn dk2_empty_target() {
         let mut rng = StdRng::seed_from_u64(103);
-        let g = dk2_construct(&JointDegreeDistribution::new(), &mut rng);
+        let g = built(dk2_construct(&JointDegreeDistribution::new(), &mut rng));
         assert_eq!(g.node_count(), 0);
     }
 
@@ -170,14 +184,14 @@ mod tests {
         // must be skipped rather than looping or panicking.
         let mut jdd = JointDegreeDistribution::new();
         jdd.insert((5, 5), 1);
-        let g = dk2_construct(&jdd, &mut rng);
+        let g = built(dk2_construct(&jdd, &mut rng));
         assert!(g.check_invariants());
         assert_eq!(g.edge_count(), 0);
 
         // A perfect matching target realises fully: 100 degree-1 nodes.
         let mut jdd = JointDegreeDistribution::new();
         jdd.insert((1, 1), 50);
-        let g = dk2_construct(&jdd, &mut rng);
+        let g = built(dk2_construct(&jdd, &mut rng));
         assert_eq!(g.node_count(), 100);
         assert!(g.edge_count() >= 49, "placed {}", g.edge_count());
     }

@@ -7,7 +7,7 @@
 //! target degrees as possible and silently drops the remainder, matching
 //! the reference implementation's behaviour.
 
-use pgb_graph::{Graph, GraphBuilder};
+use pgb_graph::NodeId;
 
 /// Erdős–Gallai test: is `degrees` realisable as a simple undirected graph?
 /// The input need not be sorted. An empty sequence is graphical.
@@ -42,20 +42,20 @@ pub fn is_graphical(degrees: &[u32]) -> bool {
 /// Repeatedly takes the node with the largest remaining target degree `d`
 /// and connects it to the `d` next-largest nodes. If the sequence is
 /// graphical the result realises it exactly; otherwise the impossible
-/// remainder is dropped. Returns the graph (node `u` targets
-/// `degrees[u]`).
-pub fn havel_hakimi(degrees: &[u32]) -> Graph {
+/// remainder is dropped. Returns the realised edges over nodes
+/// `0..degrees.len()` (node `u` targets `degrees[u]`), each once and none a
+/// self-loop.
+pub fn havel_hakimi(degrees: &[u32]) -> Vec<(NodeId, NodeId)> {
     let n = degrees.len();
     if n == 0 {
-        return Graph::new(0);
+        return Vec::new();
     }
     let mut remaining: Vec<(u32, u32)> = degrees
         .iter()
         .enumerate()
         .map(|(u, &d)| (d.min(n.saturating_sub(1) as u32), u as u32))
         .collect();
-    let mut b =
-        GraphBuilder::with_capacity(n, degrees.iter().map(|&d| d as usize).sum::<usize>() / 2);
+    let mut edges = Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum::<usize>() / 2);
     // Sort descending by remaining degree; re-sorting each round is
     // O(n log n) per round but rounds shrink fast; fine at benchmark scale.
     loop {
@@ -69,7 +69,7 @@ pub fn havel_hakimi(degrees: &[u32]) -> Graph {
         for item in remaining.iter_mut().skip(1).take(take) {
             if item.0 > 0 {
                 item.0 -= 1;
-                b.push(u, item.1);
+                edges.push((u, item.1));
             } else {
                 // Fewer positive-degree partners than requested: the
                 // surplus is unrealisable and dropped.
@@ -77,13 +77,19 @@ pub fn havel_hakimi(degrees: &[u32]) -> Graph {
             }
         }
     }
-    b.build().expect("ids bounded by n")
+    edges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgb_graph::degree::degree_sequence;
+    use pgb_graph::Graph;
+
+    /// The graph `havel_hakimi` realises, built.
+    fn hh_graph(degrees: &[u32]) -> Graph {
+        Graph::from_edges(degrees.len(), havel_hakimi(degrees)).unwrap()
+    }
 
     #[test]
     fn erdos_gallai_known_cases() {
@@ -109,7 +115,7 @@ mod tests {
             vec![2, 2, 2, 2, 2, 2],
         ] {
             assert!(is_graphical(&seq), "{seq:?} should be graphical");
-            let g = havel_hakimi(&seq);
+            let g = hh_graph(&seq);
             assert_eq!(degree_sequence(&g), seq, "sequence {seq:?}");
             assert!(g.check_invariants());
         }
@@ -118,19 +124,19 @@ mod tests {
     #[test]
     fn hh_best_effort_on_nongraphical() {
         // Odd sum: one endpoint must be dropped.
-        let g = havel_hakimi(&[2, 2, 1]);
+        let g = hh_graph(&[2, 2, 1]);
         assert!(g.check_invariants());
         let realised: u32 = degree_sequence(&g).iter().sum();
         assert!(realised >= 4, "realised {realised}");
         // Oversized degree clamps to n − 1.
-        let g = havel_hakimi(&[100, 1, 1]);
+        let g = hh_graph(&[100, 1, 1]);
         assert!(g.degree(0) <= 2);
     }
 
     #[test]
     fn hh_empty_and_zero() {
-        assert_eq!(havel_hakimi(&[]).node_count(), 0);
-        let g = havel_hakimi(&[0, 0, 0]);
+        assert_eq!(hh_graph(&[]).node_count(), 0);
+        let g = hh_graph(&[0, 0, 0]);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.node_count(), 3);
     }
@@ -140,7 +146,7 @@ mod tests {
         // A large graphical-ish sequence: realised degrees must never
         // exceed targets.
         let seq: Vec<u32> = (1..=400u32).map(|i| (800 / i).min(80)).collect();
-        let g = havel_hakimi(&seq);
+        let g = hh_graph(&seq);
         assert!(g.check_invariants());
         let out = degree_sequence(&g);
         for (u, (&got, &want)) in out.iter().zip(&seq).enumerate() {

@@ -48,7 +48,10 @@ proptest! {
 
     #[test]
     fn hh_realises_graphical(degrees in proptest::collection::vec(0u32..6, 2..40)) {
-        let g = havel_hakimi(&degrees);
+        let edges = havel_hakimi(&degrees);
+        let g = Graph::from_edges(degrees.len(), edges.clone()).unwrap();
+        // Each edge is emitted once and none is a self-loop.
+        prop_assert_eq!(g.edge_count(), edges.len());
         prop_assert!(g.check_invariants());
         let realised = degree_sequence(&g);
         if is_graphical(&degrees) {
@@ -74,8 +77,11 @@ proptest! {
     #[test]
     fn chung_lu_valid(weights in proptest::collection::vec(0.0f64..10.0, 0..80), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = chung_lu(&weights, &mut rng);
-        prop_assert_eq!(g.node_count(), weights.len());
+        let mut edges = Vec::new();
+        chung_lu(&weights, &mut rng, |u, v| edges.push((u, v)));
+        let g = Graph::from_edges(weights.len(), edges.iter().copied()).unwrap();
+        // Each edge is emitted once and none is a self-loop.
+        prop_assert_eq!(g.edge_count(), edges.len());
         prop_assert!(g.check_invariants());
     }
 
