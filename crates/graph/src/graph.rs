@@ -416,6 +416,52 @@ mod tests {
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 5, n: 2 }));
     }
 
+    // The three `from_edge_vec_*` tests feed `from_edges` an owned edge
+    // `Vec`, the input every sampler hands it.
+
+    #[test]
+    fn from_edge_vec_matches_from_edges() {
+        // Deterministic pseudo-random edge soup with duplicates, reversed
+        // pairs and self-loops, past 2^15 pairs: the bucketing path must
+        // land on the same CSR arrays as the in-order path fed the
+        // normalised, sorted, deduplicated list.
+        let n = 500u32;
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let mut edges = Vec::with_capacity(40_000);
+        for _ in 0..40_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            edges.push(((x % n as u64) as u32, ((x >> 32) % n as u64) as u32));
+        }
+        let mut sorted: Vec<(u32, u32)> =
+            edges.iter().filter(|&&(u, v)| u != v).map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let shuffled = Graph::from_edges(n as usize, edges).unwrap();
+        let in_order = Graph::from_edges(n as usize, sorted.clone()).unwrap();
+        assert_eq!(shuffled.csr(), in_order.csr());
+        assert_eq!(shuffled.edge_count(), sorted.len());
+        assert!(shuffled.check_invariants());
+    }
+
+    #[test]
+    fn from_edge_vec_reports_first_error_in_input_order() {
+        let mut edges: Vec<(u32, u32)> = (0..40_000u32).map(|i| (i % 50, (i + 1) % 50)).collect();
+        edges[777] = (3, 99); // first bad edge
+        edges[30_000] = (98, 0); // later bad edge, smaller bad endpoint
+        let err = Graph::from_edges(50, edges).unwrap_err();
+        assert!(matches!(err, GraphError::NodeOutOfRange { node: 99, n: 50 }), "{err:?}");
+    }
+
+    #[test]
+    fn from_edge_vec_small_input_takes_serial_path() {
+        let g = Graph::from_edges(4, vec![(0, 1), (1, 0), (2, 2), (2, 3)]).unwrap();
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.csr(), (&[0u32, 1, 2, 3, 4][..], &[1u32, 0, 3, 2][..]));
+        assert!(g.check_invariants());
+    }
+
     #[test]
     fn degree_and_neighbors() {
         let g = triangle_plus_pendant();
