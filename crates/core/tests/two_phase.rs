@@ -208,12 +208,26 @@ fn privhrg_output_bytes_are_pinned() {
     // The golden CSV covers TmF, DER and DGG only; this pins PrivHRG's
     // full measure → sample path (MCMC, Laplace noise, edge realisation)
     // at its default chain length, so any drift in its bytes fails here.
-    let g = pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024));
-    for (epsilon, pinned) in [(0.5, 0x91a7_4058_062d_5426), (2.0, 0xd8de_6bda_2c15_1fed)] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let m = PrivHrg::default().measure(&g, epsilon, &mut rng).unwrap();
-        let digest = csr_digest(&m.sample(&mut rng));
-        assert_eq!(digest, pinned, "PrivHRG at ε={epsilon}: digest {digest:#018x}");
+    // A BA graph, a road-like grid (most moves have no edge at the
+    // parent's level, as on Minnesota) and a denser ER graph.
+    let graphs = [
+        pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024)),
+        pgb_models::lattice::irregular_grid(20, 20, 0.1, 20, &mut StdRng::seed_from_u64(2029)),
+        pgb_models::erdos_renyi_gnp(300, 0.05, &mut StdRng::seed_from_u64(2027)),
+    ];
+    let pinned = [
+        [(0.5, 0x91a7_4058_062d_5426), (2.0, 0xd8de_6bda_2c15_1fed)],
+        [(0.5, 0xbe3e_d652_9766_14df), (2.0, 0xc57b_c2f3_0266_5542)],
+        [(0.5, 0x4342_ecb3_ea4f_bcf1), (2.0, 0xa68e_8dfc_5d5b_0457)],
+    ];
+    for (g, runs) in graphs.iter().zip(pinned) {
+        for (epsilon, pinned) in runs {
+            let mut rng = StdRng::seed_from_u64(7);
+            let m = PrivHrg::default().measure(g, epsilon, &mut rng).unwrap();
+            let digest = csr_digest(&m.sample(&mut rng));
+            let n = g.node_count();
+            assert_eq!(digest, pinned, "PrivHRG on n={n} at ε={epsilon}: digest {digest:#018x}");
+        }
     }
 }
 
