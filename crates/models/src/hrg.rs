@@ -250,6 +250,10 @@ impl Dendrogram {
     /// leaves (the cost of stamping `t`'s internal nodes instead), the
     /// count restarts against such stamps, so a step on a dense graph or
     /// a deep dendrogram never costs much more than visiting both sides.
+    ///
+    /// [`mcmc_step`](Self::mcmc_step) hands it the smaller of `r`'s two
+    /// children as `x` and `r`'s sibling as `y`, so a step costs about the
+    /// neighbourhood of the smallest of the three subtrees it moves.
     pub fn edges_between(&mut self, g: &Graph, x: Child, y: Child) -> u64 {
         let (s, t) = if self.child_leaves(x) <= self.child_leaves(y) { (x, y) } else { (y, x) };
         let mut leaves = std::mem::take(&mut self.scratch);
@@ -304,6 +308,16 @@ impl Dendrogram {
     ///
     /// `factor = 1` samples dendrograms ∝ likelihood; PrivHRG passes
     /// `ε₁ / (2 Δ logL)` to target the exponential mechanism instead.
+    ///
+    /// The move picks a non-root `r` with children `a`, `b` and sibling
+    /// `c` under its parent `q`, and needs the edge counts `e_ac` and
+    /// `e_bc` between those subtrees. Every edge with LCA `q` joins `c` to
+    /// `a` or `b`, so `e_ac + e_bc = E_q`: when `E_q = 0` both are zero and
+    /// nothing is counted; otherwise only the smaller of `a` and `b` (`a`
+    /// on a tie) is counted against `c` with
+    /// [`edges_between`](Self::edges_between), and the other count is
+    /// `E_q` minus it. Either way the counts, and so every RNG draw, are
+    /// exact and independent of which pair was counted.
     pub fn mcmc_step<R: Rng + ?Sized>(&mut self, g: &Graph, factor: f64, rng: &mut R) -> bool {
         if self.internal_count() < 2 {
             return false; // no non-root internal node to move
@@ -326,8 +340,19 @@ impl Dendrogram {
         let lc = self.child_leaves(c) as u64;
         let e_ab = self.e[r as usize];
         let e_q = self.e[q as usize];
-        let e_ac = self.edges_between(g, a, c);
-        let e_bc = e_q - e_ac;
+        // E_q = e_ac + e_bc, so one count gives both, and none is needed
+        // when q has no edges. Count the smaller of a and b against c.
+        let (e_ac, e_bc) = if e_q == 0 {
+            (0, 0)
+        } else {
+            let a_smaller = la <= lb;
+            let counted = self.edges_between(g, if a_smaller { a } else { b }, c);
+            if a_smaller {
+                (counted, e_q - counted)
+            } else {
+                (e_q - counted, counted)
+            }
+        };
 
         let old = Self::term(e_ab, la * lb) + Self::term(e_q, (la + lb) * lc);
         // The two alternative configurations.
@@ -533,14 +558,12 @@ mod tests {
         let mut d = Dendrogram::from_graph(&g, &mut rng);
         for step in 0..500 {
             d.mcmc_step(&g, 1.0, &mut rng);
-            if step % 100 == 0 {
-                assert!(d.check_invariants(), "step {step}");
-                // Incremental counts must equal a fresh recompute.
-                let mut fresh = d.clone();
-                fresh.recompute_edge_counts(&g);
-                for r in 0..d.internal_count() as u32 {
-                    assert_eq!(d.edges_at(r), fresh.edges_at(r), "node {r} at step {step}");
-                }
+            assert!(d.check_invariants(), "step {step}");
+            // Incremental counts must equal a fresh recompute.
+            let mut fresh = d.clone();
+            fresh.recompute_edge_counts(&g);
+            for r in 0..d.internal_count() as u32 {
+                assert_eq!(d.edges_at(r), fresh.edges_at(r), "node {r} at step {step}");
             }
         }
     }

@@ -26,7 +26,8 @@ pub fn grid_graph(rows: usize, cols: usize) -> Graph {
 
 /// A grid with irregularities, mimicking real road networks: a fraction
 /// `drop` of grid edges is removed and `diagonals` random diagonal
-/// shortcuts (which create the occasional triangle) are added.
+/// shortcuts (which create the occasional triangle) are added. A grid
+/// with a single row or column has no diagonal to add.
 pub fn irregular_grid<R: Rng + ?Sized>(
     rows: usize,
     cols: usize,
@@ -43,12 +44,14 @@ pub fn irregular_grid<R: Rng + ?Sized>(
             b.push(u, v);
         }
     }
-    for _ in 0..diagonals {
-        let r = rng.gen_range(0..rows.saturating_sub(1));
-        let c = rng.gen_range(0..cols.saturating_sub(1));
-        let u = (r * cols + c) as u32;
-        let v = u + cols as u32 + 1; // south-east diagonal
-        b.push(u, v);
+    // A south-east diagonal needs a next row and a next column.
+    if rows >= 2 && cols >= 2 {
+        for _ in 0..diagonals {
+            let r = rng.gen_range(0..rows - 1);
+            let c = rng.gen_range(0..cols - 1);
+            let u = (r * cols + c) as u32;
+            b.push(u, u + cols as u32 + 1);
+        }
     }
     b.build().expect("ids bounded by n")
 }
@@ -103,6 +106,16 @@ mod tests {
         assert!(g.edge_count() < base_edges + 50);
         assert!(g.edge_count() > base_edges / 2);
         assert!(g.check_invariants());
+    }
+
+    #[test]
+    fn thin_irregular_grids_get_no_diagonals() {
+        let mut rng = StdRng::seed_from_u64(142);
+        for (rows, cols) in [(1, 7), (7, 1), (1, 1), (0, 4), (4, 0)] {
+            let g = irregular_grid(rows, cols, 0.0, 5, &mut rng);
+            assert_eq!(g.node_count(), rows * cols);
+            assert_eq!(g.edge_count(), grid_graph(rows, cols).edge_count(), "{rows}×{cols}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use pgb_graph::degree::degree_sequence;
 use pgb_graph::Graph;
 use pgb_models::havel_hakimi::{havel_hakimi, is_graphical};
 use pgb_models::hrg::{Child, Dendrogram};
+use pgb_models::lattice::irregular_grid;
 use pgb_models::{
     barabasi_albert, bter, chung_lu, configuration_model, erdos_renyi_gnm, erdos_renyi_gnp,
     grid_graph, BterParams,
@@ -147,37 +148,70 @@ fn check_edges_between(d: &mut Dendrogram, g: &Graph) -> usize {
     single
 }
 
+/// Counts two kinds of move over every non-root internal node `r`, with
+/// children `(a, b)` under parent `q`: those where `E_q = 0`, which need no
+/// count, and those where `E_q > 0` and `b` has fewer leaves than `a`,
+/// which count `b` against `r`'s sibling.
+fn hrg_move_cases(d: &Dendrogram) -> (usize, usize) {
+    let (mut empty_q, mut smaller_b) = (0, 0);
+    for q in 0..d.internal_count() as u32 {
+        let (x, y) = d.children(q);
+        for r in [x, y] {
+            if let Child::Internal(r) = r {
+                let (a, b) = d.children(r);
+                if d.edges_at(q) == 0 {
+                    empty_q += 1;
+                } else if hrg_leaves(d, b).len() < hrg_leaves(d, a).len() {
+                    smaller_b += 1;
+                }
+            }
+        }
+    }
+    (empty_q, smaller_b)
+}
+
 #[test]
 fn hrg_mcmc_long_run_consistency() {
-    // A longer, deterministic MCMC soak over graphs with a hub and isolated
-    // nodes: incremental edge counts must stay equal to recomputed ones
-    // across hundreds of accepted restructures, and `edges_between` must
-    // agree with a brute-force count at many points along the chain.
-    let mut single_leaf_pairs = 0;
+    // A longer, deterministic MCMC soak over two kinds of graph: an ER
+    // graph with a hub and isolated nodes, and a sparse road-like grid.
+    // Incremental edge counts must stay equal to recomputed ones across
+    // hundreds of accepted restructures, and `edges_between` must agree
+    // with a brute-force count at many points along the chain. Both of
+    // the step's shortcuts must come up along the chains: a parent with
+    // no edges, and a parent with edges whose `r` has the smaller second
+    // child.
+    let (mut single_leaf_pairs, mut empty_q, mut smaller_b) = (0, 0, 0);
     for seed in [999u64, 1000, 1001] {
         let mut rng = StdRng::seed_from_u64(seed);
         // Nodes 0..60 form an ER graph, node 60 is a hub adjacent to every
         // third of them, and nodes 61..70 are isolated.
         let er = erdos_renyi_gnp(60, 0.1, &mut rng);
         let hub = (0..60).step_by(3).map(|v| (60, v));
-        let g = Graph::from_edges(70, er.edges().chain(hub)).unwrap();
-        let mut d = Dendrogram::from_graph(&g, &mut rng);
-        for step in 0..2_000 {
-            d.mcmc_step(&g, 1.0, &mut rng);
-            if step % 100 == 0 {
-                single_leaf_pairs += check_edges_between(&mut d, &g);
+        let road = irregular_grid(8, 9, 0.1, 5, &mut rng);
+        for g in [Graph::from_edges(70, er.edges().chain(hub)).unwrap(), road] {
+            let mut d = Dendrogram::from_graph(&g, &mut rng);
+            for step in 0..2_000 {
+                d.mcmc_step(&g, 1.0, &mut rng);
+                if step % 100 == 0 {
+                    single_leaf_pairs += check_edges_between(&mut d, &g);
+                    let (e, b) = hrg_move_cases(&d);
+                    empty_q += e;
+                    smaller_b += b;
+                }
             }
+            assert!(d.check_invariants());
+            let mut fresh = d.clone();
+            fresh.recompute_edge_counts(&g);
+            for r in 0..d.internal_count() as u32 {
+                assert_eq!(d.edges_at(r), fresh.edges_at(r), "internal node {r}");
+            }
+            let sum: u64 = (0..d.internal_count() as u32).map(|r| d.edges_at(r)).sum();
+            assert_eq!(sum, g.edge_count() as u64);
         }
-        assert!(d.check_invariants());
-        let mut fresh = d.clone();
-        fresh.recompute_edge_counts(&g);
-        for r in 0..d.internal_count() as u32 {
-            assert_eq!(d.edges_at(r), fresh.edges_at(r), "internal node {r}");
-        }
-        let sum: u64 = (0..d.internal_count() as u32).map(|r| d.edges_at(r)).sum();
-        assert_eq!(sum, g.edge_count() as u64);
     }
     assert!(single_leaf_pairs > 0, "no checked pair had a single-leaf side");
+    assert!(empty_q > 0, "no move had a parent without edges");
+    assert!(smaller_b > 0, "no move with parent edges had the smaller second child");
 }
 
 #[test]
