@@ -13,13 +13,27 @@
 //! [`WeightedGraph::from_graph`]. Every later level runs on the
 //! aggregated [`WeightedGraph`].
 //!
+//! ## One node visit
+//!
+//! A visit sums the moving node's edge weight to each neighbouring
+//! community in a dense n-slot accumulator. On the CSR the accumulator
+//! holds `u32` neighbour counts, which become `f64` only where a gain is
+//! formed; every later level sums `f64` weights. Counts below 2^32 are
+//! exact in `f64`, so both give the same gains, ties and labels. The
+//! touched communities are kept in first-touch order without a branch:
+//! every neighbour writes its community at the end of a buffer sized to
+//! the level's largest neighbour list, and the length advances only when
+//! the community's slot was empty. The visit then clears exactly the
+//! slots it touched.
+//!
 //! ## What is parallel, what is not
 //!
-//! The init and aggregation scans run on the ambient
-//! [`pgb_par::current_parallelism`] budget: the per-level weighted-degree
-//! vector and the community coarsening ([`WeightedGraph::aggregate`]) —
-//! both bit-identical at any thread count. The **local-moving sweep itself
-//! stays sequential by design**:
+//! The per-level weighted-degree vector and aggregation's row fold
+//! ([`WeightedGraph::aggregate`]) run in chunks on the ambient
+//! [`pgb_par::current_parallelism`] budget, bit-identical at any thread
+//! count; aggregation's counting-sort scatter is one sequential pass in
+//! ascending node order. The **local-moving sweep itself stays
+//! sequential by design**:
 //! each move reads the community totals left by every previous move, so a
 //! deterministic parallel variant would need a fundamentally different
 //! algorithm (graph colouring or delta-screening with a fixed merge
@@ -148,41 +162,50 @@ fn local_moving<G: Adjacency, R: Rng + ?Sized>(
     let mut improved_any = false;
     // Scratch for the whole level: the weight from the moving node to each
     // community, and the communities it touched in first-touch order. Edge
-    // weights are strictly positive, so a zero slot is an untouched one.
-    let mut weight_to: Vec<f64> = vec![0.0; n];
-    let mut touched: Vec<u32> = Vec::new();
+    // weights are strictly positive, so a zero slot is an untouched one. A
+    // visit touches at most one community per neighbour, so the buffer
+    // never overflows.
+    let zero = G::Weight::default();
+    let mut weight_to: Vec<G::Weight> = vec![zero; n];
+    let max_degree = (0..n as u32).map(|u| g.neighbor_count(u)).max().unwrap_or(0);
+    let mut touched_buf: Vec<u32> = vec![0; max_degree];
     for _sweep in 0..params.max_sweeps {
         let mut gain_this_sweep = 0.0;
         for &u in &order {
             let cu = labels[u as usize];
-            for c in touched.drain(..) {
-                weight_to[c as usize] = 0.0;
-            }
+            // Branch-free first touch: write every community, keep it only
+            // if its slot was empty.
+            let mut len = 0;
             for (v, w) in g.weighted_neighbors(u) {
                 let c = labels[v as usize];
-                if weight_to[c as usize] == 0.0 {
-                    touched.push(c);
-                }
-                weight_to[c as usize] += w;
+                let slot = &mut weight_to[c as usize];
+                touched_buf[len] = c;
+                len += usize::from(*slot == zero);
+                *slot += w;
             }
+            let touched = &touched_buf[..len];
             let ku = degree[u as usize];
             comm_total[cu as usize] -= ku;
-            let base = weight_to[cu as usize] - ku * comm_total[cu as usize] / two_m;
+            let base = weight_to[cu as usize].into() - ku * comm_total[cu as usize] / two_m;
             let (mut best_comm, mut best_gain) = (cu, 0.0f64);
-            for &c in &touched {
+            for &c in touched {
                 if c == cu {
                     continue;
                 }
                 // ΔQ of moving u into c (constant factors dropped).
                 // Candidates come in first-touch order; ties break towards
                 // the smaller community id.
-                let gain = weight_to[c as usize] - ku * comm_total[c as usize] / two_m - base;
+                let gain =
+                    weight_to[c as usize].into() - ku * comm_total[c as usize] / two_m - base;
                 if gain > best_gain + 1e-12
                     || (gain > best_gain - 1e-12 && best_comm != cu && c < best_comm)
                 {
                     best_gain = gain.max(best_gain);
                     best_comm = c;
                 }
+            }
+            for &c in touched {
+                weight_to[c as usize] = zero;
             }
             comm_total[best_comm as usize] += ku;
             if best_comm != cu {

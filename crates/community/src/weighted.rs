@@ -1,18 +1,21 @@
 //! A compact weighted undirected graph used by Louvain's aggregation
 //! phase and by PrivGraph's noisy super-graph.
 //!
-//! The two full-graph scans — lifting an unweighted [`Graph`]
-//! ([`WeightedGraph::from_graph`]) and community coarsening
-//! ([`WeightedGraph::aggregate`]) — are chunked over nodes and run on the
-//! ambient [`pgb_par::current_parallelism`] budget. Both keep float
-//! *arithmetic* out of the chunk merge (merges only append contribution
-//! lists in node order); every weight sum happens afterwards in a fixed
-//! order, so the resulting graph is bit-identical at any thread count.
+//! Lifting an unweighted [`Graph`] ([`WeightedGraph::from_graph`]) is
+//! chunked over nodes and runs on the ambient
+//! [`pgb_par::current_parallelism`] budget. Community coarsening
+//! ([`WeightedGraph::aggregate`]) counting-sorts every contribution into
+//! one flat buffer in a single sequential pass in ascending node order,
+//! then folds the communities' rows in chunks on the same budget. No float
+//! is summed across a chunk boundary and every weight sum happens in a
+//! fixed order, so the resulting graph is bit-identical at any thread
+//! count.
 //!
 //! Coarsening reads its input through the crate-private `Adjacency`
 //! trait, so Louvain coarsens its level-0 [`Graph`] without lifting it.
 
 use pgb_graph::{Graph, NodeId};
+use std::ops::AddAssign;
 
 /// Nodes per chunk for the parallel scans.
 const NODE_CHUNK: usize = 16_384;
@@ -24,20 +27,30 @@ const NODE_CHUNK: usize = 16_384;
 /// [`WeightedGraph::from_graph`] lift: unit weights sum exactly, so its
 /// weighted degree is `deg as f64` and its total weight `2m`.
 pub(crate) trait Adjacency: Sync {
+    /// An edge weight as local moving sums it per community: `u32` unit
+    /// counts on the CSR, `f64` on a [`WeightedGraph`]. Every stored weight
+    /// is strictly positive, so a sum equal to the default (zero) is an
+    /// untouched community. A count below 2^32 converts to `f64` exactly,
+    /// so both give the same gains.
+    type Weight: Copy + Default + PartialEq + AddAssign + Into<f64>;
     /// Number of nodes.
     fn node_count(&self) -> usize;
     /// Total weight `2m`.
     fn total_weight(&self) -> f64;
     /// Incident edge weights plus twice the self-loop weight.
     fn weighted_degree(&self, u: NodeId) -> f64;
+    /// Number of stored neighbours of `u`, self-loops excluded.
+    fn neighbor_count(&self, u: NodeId) -> usize;
     /// Self-loop weight at `u`.
     fn self_loop(&self, u: NodeId) -> f64;
     /// Neighbours of `u` with their (strictly positive) edge weights, in
     /// stored order; self-loops excluded.
-    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_;
+    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Self::Weight)> + '_;
 }
 
 impl Adjacency for Graph {
+    type Weight = u32;
+
     fn node_count(&self) -> usize {
         Graph::node_count(self)
     }
@@ -50,16 +63,22 @@ impl Adjacency for Graph {
         self.degree(u) as f64
     }
 
+    fn neighbor_count(&self, u: NodeId) -> usize {
+        self.degree(u)
+    }
+
     fn self_loop(&self, _u: NodeId) -> f64 {
         0.0
     }
 
-    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.neighbors(u).iter().map(|&v| (v, 1.0))
+    fn weighted_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.neighbors(u).iter().map(|&v| (v, 1))
     }
 }
 
 impl Adjacency for WeightedGraph {
+    type Weight = f64;
+
     fn node_count(&self) -> usize {
         WeightedGraph::node_count(self)
     }
@@ -70,6 +89,10 @@ impl Adjacency for WeightedGraph {
 
     fn weighted_degree(&self, u: NodeId) -> f64 {
         WeightedGraph::weighted_degree(self, u)
+    }
+
+    fn neighbor_count(&self, u: NodeId) -> usize {
+        self.adj[u as usize].len()
     }
 
     fn self_loop(&self, u: NodeId) -> f64 {
@@ -220,26 +243,31 @@ impl WeightedGraph {
     /// `k`-node graph whose edge weights sum the inter-community weights
     /// and whose self-loops sum the intra-community weights.
     ///
-    /// Two chunked parallel phases, both thread-count-invariant:
+    /// Two phases, both thread-count-invariant:
     ///
-    /// 1. **Bucketing** — node chunks append each contribution `(c₂, w)`
-    ///    (or `(c, w)` for intra-community / self-loop weight) to the
-    ///    affected communities' buckets; chunk buckets append-merge in
-    ///    chunk order, so every community sees its contributions in
-    ///    ascending-node order — the order the old sequential `add_edge`
-    ///    loop produced.
-    /// 2. **Row folding** — community chunks fold their buckets into the
-    ///    weighted rows: neighbour entries keep first-occurrence order
-    ///    and accumulate in contribution order, exactly like repeated
+    /// 1. **Counting sort** — one sequential pass over the nodes in
+    ///    ascending order scatters each contribution `(c₂, w)` (or `(c, w)`
+    ///    for intra-community / self-loop weight) into its community's
+    ///    segment of one flat buffer, so every community sees its
+    ///    contributions in ascending-node order — the order the old
+    ///    sequential `add_edge` loop produced. A community receives at
+    ///    most one contribution per neighbour entry of its nodes, plus one
+    ///    per self-loop, so the segments are sized from a count pass over
+    ///    the degrees and a prefix sum, without reading the adjacency
+    ///    twice.
+    /// 2. **Row folding** — community chunks fold their segments into the
+    ///    weighted rows on the ambient [`pgb_par::current_parallelism`]
+    ///    budget: neighbour entries keep first-occurrence order and
+    ///    accumulate in contribution order, exactly like repeated
     ///    `add_edge` calls. Each chunk finds a neighbour's entry through a
     ///    dense `k`-slot position index rather than a scan of the row,
     ///    and clears only the slots its row set.
     ///
-    /// The total weight is re-accumulated by one sequential pass over the
-    /// input in ascending-node order — the *chronological* order the old
-    /// per-edge `add_edge` loop used — so even with non-integer weights
-    /// (PrivGraph's noisy super-graphs) every output field is bit-identical
-    /// to the pre-parallel implementation, at any thread count.
+    /// The total weight accumulates during the scatter in ascending-node
+    /// order — the *chronological* order the old per-edge `add_edge` loop
+    /// used — so even with non-integer weights (PrivGraph's noisy
+    /// super-graphs) every output field is bit-identical to that loop, at
+    /// any thread count.
     pub fn aggregate(&self, labels: &[u32], k: usize) -> WeightedGraph {
         aggregate(self, labels, k)
     }
@@ -248,48 +276,56 @@ impl WeightedGraph {
 /// [`WeightedGraph::aggregate`] over any [`Adjacency`]: Louvain coarsens
 /// its level-0 [`Graph`] through this without lifting it first.
 pub(crate) fn aggregate<G: Adjacency>(g: &G, labels: &[u32], k: usize) -> WeightedGraph {
-    assert_eq!(labels.len(), g.node_count(), "label vector length mismatch");
-    let buckets: Vec<Vec<(u32, f64)>> = pgb_par::par_fold_chunks(
-        g.node_count(),
-        NODE_CHUNK,
-        || vec![Vec::new(); k],
-        |buckets: &mut Vec<Vec<(u32, f64)>>, range| {
-            for u in range {
-                let cu = labels[u];
-                let self_w = g.self_loop(u as NodeId);
-                if self_w > 0.0 {
-                    buckets[cu as usize].push((cu, self_w));
+    let n = g.node_count();
+    assert_eq!(labels.len(), n, "label vector length mismatch");
+    // Community c's segment is `contrib[start[c]..end[c]]`, with room for
+    // one contribution per neighbour entry of its nodes and one self-loop
+    // each.
+    let mut start = vec![0usize; k + 1];
+    for (u, &c) in labels.iter().enumerate() {
+        start[c as usize + 1] += g.neighbor_count(u as NodeId) + 1;
+    }
+    for c in 0..k {
+        start[c + 1] += start[c];
+    }
+    let mut end = start[..k].to_vec();
+    let mut contrib = vec![(0u32, 0.0f64); start[k]];
+    let mut push = |c: u32, entry: (u32, f64)| {
+        contrib[end[c as usize]] = entry;
+        end[c as usize] += 1;
+    };
+    // `total` in chronological (ascending-node) contribution order:
+    // exactly the `total += 2.0 * w` sequence of the old sequential
+    // `add_edge` loop, so float weights reproduce its bits.
+    let mut total = 0.0;
+    for (u, &cu) in labels.iter().enumerate() {
+        let self_w = g.self_loop(u as NodeId);
+        if self_w > 0.0 {
+            push(cu, (cu, self_w));
+            total += 2.0 * self_w;
+        }
+        for (v, w) in g.weighted_neighbors(u as NodeId) {
+            if v as usize > u {
+                let w: f64 = w.into();
+                let cv = labels[v as usize];
+                push(cu, (cv, w));
+                if cu != cv {
+                    push(cv, (cu, w));
                 }
-                for (v, w) in g.weighted_neighbors(u as NodeId) {
-                    if v as usize > u {
-                        let cv = labels[v as usize];
-                        if cu == cv {
-                            buckets[cu as usize].push((cu, w));
-                        } else {
-                            buckets[cu as usize].push((cv, w));
-                            buckets[cv as usize].push((cu, w));
-                        }
-                    }
-                }
+                total += 2.0 * w;
             }
-        },
-        |buckets, other| {
-            for (b, mut o) in buckets.iter_mut().zip(other) {
-                b.append(&mut o);
-            }
-        },
-    );
+        }
+    }
     let rows: Vec<(Vec<(NodeId, f64)>, f64)> =
         pgb_par::par_map_chunks(k, NODE_CHUNK, |range, out| {
             // `pos[c2]` is c2's index in the row being folded, u32::MAX
             // when absent; reset from the row after each community.
             let mut pos = vec![u32::MAX; k];
             for c in range {
-                let c = c as u32;
                 let mut list: Vec<(NodeId, f64)> = Vec::new();
                 let mut self_w = 0.0f64;
-                for &(c2, w) in &buckets[c as usize] {
-                    if c2 == c {
+                for &(c2, w) in &contrib[start[c]..end[c]] {
+                    if c2 as usize == c {
                         self_w += w;
                         continue;
                     }
@@ -312,23 +348,6 @@ pub(crate) fn aggregate<G: Adjacency>(g: &G, labels: &[u32], k: usize) -> Weight
     for (list, s) in rows {
         adj.push(list);
         self_loops.push(s);
-    }
-    // `total` in chronological (ascending-node) contribution order:
-    // exactly the `total += 2.0 * w` sequence the old sequential
-    // `add_edge` loop performed, so float weights reproduce the
-    // pre-parallel bits — and the order is fixed, so neither chunking
-    // nor threads can move it.
-    let mut total = 0.0;
-    for u in 0..g.node_count() {
-        let self_w = g.self_loop(u as NodeId);
-        if self_w > 0.0 {
-            total += 2.0 * self_w;
-        }
-        for (v, w) in g.weighted_neighbors(u as NodeId) {
-            if v as usize > u {
-                total += 2.0 * w;
-            }
-        }
     }
     WeightedGraph { adj, self_loops, total }
 }
@@ -415,8 +434,8 @@ mod tests {
 
     #[test]
     fn scans_bit_identical_at_any_thread_budget() {
-        // Non-integer weights on purpose: the bucket/append discipline must
-        // keep f64 accumulation in a fixed order regardless of threads.
+        // Non-integer weights on purpose: the row fold must keep f64
+        // accumulation in a fixed order regardless of threads.
         let mut w = WeightedGraph::new(40);
         for u in 0..40u32 {
             for v in (u + 1)..40 {
@@ -442,7 +461,7 @@ mod tests {
     #[test]
     fn aggregate_bit_matches_pre_parallel_reference() {
         // The old aggregate was a sequential add_edge loop in ascending-
-        // node order; the bucketed parallel version must reproduce its
+        // node order; the counting-sorted version must reproduce its
         // exact bits — including the f64 accumulation order — on
         // non-integer weights (PrivGraph's noisy super-graphs).
         let mut w = WeightedGraph::new(30);

@@ -23,9 +23,9 @@
 //!
 //! The shared passes themselves are parallel: the degree histogram, the
 //! triangle pass (via the degree-ordered [`counting::ForwardOrientation`]),
-//! the BFS sweep, and Louvain's init/aggregation scans are chunked on
-//! `pgb-par`'s fixed-boundary discipline and pick up the **ambient**
-//! [`pgb_par::current_parallelism`] budget — the benchmark runner already
+//! the BFS sweep, and Louvain's degree scan and aggregation row fold are
+//! chunked on `pgb-par`'s fixed-boundary discipline and pick up the
+//! **ambient** [`pgb_par::current_parallelism`] budget — the benchmark runner already
 //! scopes every cell with an elastic `pgb_par` grant, so evaluation
 //! scales with the intra-cell
 //! thread budget without any new plumbing, and every pass is bit-identical
