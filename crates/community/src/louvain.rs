@@ -205,6 +205,8 @@ fn local_moving<G: Adjacency, R: Rng + ?Sized>(
                 }
             }
             for &c in touched {
+                // A community kept twice would find its slot already zeroed.
+                debug_assert!(weight_to[c as usize] != zero, "community {c} touched twice");
                 weight_to[c as usize] = zero;
             }
             comm_total[best_comm as usize] += ku;

@@ -13,9 +13,11 @@
 //!
 //! ## How cancellation propagates
 //!
-//! A [`CancelToken`] is installed for a scope with [`with_token`]; the
-//! parallel primitives charge it one tick per chunk (and every chunk
-//! claim polls the cancelled flag). When a charge fails:
+//! A [`CancelToken`] is installed for a scope with [`with_token`]; it is
+//! part of the thread's run context (see the crate docs), so every worker
+//! a parallel primitive spawns inherits it, shield flag included. The
+//! primitives charge it one tick per chunk (and every chunk claim polls
+//! the cancelled flag). When a charge fails:
 //!
 //! * worker threads inside [`crate::par_collect`]-family sections stop
 //!   claiming chunks **quietly** — `std::thread::scope` replaces scoped
@@ -42,7 +44,6 @@
 //! contract**: it exists so an operator can bound latency, and its
 //! rejections are structurally reported but not byte-stable.
 
-use std::cell::RefCell;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -191,99 +192,49 @@ impl CancelToken {
 #[derive(Debug)]
 pub struct CancelUnwind;
 
-/// The per-thread cancellation context: the installed token and whether
-/// tick charging is currently shielded.
-#[derive(Clone)]
-pub(crate) struct Ctx {
-    token: CancelToken,
-    shielded: bool,
-}
-
-thread_local! {
-    static CANCEL_CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
-}
-
-struct CtxRestore(Option<Ctx>);
-impl Drop for CtxRestore {
-    fn drop(&mut self) {
-        CANCEL_CTX.with(|c| *c.borrow_mut() = self.0.take());
-    }
-}
-
 /// Runs `f` with `token` installed as the current thread's cancellation
-/// context (tick charging active), restoring the previous context after —
+/// token (tick charging active), restoring the previous token after —
 /// panic-safe, scoped, per-thread.
 pub fn with_token<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
-    let prev =
-        CANCEL_CTX.with(|c| c.borrow_mut().replace(Ctx { token: token.clone(), shielded: false }));
-    let _restore = CtxRestore(prev);
-    f()
+    crate::scoped(
+        |c| {
+            c.token = Some(token.clone());
+            c.shielded = false;
+        },
+        f,
+    )
 }
 
 /// Runs `f` with tick charging suspended (the cancelled flag and wall
-/// deadline are still polled at every would-be charge). No-op when no
-/// token is installed. Used for work whose attribution is a scheduling
-/// artifact — see the module docs.
+/// deadline are still polled at every would-be charge). Used for work
+/// whose attribution is a scheduling artifact — see the module docs.
 pub fn shield_ticks<T>(f: impl FnOnce() -> T) -> T {
-    let prev = CANCEL_CTX.with(|c| {
-        let mut slot = c.borrow_mut();
-        match slot.take() {
-            Some(ctx) => {
-                let prev = ctx.clone();
-                *slot = Some(Ctx { shielded: true, ..ctx });
-                Some(Some(prev))
-            }
-            None => None,
-        }
-    });
-    match prev {
-        Some(prev) => {
-            let _restore = CtxRestore(prev);
-            f()
-        }
-        None => f(),
-    }
+    crate::scoped(|c| c.shielded = true, f)
 }
 
-/// Snapshot of the current context, for propagation into scoped workers.
-pub(crate) fn snapshot() -> Option<Ctx> {
-    CANCEL_CTX.with(|c| c.borrow().clone())
-}
-
-/// Runs `f` with `ctx` installed (shield state included), restoring the
-/// worker thread's previous context after.
-pub(crate) fn with_snapshot<T>(ctx: Option<Ctx>, f: impl FnOnce() -> T) -> T {
-    let prev = CANCEL_CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), ctx));
-    let _restore = CtxRestore(prev);
-    f()
-}
-
-/// Charges `n` ticks against the current context (shield-aware: a
-/// shielded context polls instead of charging). Returns `true` when no
-/// token is installed or the token is still live.
+/// Charges `n` ticks against the current token (shield-aware: a shielded
+/// scope polls instead of charging). Returns `true` when no token is
+/// installed or the token is still live.
 pub fn charge_current(n: u64) -> bool {
-    CANCEL_CTX.with(|c| match &*c.borrow() {
-        Some(ctx) if ctx.shielded => ctx.token.poll(),
-        Some(ctx) => ctx.token.charge(n),
+    crate::current(|c| match &c.token {
+        Some(token) if c.shielded => token.poll(),
+        Some(token) => token.charge(n),
         None => true,
     })
 }
 
-/// Whether the current context's token has been cancelled (flag and wall
-/// poll only; no charge). `false` when no token is installed.
+/// Whether the current token has been cancelled (flag and wall poll only;
+/// no charge). `false` when no token is installed.
 pub fn current_cancelled() -> bool {
-    CANCEL_CTX.with(|c| match &*c.borrow() {
-        Some(ctx) => !ctx.token.poll(),
-        None => false,
-    })
+    crate::current(|c| c.token.as_ref().is_some_and(|token| !token.poll()))
 }
 
-/// Cancels the current context's token (manual cause), if one is
-/// installed. The fault-injection layer's `Cancel` action.
-pub fn cancel_current() {
-    CANCEL_CTX.with(|c| {
-        if let Some(ctx) = &*c.borrow() {
-            ctx.token.cancel();
+/// Cancels the current token (manual cause), if one is installed. The
+/// fault layer's `Cancel` action.
+pub(crate) fn cancel_current() {
+    crate::current(|c| {
+        if let Some(token) = &c.token {
+            token.cancel();
         }
     });
 }

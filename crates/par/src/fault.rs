@@ -1,5 +1,5 @@
 //! Seeded fault injection: named fault points that are zero-cost when
-//! disabled and deterministically misbehave under an armed [`FaultPlan`].
+//! disarmed and deterministically misbehave under an armed [`FaultPlan`].
 //!
 //! Robustness claims ("no budget overdraw under faults", "the cache is
 //! never poisoned", "recovery replays a clean prefix") are only as good as
@@ -11,13 +11,17 @@
 //!   [`point`]`("cache.measure", &[FaultAction::Panic, …])` (infallible
 //!   sites: the fault fires as a panic or a cancellation) or
 //!   [`point_io`]`("wal.append")` (fallible I/O sites: the fault fires as
-//!   an `io::Error`). Disabled — the default — a point is one relaxed
-//!   atomic load.
-//! * A test arms a [`FaultPlan`] (seed + per-mille fire rate) with
-//!   [`install`]; each point keeps a per-name hit counter, and whether hit
-//!   `n` of point `p` fires is a pure hash of `(seed, p, n)`. Single-
-//!   threaded drives are therefore exactly reproducible from the seed;
-//!   concurrent drives reproduce the *decision table* even though the hit
+//!   an `io::Error`). Disarmed — the default — a point is one read of the
+//!   thread's run context.
+//! * A caller arms a [`FaultPlan`] (seed + per-mille fire rate) for the
+//!   duration of a closure with [`with_plan`]. The plan is part of the run
+//!   context (see the crate docs): it fires on the calling thread and on
+//!   every worker the parallel primitives spawn inside the scope, and
+//!   nowhere else, so concurrent tests cannot trip each other's plans.
+//!   Each point keeps a per-name hit counter per plan, and whether hit `n`
+//!   of point `p` fires is a pure hash of `(seed, p, n)`. Single-threaded
+//!   drives are therefore exactly reproducible from the seed; concurrent
+//!   drives reproduce the *decision table* even though the hit
 //!   interleaving varies — which is the right contract, because the
 //!   invariants under test must hold for every interleaving anyway.
 //!
@@ -28,14 +32,13 @@
 //! | `cache.measure` | panic, cancel | `pgb-serve`: the measure closure, inside the single-flight leader |
 //! | `serve.sample` | panic, cancel | `pgb-serve`: per-sample boundary of request execution |
 //! | `wal.append` | error | `pgb-serve`: WAL record append (fires under the admission lock, so only an error — a panic would poison it) |
-//! | `exec.claim` | panic | `pgb-core::exec`: the elastic worker claim loop (simulated worker crash) |
+//! | `exec.claim` | panic | `pgb-par`: the [`run_elastic`](crate::run_elastic) worker claim loop (simulated worker crash) |
 //!
 //! Injected panics carry [`INJECTED_MARKER`] in their payload so test
 //! panic hooks (see [`install_quiet_panic_hook`]) can silence exactly
 //! them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Marker substring every injected panic / error message carries.
@@ -48,7 +51,8 @@ pub enum FaultAction {
     Panic,
     /// Return an `io::Error` (only [`point_io`] sites).
     Error,
-    /// Cancel the current [`pgb_par::cancel::CancelToken`], if installed.
+    /// Cancel the current [`CancelToken`](crate::cancel::CancelToken), if
+    /// installed.
     Cancel,
 }
 
@@ -62,38 +66,22 @@ pub struct FaultPlan {
     pub rate_permille: u16,
 }
 
-struct Armed {
+/// A plan armed by [`with_plan`], shared by every thread in its scope.
+pub(crate) struct Armed {
     plan: FaultPlan,
     /// Per-point hit counters — the `n` of the decision hash.
     counters: Mutex<HashMap<&'static str, u64>>,
 }
 
-/// Fast-path gate: a disabled fault layer costs one relaxed load per
-/// point.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ARMED: Mutex<Option<Arc<Armed>>> = Mutex::new(None);
-
-/// Arms `plan` process-wide. Tests that install plans must serialize with
-/// each other (the chaos suites hold a lock across install → drive →
-/// [`clear`]).
-pub fn install(plan: FaultPlan) {
+/// Runs `f` with `plan` armed on the current thread and on the workers
+/// the parallel primitives spawn inside `f`, restoring the previous plan
+/// (usually none) afterwards — panic-safe, scoped, per-thread.
+pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
     let armed = Arc::new(Armed { plan, counters: Mutex::new(HashMap::new()) });
-    *ARMED.lock().expect("fault plan lock poisoned") = Some(armed);
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::scoped(|c| c.plan = Some(armed), f)
 }
 
-/// Disarms fault injection; every point returns to its zero-cost path.
-pub fn clear() {
-    ENABLED.store(false, Ordering::Relaxed);
-    *ARMED.lock().expect("fault plan lock poisoned") = None;
-}
-
-/// Whether a plan is currently armed.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The decision hash: same mixer family as `pgb_par::derive_stream`.
+/// The decision hash: same mixer family as [`crate::derive_stream`].
 fn mix(seed: u64, name: &str, hit: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in name.as_bytes() {
@@ -108,9 +96,10 @@ fn mix(seed: u64, name: &str, hit: u64) -> u64 {
 }
 
 /// Rolls point `name`'s next hit against the armed plan. `Some(h)` with
-/// the decision hash when it fires.
+/// the decision hash when it fires; `None` at once when no plan is armed.
+#[inline]
 fn roll(name: &'static str) -> Option<u64> {
-    let armed = ARMED.lock().expect("fault plan lock poisoned").clone()?;
+    let armed = crate::current(|c| c.plan.clone())?;
     let hit = {
         let mut counters = armed.counters.lock().expect("fault counters lock poisoned");
         let slot = counters.entry(name).or_insert(0);
@@ -126,36 +115,25 @@ fn roll(name: &'static str) -> Option<u64> {
 /// one of `allowed` (chosen by the decision hash) — `Panic` raises an
 /// [`INJECTED_MARKER`] panic, `Cancel` cancels the current token.
 /// `Error` entries are ignored here (infallible sites cannot return one).
-/// Zero-cost when disabled.
+/// Disarmed, it costs one read of the run context.
 #[inline]
 pub fn point(name: &'static str, allowed: &[FaultAction]) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    fire(name, allowed);
-}
-
-#[cold]
-fn fire(name: &'static str, allowed: &[FaultAction]) {
     let Some(h) = roll(name) else { return };
     if allowed.is_empty() {
         return;
     }
     match allowed[(h % allowed.len() as u64) as usize] {
         FaultAction::Panic => std::panic::panic_any(format!("{INJECTED_MARKER}: {name}")),
-        FaultAction::Cancel => pgb_par::cancel::cancel_current(),
+        FaultAction::Cancel => crate::cancel::cancel_current(),
         FaultAction::Error => {}
     }
 }
 
 /// A fallible fault point: under an armed plan, a firing hit returns an
 /// injected `io::Error`. For sites that hold locks or other state a panic
-/// would poison. Zero-cost when disabled.
+/// would poison. Disarmed, it costs one read of the run context.
 #[inline]
 pub fn point_io(name: &'static str) -> std::io::Result<()> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return Ok(());
-    }
     match roll(name) {
         Some(_) => Err(std::io::Error::other(format!("{INJECTED_MARKER}: {name}"))),
         None => Ok(()),
@@ -164,7 +142,7 @@ pub fn point_io(name: &'static str) -> std::io::Result<()> {
 
 /// Installs a panic hook (once, wrapping the previous hook) that silences
 /// exactly the deliberate unwinds this layer produces: injected-fault
-/// panics and `pgb_par::cancel::CancelUnwind` deadline unwinds. Everything
+/// panics and `crate::cancel::CancelUnwind` deadline unwinds. Everything
 /// else still reaches the previous hook. Binaries and chaos tests call
 /// this so expected unwinds don't spray backtraces.
 pub fn install_quiet_panic_hook() {
@@ -174,7 +152,7 @@ pub fn install_quiet_panic_hook() {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let payload = info.payload();
-            let expected = payload.is::<pgb_par::cancel::CancelUnwind>()
+            let expected = payload.is::<crate::cancel::CancelUnwind>()
                 || payload
                     .downcast_ref::<&str>()
                     .map(|s| s.contains(INJECTED_MARKER))
@@ -192,29 +170,26 @@ pub fn install_quiet_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::{with_token, CancelCause, CancelToken};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex as StdMutex;
+    use std::sync::Barrier;
 
-    /// The fault plan is process-global; tests arming it serialize here.
-    static SERIAL: StdMutex<()> = StdMutex::new(());
+    const ALWAYS: FaultPlan = FaultPlan { seed: 7, rate_permille: 1000 };
 
     #[test]
     fn disabled_points_do_nothing() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
         point("test.free", &[FaultAction::Panic]);
         assert!(point_io("test.free").is_ok());
-        assert!(!is_enabled());
+        with_plan(ALWAYS, || assert!(point_io("test.free").is_err()));
+        assert!(point_io("test.free").is_ok(), "the plan is disarmed after its scope");
     }
 
     #[test]
     fn decisions_are_a_pure_function_of_seed_and_hit_index() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let drive = || -> Vec<bool> {
-            install(FaultPlan { seed: 42, rate_permille: 300 });
-            let fired = (0..64).map(|_| point_io("test.det").is_err()).collect();
-            clear();
-            fired
+            with_plan(FaultPlan { seed: 42, rate_permille: 300 }, || {
+                (0..64).map(|_| point_io("test.det").is_err()).collect()
+            })
         };
         let a = drive();
         let b = drive();
@@ -225,27 +200,67 @@ mod tests {
 
     #[test]
     fn panic_action_carries_the_marker() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         install_quiet_panic_hook();
-        install(FaultPlan { seed: 7, rate_permille: 1000 });
         let err = catch_unwind(AssertUnwindSafe(|| {
-            point("test.panic", &[FaultAction::Panic]);
+            with_plan(ALWAYS, || point("test.panic", &[FaultAction::Panic]));
         }))
         .expect_err("rate 1000 always fires");
-        clear();
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains(INJECTED_MARKER), "{msg}");
     }
 
     #[test]
     fn cancel_action_cancels_the_current_token() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        install(FaultPlan { seed: 7, rate_permille: 1000 });
-        let token = pgb_par::cancel::CancelToken::unlimited();
-        pgb_par::cancel::with_token(&token, || {
-            point("test.cancel", &[FaultAction::Cancel]);
+        let token = CancelToken::unlimited();
+        with_plan(ALWAYS, || with_token(&token, || point("test.cancel", &[FaultAction::Cancel])));
+        assert_eq!(token.cause(), Some(CancelCause::Manual));
+    }
+
+    #[test]
+    fn a_plan_armed_on_one_thread_does_not_fire_on_another() {
+        let (armed, done) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                with_plan(ALWAYS, || {
+                    armed.wait();
+                    done.wait();
+                })
+            });
+            armed.wait();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                crate::run_elastic(4, 23, |_| {});
+                crate::with_parallelism(4, || {
+                    crate::par_map_chunks(64, 8, |range, out: &mut Vec<usize>| {
+                        point("test.isolated", &[FaultAction::Panic]);
+                        out.extend(range);
+                    })
+                })
+            }));
+            done.wait();
+            assert!(outcome.is_ok(), "a plan armed on another thread fired here");
         });
-        clear();
-        assert_eq!(token.cause(), Some(pgb_par::cancel::CancelCause::Manual));
+    }
+
+    #[test]
+    fn a_plan_fires_inside_chunk_workers() {
+        // 8 chunks over 8 workers: every chunk runs on a spawned worker.
+        let fired = with_plan(ALWAYS, || {
+            crate::with_parallelism(8, || {
+                crate::par_map_chunks(64, 8, |_, out: &mut Vec<bool>| {
+                    out.push(point_io("test.chunk").is_err());
+                })
+            })
+        });
+        assert_eq!(fired, vec![true; 8]);
+    }
+
+    #[test]
+    fn a_plan_fires_inside_elastic_workers() {
+        install_quiet_panic_hook();
+        // `exec.claim` is hit only on the pool's workers.
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            with_plan(ALWAYS, || crate::run_elastic(4, 4, |_| {}));
+        }));
+        assert!(out.is_err(), "the claim point must fire on every worker");
     }
 }

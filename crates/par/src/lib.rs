@@ -38,39 +38,57 @@
 //! query-suite passes keep every floating-point reduction out of the
 //! chunk-merge step (see `par_fold_chunks`' contract).
 //!
+//! ## The run context
+//!
+//! What a parallel section inherits from its caller lives in one
+//! per-thread context: the thread budget, the elastic grant, the
+//! [`cancel::CancelToken`] with its shield flag, and the armed
+//! [`fault::FaultPlan`]. Every public scope ([`with_parallelism`],
+//! [`with_elastic_parallelism`], [`cancel::with_token`],
+//! [`cancel::shield_ticks`], [`fault::with_plan`]) edits one field of it
+//! for the duration of a closure and restores the previous context on
+//! return or unwind. One rule decides what a spawned worker inherits:
+//! the caller's token, shield flag and fault plan, never its budget or
+//! grant. A [`par_collect`]-family worker *is* the parallelism, so
+//! anything nested in it runs serially (budget 1); a [`run_elastic`]
+//! worker starts with no budget and takes its own grant per task, so a
+//! caller's [`with_parallelism`] scope cannot oversubscribe the pool.
+//!
 //! ## The thread budget
 //!
 //! How many workers a parallel section may use is scoped, not global:
 //! [`with_parallelism`] pins the budget for the current thread (the runner
 //! uses it to split `BenchmarkConfig::threads` between cell-level workers
 //! and intra-cell parallelism), and [`current_parallelism`] reads it,
-//! falling back to the machine's available parallelism when unset. Nested
-//! parallel sections inside a worker run serially — the budget is already
-//! spent one level up.
+//! falling back to the elastic grant and then to the machine's available
+//! parallelism when unset.
 //!
 //! How a *pool of workers* divides a shared budget over a draining task
-//! queue is the job of [`BudgetLedger`]: workers re-claim their share per
-//! task, so threads released by finished workers flow to the tail of the
-//! queue instead of idling (the benchmark runner's grid driver).
+//! queue is the job of [`BudgetLedger`] and [`run_elastic`]: workers
+//! re-claim their share per task, so threads released by finished workers
+//! flow to the tail of the queue instead of idling (the benchmark runner's
+//! grid driver and `pgb-serve`'s replay).
 //!
 //! ## Deterministic cancellation
 //!
 //! Callers that must bound runaway work install a [`cancel::CancelToken`]
 //! around a parallel section; every chunk claim then charges one **work
-//! tick** against the token's budget. Because the chunk decomposition is a
-//! pure function of `(len, chunk)`, whether a section exceeds its tick
-//! budget is identical at any thread count — see [`cancel`] for the full
-//! story (quiet worker stop, typed [`cancel::CancelUnwind`] payload raised
-//! by the calling thread, tick shielding, the wall-clock escape hatch).
+//! tick** against the token's budget, on whichever worker claims it.
+//! Because the chunk decomposition is a pure function of `(len, chunk)`,
+//! whether a section exceeds its tick budget is identical at any thread
+//! count — see [`cancel`] for the full story (quiet worker stop, typed
+//! [`cancel::CancelUnwind`] payload raised by the calling thread, tick
+//! shielding, the wall-clock escape hatch).
 
 pub mod cancel;
+pub mod fault;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Default indices per chunk for fine-grained index work (per-edge or
 /// per-drop loops): large enough to amortise stream derivation and task
@@ -78,12 +96,69 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// few-hundred-thousand-element range.
 pub const DEFAULT_CHUNK: usize = 8192;
 
+/// The per-thread run context (see the crate docs).
+#[derive(Clone)]
+struct Ctx {
+    /// The [`with_parallelism`] budget; 0 ⇒ unset.
+    budget: usize,
+    /// The [`with_elastic_parallelism`] grant, if any.
+    elastic: Option<Arc<Elastic>>,
+    token: Option<cancel::CancelToken>,
+    /// Whether tick charging is suspended ([`cancel::shield_ticks`]).
+    shielded: bool,
+    plan: Option<Arc<fault::Armed>>,
+}
+
+impl Ctx {
+    const EMPTY: Ctx = Ctx { budget: 0, elastic: None, token: None, shielded: false, plan: None };
+
+    /// What a worker spawned under this context starts with: the caller's
+    /// token, shield flag and fault plan, never its budget or grant.
+    fn for_worker(&self, budget: usize) -> Ctx {
+        Ctx { budget, elastic: None, ..self.clone() }
+    }
+}
+
 thread_local! {
-    /// 0 ⇒ unset (fall back to available parallelism).
-    static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
-    /// The elastic grant scope installed by [`with_elastic_parallelism`],
-    /// if any: the ledger to re-poll and the live grant it grows.
-    static ELASTIC_SLOT: RefCell<Option<(Arc<BudgetLedger>, Grant)>> = const { RefCell::new(None) };
+    static CTX: RefCell<Ctx> = const { RefCell::new(Ctx::EMPTY) };
+}
+
+/// Reads the current thread's context.
+fn current<T>(read: impl FnOnce(&Ctx) -> T) -> T {
+    CTX.with(|c| read(&c.borrow()))
+}
+
+/// Runs `f` with the current thread's context edited by `edit`, restoring
+/// the previous context afterwards — panic-safe, scoped, per-thread. Every
+/// public scope is one such edit.
+fn scoped<T>(edit: impl FnOnce(&mut Ctx), f: impl FnOnce() -> T) -> T {
+    struct Restore(Ctx);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = std::mem::replace(&mut self.0, Ctx::EMPTY);
+            CTX.with(|c| *c.borrow_mut() = prev);
+        }
+    }
+    let prev = CTX.with(|c| {
+        let mut ctx = c.borrow_mut();
+        let prev = ctx.clone();
+        edit(&mut ctx);
+        prev
+    });
+    let _restore = Restore(prev);
+    f()
+}
+
+/// Runs `body` on `workers` scoped threads, each under
+/// [`Ctx::for_worker`]`(budget)` of the calling thread's context.
+fn spawn_workers(workers: usize, budget: usize, body: impl Fn() + Sync) {
+    let ctx = current(|c| c.for_worker(budget));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (ctx, body) = (ctx.clone(), &body);
+            scope.spawn(move || scoped(|c| *c = ctx, body));
+        }
+    });
 }
 
 /// The machine's available parallelism (1 if it cannot be queried).
@@ -98,17 +173,16 @@ pub fn available_parallelism() -> usize {
 /// section entered late in a task absorbs threads released since the
 /// claim; else the machine's available parallelism.
 pub fn current_parallelism() -> usize {
-    let t = THREAD_BUDGET.with(Cell::get);
-    if t != 0 {
-        return t;
-    }
-    let elastic = ELASTIC_SLOT.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let (ledger, grant) = slot.as_mut()?;
-        ledger.regrant(grant);
-        Some(grant.threads())
-    });
-    elastic.unwrap_or_else(available_parallelism)
+    current(|c| match &c.elastic {
+        _ if c.budget != 0 => c.budget,
+        Some(elastic) => {
+            let mut grant = elastic.grant.lock().expect("grant lock poisoned");
+            let grant = grant.as_mut().expect("the grant stays in its scope");
+            elastic.ledger.regrant(grant);
+            grant.threads()
+        }
+        None => available_parallelism(),
+    })
 }
 
 /// Runs `f` with the current thread's parallelism budget set to `threads`
@@ -118,14 +192,24 @@ pub fn current_parallelism() -> usize {
 /// The budget only affects *scheduling*; results of the parallel sections
 /// inside `f` are identical for every value of `threads`.
 pub fn with_parallelism<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_BUDGET.with(|c| c.set(self.0));
+    scoped(|c| c.budget = threads, f)
+}
+
+/// A [`with_elastic_parallelism`] grant and the ledger it re-polls.
+struct Elastic {
+    ledger: Arc<BudgetLedger>,
+    /// `None` once the scope has handed the grant back to its caller.
+    grant: Mutex<Option<Grant>>,
+}
+
+impl Drop for Elastic {
+    /// A scope that unwinds never hands its grant back, so the grant goes
+    /// to the ledger rather than leaking pooled threads.
+    fn drop(&mut self) {
+        if let Some(grant) = self.grant.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
+            self.ledger.release(grant);
         }
     }
-    let _restore = Restore(THREAD_BUDGET.with(|c| c.replace(threads)));
-    f()
 }
 
 /// Runs `f` under an elastic grant: parallel sections inside `f` read
@@ -150,27 +234,72 @@ pub fn with_elastic_parallelism<T>(
     grant: Grant,
     f: impl FnOnce() -> T,
 ) -> (T, Grant) {
-    /// Clears the slot on scope exit; on unwind (slot still occupied) the
-    /// grant goes back to the ledger rather than leaking pooled threads.
-    struct SlotGuard;
-    impl Drop for SlotGuard {
-        fn drop(&mut self) {
-            if let Some((ledger, grant)) = ELASTIC_SLOT.with(|slot| slot.borrow_mut().take()) {
-                ledger.release(grant);
-            }
-        }
-    }
+    assert!(
+        current(|c| c.elastic.is_none()),
+        "nested with_elastic_parallelism scopes are not supported"
+    );
+    let elastic = Arc::new(Elastic { ledger, grant: Mutex::new(Some(grant)) });
+    let out = scoped(|c| c.elastic = Some(Arc::clone(&elastic)), f);
+    let grant = elastic.grant.lock().expect("grant lock poisoned").take();
+    (out, grant.expect("the grant stays in its scope"))
+}
 
-    ELASTIC_SLOT.with(|slot| {
-        let prev = slot.borrow_mut().replace((ledger, grant));
-        assert!(prev.is_none(), "nested with_elastic_parallelism scopes are not supported");
+/// Executes tasks `0..tasks` over an elastic worker pool sharing `budget`
+/// threads (0 ⇒ the machine's available parallelism) — the worker/claim
+/// loop behind the benchmark runner's grid cells and `pgb-serve`'s
+/// request execution.
+///
+/// Spawns `min(budget, tasks)` scoped workers; each claims task indices in
+/// ascending order from a shared [`BudgetLedger`] and runs `run(task)`
+/// under [`with_elastic_parallelism`], so a long tail task absorbs the
+/// threads earlier tasks release (both at claim time and mid-task, via
+/// [`current_parallelism`]'s re-polling). Callers that want a different
+/// claim order sort their task list before calling and index through it.
+///
+/// The loop is *scheduling only*: which worker runs which task, and with
+/// how many threads, cannot affect what the task computes. Task bodies
+/// therefore must publish results into position-addressed slots (or be
+/// otherwise order-free), never append to shared state in completion
+/// order.
+///
+/// Returns once every task has run. If a task panics, its grant is
+/// released during unwinding (the pool identity holds) and the panic
+/// propagates out of the enclosing thread scope once the other workers
+/// drain the queue; callers that must survive task panics catch them
+/// inside `run` (as `pgb-serve`'s fault isolation does).
+pub fn run_elastic<F>(budget: usize, tasks: usize, run: F)
+where
+    F: Fn(usize) + Sync,
+{
+    let budget = if budget == 0 { available_parallelism() } else { budget };
+    let workers = budget.min(tasks).max(1);
+    let ledger = Arc::new(BudgetLedger::new(budget, workers, tasks));
+    spawn_workers(workers, 0, || loop {
+        // The fault point sits *before* the claim so a simulated worker
+        // crash never strands a claimed grant.
+        fault::point("exec.claim", &[fault::FaultAction::Panic]);
+        let Some((task, grant)) = ledger.claim() else { break };
+        let ((), grant) = with_elastic_parallelism(Arc::clone(&ledger), grant, || run(task));
+        ledger.release(grant);
     });
-    let _guard = SlotGuard;
-    let out = f();
-    let (_, grant) = ELASTIC_SLOT
-        .with(|slot| slot.borrow_mut().take())
-        .expect("elastic slot cleared inside the scope");
-    (out, grant)
+}
+
+/// [`run_elastic`] with collected outputs: runs `f` once per index of
+/// `0..len` over the elastic pool and returns the outputs **in index
+/// order**, regardless of which worker computed which index when.
+pub fn run_elastic_collect<T, F>(budget: usize, len: usize, f: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    let slots: Vec<OnceLock<T>> = (0..len).map(|_| OnceLock::new()).collect();
+    run_elastic(budget, len, |i| {
+        assert!(slots[i].set(f(i)).is_ok(), "the ledger hands out each task once");
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every claimed task publishes its slot"))
+        .collect()
 }
 
 /// An elastic thread-budget ledger shared by the workers of a task pool.
@@ -202,7 +331,7 @@ pub fn with_elastic_parallelism<T>(
 ///   computed when the pool was crowded.
 ///
 /// Grants are *scheduling only*: callers run their task under
-/// [`with_parallelism`]`(grant.threads(), …)`, and the derived-stream
+/// [`with_elastic_parallelism`], and the derived-stream
 /// discipline makes the task's output identical for every grant size. The
 /// same goes for the *order* tasks are handed out in: the ledger pops
 /// indices `0, 1, 2, …` over whatever task list the caller built, so a
@@ -400,36 +529,23 @@ where
 {
     let slots: Vec<OnceLock<T>> = (0..ranges.len()).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
-    // The calling thread's cancellation context rides into every worker,
-    // so chunk claims charge the request's token no matter which thread
-    // runs them.
-    let ctx = cancel::snapshot();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (slots, cursor, produce, ctx) = (&slots, &cursor, &produce, ctx.clone());
-            scope.spawn(move || {
-                cancel::with_snapshot(ctx, || {
-                    // A worker *is* the parallelism; anything nested runs serial.
-                    with_parallelism(1, || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= ranges.len() {
-                            break;
-                        }
-                        // Cancelled: stop claiming *quietly* — a scoped
-                        // panic would be laundered into a payload-free
-                        // generic by std::thread::scope; the calling
-                        // thread raises the typed unwind below instead.
-                        if !cancel::charge_current(1) {
-                            break;
-                        }
-                        assert!(
-                            slots[i].set(produce(i, ranges[i].clone())).is_ok(),
-                            "the atomic cursor hands out each chunk once"
-                        );
-                    });
-                });
-            });
+    // A worker *is* the parallelism: anything nested runs serial. Chunk
+    // claims charge the caller's token, whichever worker runs them.
+    spawn_workers(workers, 1, || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= ranges.len() {
+            break;
         }
+        // Cancelled: stop claiming *quietly* — a scoped panic would be
+        // laundered into a payload-free generic by std::thread::scope;
+        // the calling thread raises the typed unwind below instead.
+        if !cancel::charge_current(1) {
+            break;
+        }
+        assert!(
+            slots[i].set(produce(i, ranges[i].clone())).is_ok(),
+            "the atomic cursor hands out each chunk once"
+        );
     });
     cancel::bail_if_cancelled();
     slots
@@ -844,6 +960,26 @@ mod tests {
             );
         });
         assert_eq!(token.ticks(), 8, "4 collect chunks + 4 fold chunks");
+    }
+
+    #[test]
+    fn chunk_workers_inherit_the_shield() {
+        let token = cancel::CancelToken::unlimited();
+        cancel::with_token(&token, || {
+            cancel::shield_ticks(|| {
+                with_parallelism(8, || {
+                    par_map_chunks(100, 16, |range, out: &mut Vec<usize>| out.extend(range))
+                })
+            })
+        });
+        assert_eq!(token.ticks(), 0, "no chunk worker charges a shielded token");
+    }
+
+    #[test]
+    fn elastic_workers_take_their_grant_not_the_callers_budget() {
+        with_parallelism(1, || {
+            run_elastic(4, 1, |_| assert_eq!(current_parallelism(), 4));
+        });
     }
 
     #[test]

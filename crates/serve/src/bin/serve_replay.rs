@@ -21,6 +21,7 @@
 //! hosted synthetic datasets (`er`: G(200, 0.05); `ba`: BA(200, 3)),
 //! both seeded fixedly so every invocation serves identical data.
 
+use pgb_par::fault::{self, FaultPlan};
 use pgb_serve::{parse_script, Script, Server, ServerConfig, SMOKE_SCRIPT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,22 +172,24 @@ fn run() -> Result<(), String> {
     } else if args.drive {
         let wal = args.wal.as_deref().expect("validated by parse_args");
         server.attach_wal(wal).map_err(|e| format!("creating WAL {wal}: {e}"))?;
-        if let Some(seed) = args.fault_seed {
-            pgb_core::fault::install_quiet_panic_hook();
-            pgb_core::fault::install(pgb_core::fault::FaultPlan {
-                seed,
-                rate_permille: args.fault_rate,
-            });
-        }
-        for entry in &script.log {
-            // Outcomes (including injected faults and WAL halts) are part
-            // of the exercise; the driven log is judged by recovery.
-            let _ = server.submit(&entry.tenant, entry.request.clone());
-            if args.throttle_ms != 0 {
-                std::thread::sleep(std::time::Duration::from_millis(args.throttle_ms));
+        let drive = || {
+            for entry in &script.log {
+                // Outcomes (including injected faults and WAL halts) are
+                // part of the exercise; the driven log is judged by
+                // recovery.
+                let _ = server.submit(&entry.tenant, entry.request.clone());
+                if args.throttle_ms != 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(args.throttle_ms));
+                }
             }
+        };
+        match args.fault_seed {
+            Some(seed) => {
+                fault::install_quiet_panic_hook();
+                fault::with_plan(FaultPlan { seed, rate_permille: args.fault_rate }, drive);
+            }
+            None => drive(),
         }
-        pgb_core::fault::clear();
         // The driving server's accountant is already charged; transcribe
         // the driven log on a fresh server so nothing double-charges.
         build_server(&args, &script)?.replay(&server.log(), args.threads)

@@ -63,7 +63,7 @@
 //! [`ServeError::DeadlineExceeded`] rejection is part of the byte-stable
 //! transcript at any thread count; the charge stands, and the cache
 //! flight is released. The seeded fault-injection layer
-//! (`pgb_core::fault`) drives chaos tests over all of it.
+//! (`pgb_par::fault`) drives chaos tests over all of it.
 
 mod accountant;
 mod cache;

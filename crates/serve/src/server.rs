@@ -8,11 +8,10 @@ use crate::accountant::{BudgetStatement, TenantAccountant, TenantStatement};
 use crate::cache::{CacheKey, MeasureCache};
 use crate::error::ServeError;
 use crate::wal::{Wal, WalContents, WalCorrupt};
-use pgb_core::fault;
 use pgb_core::{GraphGenerator, PrivateSynthesis};
 use pgb_graph::Graph;
 use pgb_par::cancel::{self, CancelCause, CancelToken, CancelUnwind};
-use pgb_par::{derive_stream, fnv1a};
+use pgb_par::{derive_stream, fault, fnv1a};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;

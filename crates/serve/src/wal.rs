@@ -353,7 +353,7 @@ impl Wal {
     }
 
     fn append_record(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        pgb_core::fault::point_io("wal.append")?;
+        pgb_par::fault::point_io("wal.append")?;
         debug_assert!(payload.len() as u32 <= MAX_RECORD_BYTES);
         let mut rec = Vec::with_capacity(8 + payload.len());
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());

@@ -5,18 +5,16 @@
 //! and recovery of each chaotic run's log reproduces a byte prefix of the
 //! fault-free session.
 //!
-//! Fault state is process-global, so every arming test serializes on
-//! [`SERIAL`].
+//! Each plan is armed with `fault::with_plan` around its drive, so it
+//! fires only on the arming thread and the workers spawned inside the
+//! scope; the tests run concurrently without a lock.
 
-use pgb_core::fault::{self, FaultPlan, INJECTED_MARKER};
 use pgb_core::{GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_graph::Graph;
+use pgb_par::fault::{self, FaultPlan, INJECTED_MARKER};
 use pgb_serve::{GenerateRequest, LogEntry, RequestLog, ServeError, Server, ServerConfig};
 use rand::RngCore;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The ε slack `pgb_dp::BudgetAccountant` allows accumulated spends to overshoot by.
 const EPS_SLACK: f64 = 1e-9;
@@ -138,7 +136,6 @@ fn health_req() -> GenerateRequest {
 /// The tentpole chaos sweep: every seeded plan upholds every invariant.
 #[test]
 fn seeded_fault_plans_uphold_serving_invariants() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fault::install_quiet_panic_hook();
 
     let script = chaos_log();
@@ -156,20 +153,21 @@ fn seeded_fault_plans_uphold_serving_invariants() {
         // Sweep the fire rate with the seed: 0‰ runs pin the fault-free
         // baseline inside the same harness, while ~200‰ runs halt almost
         // surely (24 appends × 0.2 ≫ 1 expected WAL fault).
-        fault::install(FaultPlan { seed, rate_permille: (seed % 5) as u16 * 50 });
-        for entry in &script {
-            // Submit must never panic out of an injected fault — every
-            // failure surfaces as a structured error.
-            match server.submit(&entry.tenant, entry.request.clone()) {
-                Err(ServeError::SamplePanicked { .. })
-                | Err(ServeError::MeasurePanicked { .. })
-                | Err(ServeError::Cancelled)
-                | Err(ServeError::WalAppend { .. })
-                | Err(ServeError::Halted) => injected_failures += 1,
-                _ => {}
+        let plan = FaultPlan { seed, rate_permille: (seed % 5) as u16 * 50 };
+        fault::with_plan(plan, || {
+            for entry in &script {
+                // Submit must never panic out of an injected fault — every
+                // failure surfaces as a structured error.
+                match server.submit(&entry.tenant, entry.request.clone()) {
+                    Err(ServeError::SamplePanicked { .. })
+                    | Err(ServeError::MeasurePanicked { .. })
+                    | Err(ServeError::Cancelled)
+                    | Err(ServeError::WalAppend { .. })
+                    | Err(ServeError::Halted) => injected_failures += 1,
+                    _ => {}
+                }
             }
-        }
-        fault::clear();
+        });
 
         // Invariant: chaos never bends the budget accounting.
         assert_no_overdraw(&server, &format!("seed {seed} post-drive"));
@@ -227,16 +225,15 @@ fn seeded_fault_plans_uphold_serving_invariants() {
 /// is unaffected.
 #[test]
 fn worker_claim_crashes_leave_admissions_consistent() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fault::install_quiet_panic_hook();
 
     let script = chaos_log();
     let mut crashed = 0usize;
     for seed in 100..116u64 {
         let server = stub_server();
-        fault::install(FaultPlan { seed, rate_permille: 400 });
-        let outcome = catch_unwind(AssertUnwindSafe(|| server.replay(&script, 4)));
-        fault::clear();
+        let plan = FaultPlan { seed, rate_permille: 400 };
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| fault::with_plan(plan, || server.replay(&script, 4))));
 
         if let Err(payload) = outcome {
             crashed += 1;

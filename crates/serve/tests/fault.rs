@@ -8,32 +8,12 @@
 
 use pgb_core::{GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_graph::Graph;
+use pgb_par::fault::{install_quiet_panic_hook, INJECTED_MARKER};
 use pgb_serve::{GenerateRequest, LogEntry, ServeError, Server, ServerConfig};
 use rand::RngCore;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Once};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-/// Silences the panic-hook output for the injected faults (and only
-/// those): the tests deliberately panic on worker threads, and the
-/// default hook would spray backtraces over the test log.
-fn silence_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("injected"))
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.contains("injected")))
-                .unwrap_or(false);
-            if !injected {
-                previous(info);
-            }
-        }));
-    });
-}
 
 /// Counters shared with the test body.
 #[derive(Default)]
@@ -84,7 +64,7 @@ impl GraphGenerator for Faulty {
         let doomed = self.fuse.fetch_sub(1, Ordering::SeqCst) > 0;
         std::thread::sleep(self.delay);
         if doomed {
-            panic!("injected measure fault");
+            panic!("{INJECTED_MARKER}: measure");
         }
         self.counters.measures_succeeded.fetch_add(1, Ordering::SeqCst);
         Ok(Box::new(StubSynthesis))
@@ -94,7 +74,7 @@ impl GraphGenerator for Faulty {
 /// A server with one faulty mechanism (panics `panics` times, then
 /// works) and one dataset.
 fn faulty_server(panics: isize, delay_ms: u64) -> (Server, Arc<Counters>) {
-    silence_injected_panics();
+    install_quiet_panic_hook();
     let counters = Arc::new(Counters::default());
     let gen = Faulty {
         counters: Arc::clone(&counters),
