@@ -23,11 +23,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.headers.len().max(self.rows.iter().map(Vec::len).max().unwrap_or(0));
@@ -173,7 +168,7 @@ mod tests {
     fn table_renders_ragged_rows() {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.add_row(["1"]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.rows.len(), 1);
         assert!(t.render().lines().count() == 3);
     }
 

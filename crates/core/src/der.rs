@@ -15,6 +15,7 @@ use crate::generator::{
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
+use pgb_models::sampling::PairSet;
 use rand::{Rng, RngCore};
 
 /// The DER generator.
@@ -229,7 +230,7 @@ fn sample_region_cells(
         return;
     }
     // Sparse: rejection-sample distinct cells.
-    let mut seen = std::collections::HashSet::with_capacity(count as usize * 2);
+    let mut seen = PairSet::with_capacity(count as usize * 2);
     let mut placed = 0u64;
     let mut attempts = 0u64;
     let max_attempts = count * 30 + 200;
@@ -241,7 +242,7 @@ fn sample_region_cells(
             continue;
         }
         let j = rng.gen_range(lo..region.c1);
-        if seen.insert((i, j)) {
+        if seen.insert(i, j) {
             out.push((i, j));
             placed += 1;
         }

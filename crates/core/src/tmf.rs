@@ -17,7 +17,7 @@ use crate::generator::{
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
-use pgb_models::sampling::sample_binomial;
+use pgb_models::sampling::{sample_binomial, PairSet};
 use rand::{Rng, RngCore};
 
 /// The TmF generator.
@@ -216,8 +216,7 @@ impl GraphGenerator for TmF {
                 if target == 0 || cells_chunk == 0 {
                     return;
                 }
-                let mut seen: std::collections::HashSet<(u32, u32)> =
-                    std::collections::HashSet::with_capacity(target as usize * 2);
+                let mut seen = PairSet::with_capacity(target as usize * 2);
                 let mut placed = 0u64;
                 let mut attempts = 0u64;
                 let max_attempts = target.saturating_mul(20) + 1000;
@@ -227,7 +226,7 @@ impl GraphGenerator for TmF {
                     let li = prefix.partition_point(|&p| p <= t) - 1;
                     let i = (rows.start + li) as u32;
                     let j = i + 1 + (t - prefix[li]) as u32;
-                    if !graph.has_edge(i, j) && seen.insert((i, j)) {
+                    if !graph.has_edge(i, j) && seen.insert(i, j) {
                         out.push((i, j));
                         placed += 1;
                     }

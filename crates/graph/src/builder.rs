@@ -44,11 +44,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of pushed (not yet deduplicated) edges.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Records the edge `{u, v}`. Range checking is deferred to
     /// [`GraphBuilder::build`]; self-loops and duplicates are dropped there.
     #[inline]
@@ -99,7 +94,7 @@ mod tests {
     fn build_collapses_duplicates() {
         let mut b = GraphBuilder::with_capacity(4, 6);
         b.extend([(0, 1), (1, 0), (1, 2), (2, 3), (2, 3), (3, 3)]);
-        assert_eq!(b.pending_edges(), 6);
+        assert_eq!(b.edges.len(), 6);
         let g = b.build().unwrap();
         assert_eq!(g.edge_count(), 3);
         assert!(g.check_invariants());

@@ -8,7 +8,6 @@
 use crate::{Graph, GraphError, NodeId, Result};
 use std::collections::HashMap;
 use std::io::{BufRead, BufWriter, Write};
-use std::path::Path;
 
 /// Parses an edge list from a reader.
 ///
@@ -52,17 +51,6 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Graph, Vec<u64>)> {
     Ok((g, labels))
 }
 
-/// Parses an edge list from a string slice.
-pub fn read_edge_list_str(s: &str) -> Result<(Graph, Vec<u64>)> {
-    read_edge_list(s.as_bytes())
-}
-
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<(Graph, Vec<u64>)> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(std::io::BufReader::new(file))
-}
-
 /// Writes `g` as a plain edge list (`u v` per line, dense ids, `u < v`).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> Result<()> {
     let mut w = BufWriter::new(writer);
@@ -74,15 +62,13 @@ pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Writes `g` to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(g, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read_edge_list_str(s: &str) -> Result<(Graph, Vec<u64>)> {
+        read_edge_list(s.as_bytes())
+    }
 
     #[test]
     fn reads_comments_and_whitespace() {
@@ -132,8 +118,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.txt");
         let g = Graph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
-        write_edge_list_file(&g, &path).unwrap();
-        let (g2, _) = read_edge_list_file(&path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let (g2, _) = read_edge_list(std::io::BufReader::new(file)).unwrap();
         assert_eq!(g2.edge_count(), 2);
         std::fs::remove_file(&path).ok();
     }

@@ -13,6 +13,7 @@
 //! DP-dK then conforms to the input's before it builds the one graph.
 
 use crate::havel_hakimi::havel_hakimi;
+use crate::sampling::PairSet;
 use pgb_graph::degree::{histogram_from_jdd, sequence_from_histogram, JointDegreeDistribution};
 use pgb_graph::NodeId;
 use rand::Rng;
@@ -62,8 +63,7 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
 
     let total_edges: u64 = jdd.values().sum();
     let mut edges = Vec::with_capacity(total_edges as usize);
-    let mut placed: std::collections::HashSet<(NodeId, NodeId)> =
-        std::collections::HashSet::with_capacity(total_edges as usize * 2);
+    let mut placed = PairSet::with_capacity(total_edges as usize * 2);
     let pick = |class: &[NodeId], stubs: &[u32], rng: &mut R| -> Option<NodeId> {
         // A few uniform probes; then a linear scan fallback.
         for _ in 0..DK2_RETRIES {
@@ -94,7 +94,7 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
                     continue;
                 }
                 let key = if u < v { (u, v) } else { (v, u) };
-                if placed.insert(key) {
+                if placed.insert(key.0, key.1) {
                     remaining_stubs[u as usize] -= 1;
                     remaining_stubs[v as usize] -= 1;
                     edges.push(key);

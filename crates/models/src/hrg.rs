@@ -14,7 +14,7 @@
 //! while PrivHRG passes `ε₁ / (2 Δ logL)` to target the exponential
 //! mechanism's distribution over dendrograms.
 
-use crate::sampling::sample_binomial;
+use crate::sampling::{sample_binomial, PairSet};
 use pgb_graph::{Graph, GraphBuilder, NodeId};
 use rand::Rng;
 
@@ -120,11 +120,6 @@ impl Dendrogram {
         d
     }
 
-    /// Number of leaves (graph nodes).
-    pub fn leaf_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of internal nodes (`n − 1`).
     pub fn internal_count(&self) -> usize {
         self.n - 1
@@ -206,13 +201,6 @@ impl Dendrogram {
         }
         let p = e as f64 / t as f64;
         e as f64 * p.ln() + (t - e) as f64 * (1.0 - p).ln()
-    }
-
-    /// The dendrogram log-likelihood `Σ_r E_r ln p_r + (T_r − E_r) ln(1 − p_r)`.
-    pub fn log_likelihood(&self) -> f64 {
-        (0..self.internal_count() as u32)
-            .map(|r| Self::term(self.e[r as usize], self.pairs_at(r)))
-            .sum()
     }
 
     /// Collects the graph-node ids of all leaves under `child`.
@@ -399,22 +387,6 @@ impl Dendrogram {
         true
     }
 
-    /// Samples a graph from the dendrogram using the maximum-likelihood
-    /// probabilities `p_r = E_r / T_r`.
-    pub fn sample_graph<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        let probs: Vec<f64> = (0..self.internal_count() as u32)
-            .map(|r| {
-                let t = self.pairs_at(r);
-                if t == 0 {
-                    0.0
-                } else {
-                    self.e[r as usize] as f64 / t as f64
-                }
-            })
-            .collect();
-        self.sample_graph_with(&probs, rng)
-    }
-
     /// Samples a graph using caller-supplied per-internal-node connection
     /// probabilities (PrivHRG passes noisy ones). Probabilities are clamped
     /// into `[0, 1]`.
@@ -447,12 +419,14 @@ impl Dendrogram {
                     }
                 }
             } else {
-                let mut seen = std::collections::HashSet::with_capacity(count as usize * 2);
-                while (seen.len() as u64) < count {
+                let mut seen = PairSet::with_capacity(count as usize * 2);
+                let mut placed = 0;
+                while placed < count {
                     let i = rng.gen_range(0..lx.len());
                     let j = rng.gen_range(0..ly.len());
-                    if seen.insert((i, j)) {
+                    if seen.insert(i as u32, j as u32) {
                         b.push(lx[i], ly[j]);
+                        placed += 1;
                     }
                 }
             }
@@ -501,6 +475,25 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The dendrogram log-likelihood `Σ_r E_r ln p_r + (T_r − E_r) ln(1 − p_r)`.
+    fn log_likelihood(d: &Dendrogram) -> f64 {
+        (0..d.internal_count() as u32)
+            .map(|r| Dendrogram::term(d.e[r as usize], d.pairs_at(r)))
+            .sum()
+    }
+
+    /// Samples a graph from `d` at the maximum-likelihood probabilities
+    /// `p_r = E_r / T_r`.
+    fn sample_ml_graph<R: Rng + ?Sized>(d: &Dendrogram, rng: &mut R) -> Graph {
+        let probs: Vec<f64> = (0..d.internal_count() as u32)
+            .map(|r| match d.pairs_at(r) {
+                0 => 0.0,
+                t => d.e[r as usize] as f64 / t as f64,
+            })
+            .collect();
+        d.sample_graph_with(&probs, rng)
+    }
 
     fn two_cliques(bridge: bool) -> Graph {
         // Two K4s, optionally bridged.
@@ -573,11 +566,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(134);
         let g = two_cliques(false);
         let mut d = Dendrogram::from_graph(&g, &mut rng);
-        let start = d.log_likelihood();
+        let start = log_likelihood(&d);
         for _ in 0..3_000 {
             d.mcmc_step(&g, 1.0, &mut rng);
         }
-        let end = d.log_likelihood();
+        let end = log_likelihood(&d);
         assert!(end >= start, "likelihood went from {start} to {end}");
         // Two separate cliques are perfectly explained: optimal logL ≈ 0.
         assert!(end > -8.0, "end likelihood {end}");
@@ -594,7 +587,7 @@ mod tests {
         // ML sampling reproduces the edge count in expectation.
         let reps = 30;
         let mean: f64 =
-            (0..reps).map(|_| d.sample_graph(&mut rng).edge_count() as f64).sum::<f64>()
+            (0..reps).map(|_| sample_ml_graph(&d, &mut rng).edge_count() as f64).sum::<f64>()
                 / reps as f64;
         let m = g.edge_count() as f64;
         assert!((mean - m).abs() < 0.35 * m, "mean {mean} vs m {m}");

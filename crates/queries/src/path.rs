@@ -4,28 +4,36 @@
 //! The sweep is a bit-parallel multi-source BFS (MS-BFS; Then et al., "The
 //! More the Merrier", PVLDB 8(4), 2014). Sources are taken in batches of
 //! `LANES` = 128, and bit `i` of a lane word stands for the batch's `i`-th
-//! source, so one pass over a level's frontier advances every BFS of the
-//! batch at once:
+//! source, so one pass over a level advances every BFS of the batch at
+//! once. A batch keeps three dense lane arrays:
 //!
 //! * `seen[v]` — the sources that have reached `v`;
-//! * the frontier list pairs each node `u` of level `d` with its `visit`
-//!   word, the sources that first reached `u` at level `d`;
+//! * `visit[v]` — the sources that first reached `v` at level `d`, and
+//!   the frontier list of the nodes whose `visit` word is not zero;
 //! * `next[v]` — the sources that first reach `v` at level `d + 1`.
 //!
-//! The frontier list keeps each level's work proportional to the nodes
-//! that carry frontier bits, and level `d` adds the popcount of its newly
-//! seen bits to `hist[d]`. The histogram is the sweep's only result: the
-//! pair count, the distance total and the diameter all derive from it.
+//! Each level is direction-optimising (Beamer, Asanović & Patterson,
+//! "Direction-Optimizing Breadth-First Search", SC 2012). A top-down step
+//! pushes each frontier node's `visit` word to its neighbours, so it reads
+//! only the frontier's edges. A bottom-up step has every node that still
+//! misses a lane OR its neighbours' `visit` words, stopping once it has
+//! found every missing lane, so it wins once the frontier holds most of
+//! the edges left to read. The level goes bottom-up once the frontier's
+//! edge volume times `ALPHA` exceeds the edge volume of the nodes still
+//! missing a lane. Both steps leave the same `next` words, and level `d`
+//! adds the popcount of its newly seen bits to `hist[d]`. The histogram is
+//! the sweep's only result: the pair count, the distance total and the
+//! diameter all derive from it.
 //!
 //! The source list is sampled first (the BFS itself is deterministic, so
 //! no per-source randomness exists), and batches are the chunks of one
 //! [`pgb_par::par_fold_chunks`] call, their histograms merged in source
 //! order. Every merged quantity is an exact integer, so [`path_stats`] is
-//! bit-identical at any [`pgb_par::current_parallelism`] budget; the two
-//! ratios (`average_length`, the normalised distribution) are computed
-//! once from the merged histogram. A batch's `seen` and `next` arrays
-//! (`2 · n` lane words) live only while the batch runs: the accumulator
-//! parked for the merge is the histogram alone.
+//! bit-identical at any [`pgb_par::current_parallelism`] budget and in
+//! either direction; the two ratios (`average_length`, the normalised
+//! distribution) are computed once from the merged histogram. A batch's
+//! lane arrays (`3 · n` words) and node lists live only while the batch
+//! runs: the accumulator parked for the merge is the histogram alone.
 
 use crate::PathMode;
 use pgb_graph::Graph;
@@ -36,6 +44,10 @@ type Lanes = u128;
 
 /// Sources per MS-BFS batch, and so per `par_fold_chunks` chunk.
 const LANES: usize = Lanes::BITS as usize;
+
+/// A level runs bottom-up once its frontier's edge volume times `ALPHA`
+/// exceeds the edge volume of the nodes still missing a lane.
+const ALPHA: u64 = 2;
 
 /// The three path statistics, bundled because they share the BFS sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,10 +65,10 @@ pub struct PathStats {
 /// Computes the path statistics of `g`.
 ///
 /// * [`PathMode::Exact`] sweeps every source: exact values from `n /
-///   LANES` batches, each reading a node's edges once per level at which
-///   some source of the batch first reaches it — `O(m · min(LANES,
-///   diameter))` word operations per batch, against `O(LANES · m)` for
-///   one BFS per source.
+///   LANES` batches, each reading a node's edges at most once per level —
+///   `O(m · diameter)` word operations per batch, against `O(LANES · m)`
+///   for one BFS per source, and far fewer where bottom-up levels stop
+///   early.
 /// * [`PathMode::Sampled`] sweeps a uniform source sample: each BFS still
 ///   reaches all nodes, so the estimators are unbiased for the average and
 ///   the distribution, and the diameter is a lower bound (the standard
@@ -87,47 +99,123 @@ pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> Pa
 /// Runs one MS-BFS from `batch` (at most [`LANES`] distinct sources) and
 /// adds to `hist[d]`, for every level `d ≥ 1`, the number of (source,
 /// node) pairs at distance `d`.
+///
+/// Each level takes whichever step reads fewer edges: [`top_down`] while
+/// the frontier's edge volume times [`ALPHA`] is at most the volume of
+/// the nodes still missing a lane, [`bottom_up`] past that. Both leave the
+/// same `next` words, so the histogram does not depend on the choice.
 fn add_batch(g: &Graph, batch: &[u32], hist: &mut Vec<u64>) {
-    debug_assert!(batch.len() <= LANES);
+    debug_assert!(!batch.is_empty() && batch.len() <= LANES);
     let n = g.node_count();
+    let full: Lanes = Lanes::MAX >> (LANES - batch.len());
+    let degree = |v: u32| g.degree(v) as u64;
     let mut seen: Vec<Lanes> = vec![0; n];
+    let mut visit: Vec<Lanes> = vec![0; n];
     let mut next: Vec<Lanes> = vec![0; n];
-    let mut frontier: Vec<(u32, Lanes)> = Vec::with_capacity(batch.len());
+    let mut frontier: Vec<u32> = Vec::with_capacity(batch.len());
+    let mut reached: Vec<u32> = Vec::new();
+    let mut frontier_volume = 0;
+    let mut unfinished_volume = 2 * g.edge_count() as u64;
     for (lane, &s) in batch.iter().enumerate() {
         seen[s as usize] = 1 << lane;
-        frontier.push((s, 1 << lane));
+        visit[s as usize] = 1 << lane;
+        frontier.push(s);
+        frontier_volume += degree(s);
+        if seen[s as usize] == full {
+            unfinished_volume -= degree(s);
+        }
     }
-    let mut reached: Vec<u32> = Vec::new();
-    let mut d = 0;
-    loop {
-        d += 1;
-        for &(u, bits) in &frontier {
-            for &v in g.neighbors(u) {
-                let new = bits & !seen[v as usize];
-                if new != 0 {
-                    if next[v as usize] == 0 {
-                        reached.push(v);
-                    }
-                    next[v as usize] |= new;
-                }
-            }
+    // No node lies past distance n - 1, so neither does any level.
+    for d in 1..n {
+        if frontier_volume * ALPHA > unfinished_volume {
+            bottom_up(g, full, &seen, &visit, &mut next, &mut reached);
+        } else {
+            top_down(g, &frontier, &seen, &visit, &mut next, &mut reached);
         }
         if reached.is_empty() {
             break;
         }
-        frontier.clear();
+        // Clear this level's words, so that after the swap `next` is all
+        // zero and `visit` holds exactly the new frontier's words.
+        for &u in &frontier {
+            visit[u as usize] = 0;
+        }
+        std::mem::swap(&mut visit, &mut next);
+        std::mem::swap(&mut frontier, &mut reached);
+        reached.clear();
         let mut count = 0;
-        for &v in &reached {
-            let new = std::mem::take(&mut next[v as usize]);
-            seen[v as usize] |= new;
-            frontier.push((v, new));
+        frontier_volume = 0;
+        for &v in &frontier {
+            let new = visit[v as usize];
+            let s = &mut seen[v as usize];
+            *s |= new;
+            if *s == full {
+                unfinished_volume -= degree(v);
+            }
+            frontier_volume += degree(v);
             count += u64::from(new.count_ones());
         }
-        reached.clear();
         if hist.len() <= d {
             hist.resize(d + 1, 0);
         }
         hist[d] += count;
+    }
+}
+
+/// One top-down level: every frontier node `u` pushes its `visit` word to
+/// its neighbours, keeping the lanes a neighbour has not seen. Each node
+/// that gains its first `next` bit is appended to `reached`.
+fn top_down(
+    g: &Graph,
+    frontier: &[u32],
+    seen: &[Lanes],
+    visit: &[Lanes],
+    next: &mut [Lanes],
+    reached: &mut Vec<u32>,
+) {
+    for &u in frontier {
+        let bits = visit[u as usize];
+        for &v in g.neighbors(u) {
+            let new = bits & !seen[v as usize];
+            if new != 0 {
+                if next[v as usize] == 0 {
+                    reached.push(v);
+                }
+                next[v as usize] |= new;
+            }
+        }
+    }
+}
+
+/// One bottom-up level: every node missing some of the `full` lanes ORs
+/// its neighbours' `visit` words, stopping as soon as it has found every
+/// missing lane, and keeps the missing ones. Nodes that find a lane are
+/// appended to `reached` in id order.
+fn bottom_up(
+    g: &Graph,
+    full: Lanes,
+    seen: &[Lanes],
+    visit: &[Lanes],
+    next: &mut [Lanes],
+    reached: &mut Vec<u32>,
+) {
+    for (v, &s) in seen.iter().enumerate() {
+        let missing = full & !s;
+        if missing == 0 {
+            continue;
+        }
+        let mut found = 0;
+        for &u in g.neighbors(v as u32) {
+            found |= visit[u as usize];
+            if found & missing == missing {
+                break;
+            }
+        }
+        let new = found & missing;
+        if new != 0 {
+            next[v] = new;
+            reached.push(v as u32);
+        }
     }
 }
 
@@ -172,6 +260,60 @@ mod tests {
     fn exact(g: &Graph) -> PathStats {
         let mut rng = StdRng::seed_from_u64(0);
         path_stats(g, PathMode::Exact, &mut rng)
+    }
+
+    /// Runs a BFS from `batch` level by level and, at every level, runs
+    /// both steps from the same `(seen, visit)` state: their `next` words
+    /// and (as sets) their reached nodes must agree. Returns the number
+    /// of levels that reached a node.
+    fn assert_steps_agree(g: &Graph, batch: &[u32]) -> usize {
+        let n = g.node_count();
+        let full: Lanes = Lanes::MAX >> (LANES - batch.len());
+        let mut seen: Vec<Lanes> = vec![0; n];
+        let mut visit: Vec<Lanes> = vec![0; n];
+        for (lane, &s) in batch.iter().enumerate() {
+            seen[s as usize] = 1 << lane;
+            visit[s as usize] = 1 << lane;
+        }
+        let mut frontier = batch.to_vec();
+        let mut levels = 0;
+        loop {
+            let (mut down, mut down_reached) = (vec![0; n], Vec::new());
+            top_down(g, &frontier, &seen, &visit, &mut down, &mut down_reached);
+            let (mut up, mut up_reached) = (vec![0; n], Vec::new());
+            bottom_up(g, full, &seen, &visit, &mut up, &mut up_reached);
+            assert_eq!(down, up, "next words at level {}", levels + 1);
+            down_reached.sort_unstable();
+            assert_eq!(down_reached, up_reached, "reached nodes at level {}", levels + 1);
+            if down_reached.is_empty() {
+                return levels;
+            }
+            for &v in &down_reached {
+                seen[v as usize] |= down[v as usize];
+            }
+            visit = down;
+            frontier = down_reached;
+            levels += 1;
+        }
+    }
+
+    #[test]
+    fn top_down_and_bottom_up_steps_agree() {
+        let mut rng = StdRng::seed_from_u64(314);
+        let er = pgb_models::erdos_renyi_gnp(300, 0.015, &mut rng);
+        // A 30-clique with a 100-node path hanging off node 29, then two
+        // isolated nodes: dense levels, sparse levels, lanes that never
+        // fill.
+        let mut edges: Vec<(u32, u32)> =
+            (0..30u32).flat_map(|u| (u + 1..30).map(move |v| (u, v))).collect();
+        edges.extend((29..129u32).map(|u| (u, u + 1)));
+        let clique_path = Graph::from_edges(132, edges).unwrap();
+        for g in [&er, &clique_path] {
+            let n = g.node_count() as u32;
+            for batch in [vec![0], vec![5, 17, 130], (0..128).collect(), (n - 128..n).collect()] {
+                assert!(assert_steps_agree(g, &batch) > 0);
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! The references live here, not in the production crates: [`seq`] for
 //! the triangle and wedge counts, [`degree_histogram_seq`], and
 //! [`path_stats_oracle`] for the path sweep, one plain BFS per source. The
-//! sweep's output bytes on a fixed set of graphs are also pinned as
-//! digests, so a change to it cannot move Q7–Q9 unseen.
+//! sweep's oracle cases include graphs whose levels switch between its
+//! top-down and bottom-up steps. Its output bytes on a fixed set of graphs
+//! are also pinned as digests, so a change to it cannot move Q7–Q9 unseen.
 
 use pgb_graph::degree::degree_histogram;
 use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
@@ -208,6 +209,36 @@ proptest! {
     }
 
     #[test]
+    fn bfs_sweep_with_hub_and_tail_matches_seq_at_all_budgets(
+        n in 2usize..200,
+        p in 0u64..60,
+        seed in 0u64..1 << 32,
+        hub_mille in 100u64..1000,
+        tail in 0u32..150,
+        sources in 1usize..300,
+    ) {
+        // A hub adjacent to a share of the random graph makes level 1 of
+        // its sources a bottom-up level; a path hanging off the hub keeps
+        // later levels top-down for as long as the tail.
+        let base = random_graph(n, p, seed);
+        let hub = n as u32;
+        let mut edges: Vec<(u32, u32)> = base.edges().collect();
+        let spoke = |v: u32| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed) % 1000 < hub_mille;
+        edges.extend((0..hub).filter(|&v| spoke(v)).map(|v| (v, hub)));
+        edges.extend((hub..hub + tail).map(|u| (u, u + 1)));
+        let g = Graph::from_edges(n + 1 + tail as usize, edges).unwrap();
+        for mode in [PathMode::Exact, PathMode::Sampled { sources }] {
+            let reference = path_stats_oracle(&g, mode, &mut StdRng::seed_from_u64(seed));
+            for threads in BUDGETS {
+                let stats = with_parallelism(threads, || {
+                    path_stats(&g, mode, &mut StdRng::seed_from_u64(seed))
+                });
+                prop_assert_eq!(&stats, &reference, "{:?}, threads = {}", mode, threads);
+            }
+        }
+    }
+
+    #[test]
     fn degree_histogram_matches_seq_at_all_budgets(
         n in 1usize..200,
         p in 0u64..300,
@@ -358,6 +389,44 @@ fn sweep_matches_oracle_on_graphs_smaller_than_a_batch() {
     let star = Graph::from_edges(9, (1..9u32).map(|v| (0, v))).unwrap();
     assert_sweep_matches_oracle(&star, PathMode::Exact, 6);
     assert_sweep_matches_oracle(&Graph::new(7), PathMode::Exact, 7);
+}
+
+/// A `k`-clique on nodes `0..k` with a path of `tail` more nodes hanging
+/// off node `k - 1`.
+fn clique_with_tail(k: u32, tail: u32) -> Graph {
+    let mut edges: Vec<(u32, u32)> = (0..k).flat_map(|u| (u + 1..k).map(move |v| (u, v))).collect();
+    edges.extend((k - 1..k - 1 + tail).map(|u| (u, u + 1)));
+    Graph::from_edges((k + tail) as usize, edges).unwrap()
+}
+
+#[test]
+fn sweep_matches_oracle_when_levels_switch_direction() {
+    // Sources in the clique see a frontier that holds most of the edges
+    // at level 1 (a bottom-up level), then a one-node frontier for the
+    // length of the tail (top-down again).
+    let g = clique_with_tail(60, 200);
+    assert_sweep_matches_oracle(&g, PathMode::Exact, 10);
+    for k in [1usize, 127, 128, 129] {
+        assert_sweep_matches_oracle(&g, PathMode::Sampled { sources: k }, k as u64);
+    }
+}
+
+#[test]
+fn sweep_matches_oracle_when_lanes_never_fill() {
+    // Two components and isolated nodes: no batch lane ever reaches every
+    // node, so bottom-up levels keep scanning nodes that stay unfinished.
+    let mut rng = StdRng::seed_from_u64(315);
+    let a = pgb_models::barabasi_albert(150, 4, &mut rng);
+    let b = clique_with_tail(25, 40);
+    // Nodes 0..150 are the BA graph, 150..215 the clique and its tail,
+    // 215..225 isolated.
+    let mut edges: Vec<(u32, u32)> = a.edges().collect();
+    edges.extend(b.edges().map(|(u, v)| (u + 150, v + 150)));
+    let g = Graph::from_edges(225, edges).unwrap();
+    assert_sweep_matches_oracle(&g, PathMode::Exact, 11);
+    for k in [1usize, 127, 128, 129] {
+        assert_sweep_matches_oracle(&g, PathMode::Sampled { sources: k }, k as u64);
+    }
 }
 
 /// 64-bit FNV-1a with the standard prime 2^40 + 0x1b3, continuing from

@@ -572,13 +572,14 @@ fn mix64(base: u64, index: u64) -> u64 {
 /// graphs are identical iff their `csr_bytes` are.
 pub fn csr_bytes(graph: &Graph) -> Vec<u8> {
     let (offsets, neighbors) = graph.csr();
-    let mut out = Vec::with_capacity(8 + 4 * (offsets.len() + neighbors.len()));
-    out.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    for &o in offsets {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    for &n in neighbors {
-        out.extend_from_slice(&n.to_le_bytes());
+    let mut out = vec![0; 8 + 4 * (offsets.len() + neighbors.len())];
+    let (len, words) = out.split_at_mut(8);
+    len.copy_from_slice(&(offsets.len() as u64).to_le_bytes());
+    let (offset_bytes, neighbor_bytes) = words.split_at_mut(4 * offsets.len());
+    for (bytes, words) in [(offset_bytes, offsets), (neighbor_bytes, neighbors)] {
+        for (dst, w) in bytes.chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
     }
     out
 }
@@ -652,5 +653,36 @@ impl Transcript {
             );
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// The encoding `csr_bytes` documents, one element at a time.
+    fn csr_bytes_reference(graph: &Graph) -> Vec<u8> {
+        let (offsets, neighbors) = graph.csr();
+        let mut out = (offsets.len() as u64).to_le_bytes().to_vec();
+        for &w in offsets.iter().chain(neighbors) {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn csr_bytes_matches_per_element_encoding() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(573);
+        let graphs = [
+            Graph::new(0),
+            Graph::new(5),
+            Graph::from_edges(2, [(0, 1)]).unwrap(),
+            Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap(),
+            pgb_models::barabasi_albert(300, 3, &mut rng),
+        ];
+        for g in &graphs {
+            assert_eq!(csr_bytes(g), csr_bytes_reference(g), "n = {}", g.node_count());
+        }
     }
 }
