@@ -64,15 +64,21 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
     let total_edges: u64 = jdd.values().sum();
     let mut edges = Vec::with_capacity(total_edges as usize);
     let mut placed = PairSet::with_capacity(total_edges as usize * 2);
-    let pick = |class: &[NodeId], stubs: &[u32], rng: &mut R| -> Option<NodeId> {
+    // cursor[c] — no member of class c before this index has stubs left.
+    // Stubs only decrease, so the fallback scan resumes there.
+    let mut cursor: Vec<usize> = vec![0; class_members.len()];
+    let pick = |c: usize, cursor: &mut [usize], stubs: &[u32], rng: &mut R| -> Option<NodeId> {
         // A few uniform probes; then a linear scan fallback.
+        let class = &class_members[c];
         for _ in 0..DK2_RETRIES {
             let u = class[rng.gen_range(0..class.len())];
             if stubs[u as usize] > 0 {
                 return Some(u);
             }
         }
-        class.iter().copied().find(|&u| stubs[u as usize] > 0)
+        let skip = class[cursor[c]..].iter().take_while(|&&u| stubs[u as usize] == 0).count();
+        cursor[c] += skip;
+        class.get(cursor[c]).copied()
     };
     for (&(k1, k2), &count) in entries {
         let (c1, c2) = (k1 as usize, k2 as usize);
@@ -85,8 +91,8 @@ pub fn dk2_construct<R: Rng + ?Sized>(jdd: &JointDegreeDistribution, rng: &mut R
         for _ in 0..count {
             let mut wired = false;
             for _ in 0..DK2_RETRIES {
-                let Some(u) = pick(&class_members[c1], &remaining_stubs, rng) else { break };
-                let Some(v) = pick(&class_members[c2], &remaining_stubs, rng) else { break };
+                let Some(u) = pick(c1, &mut cursor, &remaining_stubs, rng) else { break };
+                let Some(v) = pick(c2, &mut cursor, &remaining_stubs, rng) else { break };
                 if u == v {
                     if class_members[c1].len() == 1 && c1 == c2 {
                         break; // a single node cannot host an intra-class edge

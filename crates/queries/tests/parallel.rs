@@ -12,8 +12,11 @@
 //! the triangle and wedge counts, [`degree_histogram_seq`], and
 //! [`path_stats_oracle`] for the path sweep, one plain BFS per source. The
 //! sweep's oracle cases include graphs whose levels switch between its
-//! top-down and bottom-up steps. Its output bytes on a fixed set of graphs
-//! are also pinned as digests, so a change to it cannot move Q7–Q9 unseen.
+//! top-down and bottom-up steps, and leaf-heavy graphs (stars, paths,
+//! forests, `K2` components, isolated nodes) where it folds degree-1
+//! sources into their neighbours. Its output bytes on a fixed set of
+//! graphs are also pinned as digests, so a change to it cannot move Q7–Q9
+//! unseen.
 
 use pgb_graph::degree::degree_histogram;
 use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
@@ -47,6 +50,26 @@ fn random_graph(n: usize, p_mille: u64, seed: u64) -> Graph {
         }
     }
     Graph::from_edges(n, edges).unwrap()
+}
+
+/// A forest on `n` nodes followed by `isolated` isolated nodes, built from
+/// a hash so the proptest case fully determines it: node `v > 0` starts a
+/// new tree iff its hash lands below `root_mille`/1000, and otherwise
+/// hangs off an earlier node picked by the same hash. Trees interleave in
+/// id order, and lone roots and one-child roots leave isolated nodes and
+/// `K2` components among them.
+fn random_forest(n: usize, root_mille: u64, isolated: usize, seed: u64) -> Graph {
+    let mut edges = Vec::new();
+    for v in 1..n as u64 {
+        let mut h = seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 29;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 32;
+        if h % 1000 >= root_mille {
+            edges.push(((h >> 10) % v, v));
+        }
+    }
+    Graph::from_edges(n + isolated, edges.into_iter().map(|(u, v)| (u as u32, v as u32))).unwrap()
 }
 
 /// Sequential references for the triangle pass: id-ordered forward lists,
@@ -239,6 +262,29 @@ proptest! {
     }
 
     #[test]
+    fn bfs_sweep_on_forests_matches_seq_at_all_budgets(
+        n in 1usize..300,
+        root_mille in 0u64..400,
+        isolated in 0usize..40,
+        seed in 0u64..1 << 32,
+        sources in 1usize..340,
+    ) {
+        // Mostly degree-1 nodes: the sweep folds every leaf whose
+        // neighbour is a source of degree at least 2, and drops isolated
+        // sources.
+        let g = random_forest(n, root_mille, isolated, seed);
+        for mode in [PathMode::Exact, PathMode::Sampled { sources }] {
+            let reference = path_stats_oracle(&g, mode, &mut StdRng::seed_from_u64(seed));
+            for threads in BUDGETS {
+                let stats = with_parallelism(threads, || {
+                    path_stats(&g, mode, &mut StdRng::seed_from_u64(seed))
+                });
+                prop_assert_eq!(&stats, &reference, "{:?}, threads = {}", mode, threads);
+            }
+        }
+    }
+
+    #[test]
     fn degree_histogram_matches_seq_at_all_budgets(
         n in 1usize..200,
         p in 0u64..300,
@@ -283,6 +329,21 @@ proptest! {
     }
 }
 
+/// The BFS sources for `mode` on `n` nodes, drawn as the sweep draws them:
+/// all nodes, or a partial Fisher–Yates sample of `k` ids.
+fn draw_sources(n: usize, mode: PathMode, rng: &mut StdRng) -> Vec<u32> {
+    let mut sources: Vec<u32> = (0..n as u32).collect();
+    if let PathMode::Sampled { sources: k } = mode {
+        let k = k.clamp(1, n);
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            sources.swap(i, j);
+        }
+        sources.truncate(k);
+    }
+    sources
+}
+
 /// The reference for [`path_stats`]: one queue BFS per source into a
 /// reused distance buffer, histogramming every finite non-zero distance.
 /// Sources are drawn exactly as the sweep draws them (all nodes, or a
@@ -294,15 +355,7 @@ fn path_stats_oracle(g: &Graph, mode: PathMode, rng: &mut StdRng) -> PathStats {
     if n == 0 {
         return empty;
     }
-    let mut sources: Vec<u32> = (0..n as u32).collect();
-    if let PathMode::Sampled { sources: k } = mode {
-        let k = k.clamp(1, n);
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            sources.swap(i, j);
-        }
-        sources.truncate(k);
-    }
+    let sources = draw_sources(n, mode, rng);
     let mut hist: Vec<u64> = Vec::new();
     let mut dist = Vec::new();
     for &s in &sources {
@@ -426,6 +479,70 @@ fn sweep_matches_oracle_when_lanes_never_fill() {
     assert_sweep_matches_oracle(&g, PathMode::Exact, 11);
     for k in [1usize, 127, 128, 129] {
         assert_sweep_matches_oracle(&g, PathMode::Sampled { sources: k }, k as u64);
+    }
+}
+
+/// Disjoint union of `parts`, relabelled one after another.
+fn disjoint_union(parts: &[Graph]) -> Graph {
+    let mut edges = Vec::new();
+    let mut offset = 0;
+    for g in parts {
+        edges.extend(g.edges().map(|(u, v)| (u + offset, v + offset)));
+        offset += g.node_count() as u32;
+    }
+    Graph::from_edges(offset as usize, edges).unwrap()
+}
+
+/// Whether `sample` holds a degree-1 node whose neighbour has degree at
+/// least 2 and is (`with`) or is not (`!with`) in `sample` too.
+fn samples_leaf_with_neighbour(g: &Graph, sample: &[u32], with: bool) -> bool {
+    sample.iter().any(|&v| {
+        g.degree(v) == 1 && {
+            let u = g.neighbors(v)[0];
+            g.degree(u) >= 2 && sample.contains(&u) == with
+        }
+    })
+}
+
+#[test]
+fn sweep_matches_oracle_on_leafy_graphs() {
+    // Isolated nodes (empty rows); K2 components, whose two degree-1 ends
+    // must not fold into each other; a star with 300 leaves, whose centre
+    // carries a fold count of 300 in 9 weight planes; paths, where a
+    // leaf's neighbour has degree 2; and a forest of small trees.
+    let k2s = Graph::from_edges(13, (0..5u32).map(|i| (2 * i, 2 * i + 1))).unwrap();
+    let star = Graph::from_edges(301, (1..301u32).map(|v| (0, v))).unwrap();
+    let paths = disjoint_union(&[path_graph(3), path_graph(4), path_graph(10)]);
+    let forest = random_forest(200, 150, 0, 27);
+    let all =
+        disjoint_union(&[Graph::new(4), k2s.clone(), star.clone(), paths.clone(), forest.clone()]);
+    let graphs = [
+        ("isolated", Graph::new(6)),
+        ("k2s", k2s),
+        ("star", star),
+        ("paths", paths),
+        ("forest", forest),
+        ("all", all),
+    ];
+    for (name, g) in &graphs {
+        let n = g.node_count();
+        assert_sweep_matches_oracle(g, PathMode::Exact, 12);
+        // Sampled: a leaf sampled with its neighbour (it folds) and
+        // without it (it keeps its lane), where the graph has such leaves.
+        let mode = PathMode::Sampled { sources: n.div_ceil(2) };
+        if !g.nodes().any(|v| g.degree(v) == 1 && g.degree(g.neighbors(v)[0]) >= 2) {
+            assert_sweep_matches_oracle(g, mode, 13);
+            continue;
+        }
+        for with in [true, false] {
+            let seed = (0..200u64).find(|&seed| {
+                let sample = draw_sources(n, mode, &mut StdRng::seed_from_u64(seed));
+                samples_leaf_with_neighbour(g, &sample, with)
+            });
+            let seed =
+                seed.unwrap_or_else(|| panic!("{name}: no seed samples a leaf with = {with}"));
+            assert_sweep_matches_oracle(g, mode, seed);
+        }
     }
 }
 
