@@ -209,7 +209,7 @@ pub(crate) type Cell = (usize, usize, usize);
 /// and the mean.
 pub(crate) trait Grid: Sync {
     /// A dataset's true query values.
-    type Truth: Sync;
+    type Truth: Send + Sync;
     /// A cell's private intermediate.
     type Measured;
     /// One outcome row.
@@ -234,12 +234,11 @@ pub(crate) trait Grid: Sync {
 /// Runs a grid of `datasets × algorithms × config.epsilons` cells and
 /// returns their rows in grid order: dataset-major, then algorithm, then ε.
 ///
-/// True values are computed first, once per dataset on the `ai =
-/// usize::MAX` stream no real cell occupies, under the full thread budget
-/// (no cell workers are running yet). Each cell is then one task of
-/// [`crate::exec::run_elastic_collect`]: workers claim cells in grid order
-/// and run each under an elastic share of `config.threads`, which grows as
-/// other workers finish. A cell runs its repetitions in order on the
+/// True values are computed first, one task of
+/// [`crate::exec::run_pool_collect`] per dataset on the `ai = usize::MAX`
+/// stream no real cell occupies. Each cell is then one task of a second
+/// pool: workers claim cells in grid order and run each under their fixed
+/// share of `config.threads`. A cell runs its repetitions in order on the
 /// derived streams `cell_rng(seed, di, ai, ei, rep)` — per-rep, each
 /// repetition measures and samples on its stream; per-cell, one
 /// measurement on the `rep = usize::MAX` stream is re-sampled by every
@@ -255,10 +254,8 @@ pub(crate) fn run_grid<G: Grid>(
 ) -> Vec<G::Row> {
     let budget =
         if config.threads == 0 { pgb_par::available_parallelism() } else { config.threads };
-    let truths: Vec<G::Truth> = pgb_par::with_parallelism(budget, || {
-        (0..datasets)
-            .map(|di| grid.truth(di, &mut cell_rng(config.seed, di, usize::MAX, 0, 0)))
-            .collect()
+    let truths = crate::exec::run_pool_collect(budget, datasets, |di| {
+        grid.truth(di, &mut cell_rng(config.seed, di, usize::MAX, 0, 0))
     });
     let epsilons = config.epsilons.len();
     let cells: Vec<Cell> = (0..datasets)
@@ -266,7 +263,7 @@ pub(crate) fn run_grid<G: Grid>(
             (0..algorithms).flat_map(move |ai| (0..epsilons).map(move |ei| (di, ai, ei)))
         })
         .collect();
-    let rows = crate::exec::run_elastic_collect(budget, cells.len(), |c| {
+    let rows = crate::exec::run_pool_collect(budget, cells.len(), |c| {
         let cell @ (di, ai, ei) = cells[c];
         let shared = (config.reuse == MeasureReuse::PerCell)
             .then(|| grid.measure(cell, &mut cell_rng(config.seed, di, ai, ei, usize::MAX)));

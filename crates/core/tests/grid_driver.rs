@@ -1,27 +1,28 @@
 //! The grid driver's contract, from the outside in:
 //!
 //! * a tail-heavy grid (`available_parallelism() + 2` cells, so the queue
-//!   drains below the worker count at the tail, where elastic grants hand
-//!   finished workers' threads to the running cells) produces
-//!   byte-identical CSV at thread budgets {1, 2, 8, 0},
+//!   drains below the worker count at the tail) produces byte-identical
+//!   CSV at thread budgets {1, 2, 8, 0},
 //! * per-cell measurement reuse measures once per cell, and
-//! * [`BudgetLedger`] invariants survive arbitrary claim/release
-//!   interleavings: outstanding grants never exceed the oversubscription
-//!   bound `budget + workers − 1`, pooled accounting is exact
-//!   (`available + Σ outstanding pooled ≡ budget`), released threads are
-//!   re-grantable, and the ledger drains back to exactly `budget`.
+//! * the worker pool under the driver runs every task once, in any order,
+//!   on `min(budget, tasks)` workers whose fixed shares split the budget
+//!   evenly.
 
 use pgb_core::benchmark::{run_benchmark, BenchmarkConfig, MeasureReuse};
+use pgb_core::exec::run_pool_collect;
 use pgb_core::generator::GenerateError;
 use pgb_core::{GraphGenerator, PrivateSynthesis, TmF};
 use pgb_graph::Graph;
-use pgb_par::{available_parallelism, BudgetLedger, Grant};
+use pgb_par::available_parallelism;
 use pgb_queries::Query;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 #[test]
 fn csv_byte_identical_across_threads_on_tail_heavy_grid() {
@@ -142,103 +143,42 @@ fn per_cell_reuse_measures_once_per_cell_at_every_budget() {
 }
 
 proptest! {
-    /// Arbitrary interleavings of claims (while under the worker cap),
-    /// releases (of arbitrary outstanding grants), and mid-task
-    /// *re-grants* of arbitrary outstanding grants — after *every* step
-    /// the oversubscription bound and the pooled-accounting identity
-    /// hold, grants only ever grow, and the ledger drains to exactly
-    /// `budget` once the queue and all grants are gone.
+    /// The pool's contract over budgets {0, 1..=16} × tasks 0..=40: every
+    /// task runs once, outputs come back in index order, `min(budget,
+    /// tasks)` workers start, and each task sees its worker's share, where
+    /// the shares differ by at most 1 and sum to the budget. The first
+    /// `workers` tasks wait for one another, so each worker must claim one
+    /// of them: if fewer workers started, the wait times out and the
+    /// worker count below comes up short.
     #[test]
-    fn ledger_invariants_under_arbitrary_interleavings(
-        budget in 1usize..9,
-        workers in 1usize..6,
-        tasks in 0usize..24,
-        ops in proptest::collection::vec(0usize..1000, 0..64),
-    ) {
-        let ledger = BudgetLedger::new(budget, workers, tasks);
-        let mut outstanding: Vec<Grant> = Vec::new();
-        let mut claimed = 0usize;
-        for op in ops {
-            match op % 3 {
-                0 if outstanding.len() < ledger.workers() => {
-                    if let Some((t, g)) = ledger.claim() {
-                        prop_assert_eq!(t, claimed, "tasks hand out in order");
-                        claimed += 1;
-                        prop_assert!(g.threads() >= 1, "a grant is never empty");
-                        prop_assert!(g.pooled() <= g.threads());
-                        outstanding.push(g);
-                    }
+    fn pool_splits_its_budget_into_fixed_shares(budget in 0usize..=16, tasks in 0usize..=40) {
+        let total = if budget == 0 { available_parallelism() } else { budget };
+        let workers = total.min(tasks);
+        let arrived = AtomicUsize::new(0);
+        let runs: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+        let seen = run_pool_collect(budget, tasks, |task| {
+            runs[task].fetch_add(1, Ordering::Relaxed);
+            if task < workers {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < workers && Instant::now() < deadline {
+                    std::thread::yield_now();
                 }
-                2 if !outstanding.is_empty() => {
-                    let victim = (op / 3) % outstanding.len();
-                    let g = &mut outstanding[victim];
-                    let before = g.threads();
-                    ledger.regrant(g);
-                    prop_assert!(g.threads() >= before, "regrant must be grow-only");
-                    prop_assert!(g.pooled() <= g.threads());
-                }
-                _ if !outstanding.is_empty() => {
-                    let victim = (op / 3) % outstanding.len();
-                    ledger.release(outstanding.swap_remove(victim));
-                }
-                _ => {}
             }
-            let granted: usize = outstanding.iter().map(Grant::threads).sum();
-            // The bound is `budget + workers − 1`, written `<` to keep
-            // the arithmetic in usize-safe form.
-            prop_assert!(
-                granted < ledger.budget() + ledger.workers(),
-                "oversubscription bound violated: {} granted, budget {}, workers {}",
-                granted, ledger.budget(), ledger.workers(),
-            );
-            let pooled: usize = outstanding.iter().map(Grant::pooled).sum();
-            prop_assert_eq!(
-                pooled + ledger.available(), ledger.budget(),
-                "pooled threads leaked or double-counted"
-            );
+            (task, std::thread::current().id(), pgb_par::current_parallelism())
+        });
+        prop_assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "a task ran twice or never");
+        prop_assert!(seen.iter().enumerate().all(|(i, &(task, _, _))| task == i), "outputs out of order");
+        let mut shares: HashMap<ThreadId, usize> = HashMap::new();
+        for &(task, worker, share) in &seen {
+            let first = *shares.entry(worker).or_insert(share);
+            prop_assert_eq!(first, share, "task {}'s worker changed its share", task);
         }
-        for g in outstanding.drain(..) {
-            ledger.release(g);
+        prop_assert_eq!(shares.len(), workers, "worker count");
+        if workers > 0 {
+            let (lo, hi) = (shares.values().min().unwrap(), shares.values().max().unwrap());
+            prop_assert!(hi - lo <= 1, "shares {:?} differ by more than 1", shares.values());
+            prop_assert_eq!(shares.values().sum::<usize>(), total, "shares do not sum to the budget");
         }
-        while let Some((_, g)) = ledger.claim() {
-            claimed += 1;
-            ledger.release(g);
-        }
-        prop_assert_eq!(claimed, tasks, "every task is claimable exactly once");
-        prop_assert_eq!(ledger.available(), ledger.budget(), "ledger must drain to the full budget");
-    }
-
-    /// Every released thread is re-grantable: after a head-of-queue burst
-    /// returns its grants, the pool is whole again, and the final task's
-    /// claimant (remaining = 1, nothing outstanding) is granted the entire
-    /// budget.
-    #[test]
-    fn released_threads_flow_to_the_tail(
-        budget in 1usize..16,
-        workers in 1usize..8,
-        tasks in 2usize..32,
-    ) {
-        let ledger = BudgetLedger::new(budget, workers, tasks);
-        // A head-of-queue burst of up to `workers` concurrent grants,
-        // stopping short of the final task so the tail claim below exists.
-        let head: Vec<Grant> = (0..workers.min(tasks - 1))
-            .filter_map(|_| ledger.claim().map(|(_, g)| g))
-            .collect();
-        for g in head {
-            ledger.release(g);
-        }
-        prop_assert_eq!(ledger.available(), ledger.budget());
-        let mut last_grant = 0usize;
-        while let Some((t, g)) = ledger.claim() {
-            let threads = g.threads();
-            ledger.release(g);
-            if t == tasks - 1 {
-                last_grant = threads;
-            }
-        }
-        prop_assert_eq!(
-            last_grant, ledger.budget(),
-            "the tail claim must inherit every released thread"
-        );
     }
 }

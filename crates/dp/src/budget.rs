@@ -38,9 +38,17 @@ impl fmt::Display for BudgetError {
 
 impl std::error::Error for BudgetError {}
 
-/// Slack used when comparing accumulated floating-point ε spends (shared
-/// with the sliding-window composition in [`crate::window`]).
-pub(crate) const EPS_SLACK: f64 = 1e-9;
+/// Slack used when comparing accumulated floating-point ε spends against
+/// a bound of 1 or more.
+const EPS_SLACK: f64 = 1e-9;
+
+/// The floating-point slack a spend may exceed `bound` by: [`EPS_SLACK`],
+/// scaled down with bounds below 1 so a tiny grant cannot be overdrawn many
+/// times over (shared with the sliding-window composition in
+/// [`crate::window`]).
+pub(crate) fn slack(bound: f64) -> f64 {
+    EPS_SLACK * bound.min(1.0)
+}
 
 /// A labelled ε ledger for a mechanism's *measure* phase.
 ///
@@ -114,7 +122,7 @@ impl BudgetAccountant {
         if !(epsilon > 0.0 && epsilon.is_finite()) {
             return Err(BudgetError::InvalidEpsilon(epsilon));
         }
-        if self.spent + epsilon > self.total + EPS_SLACK {
+        if self.spent + epsilon > self.total + slack(self.total) {
             return Err(BudgetError::Exhausted { requested: epsilon, remaining: self.remaining() });
         }
         self.spent += epsilon;
@@ -216,6 +224,17 @@ mod tests {
             acc.spend("tenth", 0.1).unwrap(); // 10 × 0.1 accumulates fp error
         }
         assert!(acc.remaining() < 1e-9);
+    }
+
+    #[test]
+    fn slack_scales_with_a_small_total() {
+        let mut acc = BudgetAccountant::new(1e-10).unwrap();
+        assert!(matches!(acc.spend("10x", 1e-9), Err(BudgetError::Exhausted { .. })));
+        assert!(acc.spend("a hair over", 1e-10 * (1.0 + 1e-6)).is_err());
+        for _ in 0..10 {
+            acc.spend("tenth", 1e-11).unwrap();
+        }
+        assert!(acc.remaining() < 1e-19);
     }
 
     #[test]

@@ -12,14 +12,15 @@
 //!    window weights with the same exact-FP arithmetic as
 //!    [`BudgetAccountant::split`] (`total · w / Σw`), and a spend against
 //!    window `w` is additionally checked against that window's share (with
-//!    the usual `EPS_SLACK` tolerance), so no interleaving of spends across
-//!    windows can push one window past its allocation.
+//!    the accountant's floating-point slack, scaled to the share), so no
+//!    interleaving of spends across windows can push one window past its
+//!    allocation.
 //!
 //! Failed spends mutate nothing at either level.
 
 use std::borrow::Cow;
 
-use crate::budget::{BudgetAccountant, BudgetError, EPS_SLACK};
+use crate::budget::{slack, BudgetAccountant, BudgetError};
 
 /// A per-window ε split over one [`BudgetAccountant`] grant.
 ///
@@ -117,7 +118,7 @@ impl WindowComposition {
         if !(epsilon > 0.0 && epsilon.is_finite()) {
             return Err(BudgetError::InvalidEpsilon(epsilon));
         }
-        if self.spent[w] + epsilon > self.shares[w] + EPS_SLACK {
+        if self.spent[w] + epsilon > self.shares[w] + slack(self.shares[w]) {
             return Err(BudgetError::Exhausted {
                 requested: epsilon,
                 remaining: self.window_remaining(w),
@@ -180,6 +181,18 @@ mod tests {
         // The other window is untouched and spendable.
         comp.spend(1, "phase", 0.5).unwrap();
         assert!((comp.spent() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn small_window_share_cannot_be_overdrawn() {
+        // Shares of 5e-11: 6e-11 fits the grant's absolute slack of old,
+        // but not window 0's share.
+        let mut comp = WindowComposition::even(1e-10, 2).unwrap();
+        assert!(matches!(comp.spend(0, "over", 6e-11), Err(BudgetError::Exhausted { .. })));
+        assert_eq!(comp.window_spent(0), 0.0);
+        comp.spend(0, "exact", comp.share(0)).unwrap();
+        comp.spend(1, "exact", comp.share(1)).unwrap();
+        assert!(comp.remaining() < 1e-19);
     }
 
     #[test]

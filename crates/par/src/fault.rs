@@ -32,7 +32,7 @@
 //! | `cache.measure` | panic, cancel | `pgb-serve`: the measure closure, inside the single-flight leader |
 //! | `serve.sample` | panic, cancel | `pgb-serve`: per-sample boundary of request execution |
 //! | `wal.append` | error | `pgb-serve`: WAL record append (fires under the admission lock, so only an error — a panic would poison it) |
-//! | `exec.claim` | panic | `pgb-par`: the [`run_elastic`](crate::run_elastic) worker claim loop (simulated worker crash) |
+//! | `exec.claim` | panic | `pgb-par`: the [`run_pool`](crate::run_pool) worker claim loop, before each claim (simulated worker crash) |
 //!
 //! Injected panics carry [`INJECTED_MARKER`] in their payload so test
 //! panic hooks (see [`install_quiet_panic_hook`]) can silence exactly
@@ -228,7 +228,7 @@ mod tests {
             });
             armed.wait();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                crate::run_elastic(4, 23, |_| {});
+                crate::run_pool(4, 23, |_| {});
                 crate::with_parallelism(4, || {
                     crate::par_map_chunks(64, 8, |range, out: &mut Vec<usize>| {
                         point("test.isolated", &[FaultAction::Panic]);
@@ -259,7 +259,7 @@ mod tests {
         install_quiet_panic_hook();
         // `exec.claim` is hit only on the pool's workers.
         let out = catch_unwind(AssertUnwindSafe(|| {
-            with_plan(ALWAYS, || crate::run_elastic(4, 4, |_| {}));
+            with_plan(ALWAYS, || crate::run_pool(4, 4, |_| {}));
         }));
         assert!(out.is_err(), "the claim point must fire on every worker");
     }

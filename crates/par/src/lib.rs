@@ -41,18 +41,17 @@
 //! ## The run context
 //!
 //! What a parallel section inherits from its caller lives in one
-//! per-thread context: the thread budget, the elastic grant, the
-//! [`cancel::CancelToken`] with its shield flag, and the armed
-//! [`fault::FaultPlan`]. Every public scope ([`with_parallelism`],
-//! [`with_elastic_parallelism`], [`cancel::with_token`],
+//! per-thread context: the thread budget, the [`cancel::CancelToken`]
+//! with its shield flag, and the armed [`fault::FaultPlan`]. Every public
+//! scope ([`with_parallelism`], [`cancel::with_token`],
 //! [`cancel::shield_ticks`], [`fault::with_plan`]) edits one field of it
 //! for the duration of a closure and restores the previous context on
-//! return or unwind. One rule decides what a spawned worker inherits:
-//! the caller's token, shield flag and fault plan, never its budget or
-//! grant. A [`par_collect`]-family worker *is* the parallelism, so
-//! anything nested in it runs serially (budget 1); a [`run_elastic`]
-//! worker starts with no budget and takes its own grant per task, so a
-//! caller's [`with_parallelism`] scope cannot oversubscribe the pool.
+//! return or unwind. One rule decides what a spawned worker inherits: the
+//! caller's token, shield flag and fault plan, never its budget. A
+//! [`par_collect`]-family worker *is* the parallelism, so anything nested
+//! in it runs serially (budget 1); a [`run_pool`] worker runs under its
+//! fixed share of the pool's budget, so a caller's [`with_parallelism`]
+//! scope cannot oversubscribe the pool.
 //!
 //! ## The thread budget
 //!
@@ -60,14 +59,14 @@
 //! [`with_parallelism`] pins the budget for the current thread (the runner
 //! uses it to split `BenchmarkConfig::threads` between cell-level workers
 //! and intra-cell parallelism), and [`current_parallelism`] reads it,
-//! falling back to the elastic grant and then to the machine's available
-//! parallelism when unset.
+//! falling back to the machine's available parallelism when unset.
 //!
-//! How a *pool of workers* divides a shared budget over a draining task
-//! queue is the job of [`BudgetLedger`] and [`run_elastic`]: workers
-//! re-claim their share per task, so threads released by finished workers
-//! flow to the tail of the queue instead of idling (the benchmark runner's
-//! grid driver and `pgb-serve`'s replay).
+//! A *pool of workers* over a task queue ([`run_pool`]: the benchmark
+//! runner's grid driver and `pgb-serve`'s replay) splits its budget once:
+//! `min(budget, tasks)` workers each keep a fixed share for every task
+//! they claim. A worker that finishes early leaves its threads idle while
+//! the tail runs: handing them to the tail tasks measured no faster on a
+//! 2-vCPU host, so the pool does not.
 //!
 //! ## Deterministic cancellation
 //!
@@ -88,7 +87,7 @@ use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Default indices per chunk for fine-grained index work (per-edge or
 /// per-drop loops): large enough to amortise stream derivation and task
@@ -101,8 +100,6 @@ pub const DEFAULT_CHUNK: usize = 8192;
 struct Ctx {
     /// The [`with_parallelism`] budget; 0 ⇒ unset.
     budget: usize,
-    /// The [`with_elastic_parallelism`] grant, if any.
-    elastic: Option<Arc<Elastic>>,
     token: Option<cancel::CancelToken>,
     /// Whether tick charging is suspended ([`cancel::shield_ticks`]).
     shielded: bool,
@@ -110,12 +107,12 @@ struct Ctx {
 }
 
 impl Ctx {
-    const EMPTY: Ctx = Ctx { budget: 0, elastic: None, token: None, shielded: false, plan: None };
+    const EMPTY: Ctx = Ctx { budget: 0, token: None, shielded: false, plan: None };
 
     /// What a worker spawned under this context starts with: the caller's
-    /// token, shield flag and fault plan, never its budget or grant.
+    /// token, shield flag and fault plan, never its budget.
     fn for_worker(&self, budget: usize) -> Ctx {
-        Ctx { budget, elastic: None, ..self.clone() }
+        Ctx { budget, ..self.clone() }
     }
 }
 
@@ -149,13 +146,13 @@ fn scoped<T>(edit: impl FnOnce(&mut Ctx), f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Runs `body` on `workers` scoped threads, each under
-/// [`Ctx::for_worker`]`(budget)` of the calling thread's context.
-fn spawn_workers(workers: usize, budget: usize, body: impl Fn() + Sync) {
-    let ctx = current(|c| c.for_worker(budget));
+/// Runs `body` on `workers` scoped threads; worker `w` runs under
+/// [`Ctx::for_worker`]`(budget(w))` of the calling thread's context.
+fn spawn_workers(workers: usize, budget: impl Fn(usize) -> usize, body: impl Fn() + Sync) {
+    let ctx = current(Ctx::clone);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (ctx, body) = (ctx.clone(), &body);
+        for w in 0..workers {
+            let (ctx, body) = (ctx.for_worker(budget(w)), &body);
             scope.spawn(move || scoped(|c| *c = ctx, body));
         }
     });
@@ -166,23 +163,14 @@ pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
-/// The intra-cell thread budget for the current thread, in precedence
-/// order: the innermost [`with_parallelism`] scope if one is active; else
-/// the current [`with_elastic_parallelism`] grant, **re-polled against its
-/// ledger** (grow-only — see [`BudgetLedger::regrant`]) so a parallel
-/// section entered late in a task absorbs threads released since the
-/// claim; else the machine's available parallelism.
+/// The intra-cell thread budget for the current thread: the innermost
+/// [`with_parallelism`] scope if one is active (a [`run_pool`] worker runs
+/// under its share), else the machine's available parallelism.
 pub fn current_parallelism() -> usize {
-    current(|c| match &c.elastic {
-        _ if c.budget != 0 => c.budget,
-        Some(elastic) => {
-            let mut grant = elastic.grant.lock().expect("grant lock poisoned");
-            let grant = grant.as_mut().expect("the grant stays in its scope");
-            elastic.ledger.regrant(grant);
-            grant.threads()
-        }
-        None => available_parallelism(),
-    })
+    match current(|c| c.budget) {
+        0 => available_parallelism(),
+        budget => budget,
+    }
 }
 
 /// Runs `f` with the current thread's parallelism budget set to `threads`
@@ -195,66 +183,17 @@ pub fn with_parallelism<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     scoped(|c| c.budget = threads, f)
 }
 
-/// A [`with_elastic_parallelism`] grant and the ledger it re-polls.
-struct Elastic {
-    ledger: Arc<BudgetLedger>,
-    /// `None` once the scope has handed the grant back to its caller.
-    grant: Mutex<Option<Grant>>,
-}
-
-impl Drop for Elastic {
-    /// A scope that unwinds never hands its grant back, so the grant goes
-    /// to the ledger rather than leaking pooled threads.
-    fn drop(&mut self) {
-        if let Some(grant) = self.grant.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
-            self.ledger.release(grant);
-        }
-    }
-}
-
-/// Runs `f` under an elastic grant: parallel sections inside `f` read
-/// their budget from `grant`, and every [`current_parallelism`] call
-/// re-polls `ledger` (grow-only, [`BudgetLedger::regrant`]) so a task that
-/// outlives its siblings absorbs the threads they release mid-task —
-/// instead of keeping the share computed at claim time, which strands the
-/// pool on the tail of the queue.
+/// Executes tasks `0..tasks` over a fixed-share worker pool sharing
+/// `budget` threads (0 ⇒ the machine's available parallelism) — the
+/// worker/claim loop behind the benchmark runner's grid truths and cells
+/// and `pgb-serve`'s request execution.
 ///
-/// Returns `f`'s output together with the (possibly grown) grant, which
-/// the caller must still [`release`](BudgetLedger::release). Like the
-/// grants themselves, re-granting is *scheduling only*: the derived-stream
-/// discipline makes `f`'s output identical whether or not it grew.
-///
-/// If `f` panics, the grant is released to the ledger during unwinding so
-/// the pool identity (`available + Σ outstanding pooled ≡ budget`) still
-/// holds. Nested elastic scopes on one thread are not supported (the
-/// inner scope would shadow the outer grant); an explicit
-/// [`with_parallelism`] scope inside `f` takes precedence as usual.
-pub fn with_elastic_parallelism<T>(
-    ledger: Arc<BudgetLedger>,
-    grant: Grant,
-    f: impl FnOnce() -> T,
-) -> (T, Grant) {
-    assert!(
-        current(|c| c.elastic.is_none()),
-        "nested with_elastic_parallelism scopes are not supported"
-    );
-    let elastic = Arc::new(Elastic { ledger, grant: Mutex::new(Some(grant)) });
-    let out = scoped(|c| c.elastic = Some(Arc::clone(&elastic)), f);
-    let grant = elastic.grant.lock().expect("grant lock poisoned").take();
-    (out, grant.expect("the grant stays in its scope"))
-}
-
-/// Executes tasks `0..tasks` over an elastic worker pool sharing `budget`
-/// threads (0 ⇒ the machine's available parallelism) — the worker/claim
-/// loop behind the benchmark runner's grid cells and `pgb-serve`'s
-/// request execution.
-///
-/// Spawns `min(budget, tasks)` scoped workers; each claims task indices in
-/// ascending order from a shared [`BudgetLedger`] and runs `run(task)`
-/// under [`with_elastic_parallelism`], so a long tail task absorbs the
-/// threads earlier tasks release (both at claim time and mid-task, via
-/// [`current_parallelism`]'s re-polling). Callers that want a different
-/// claim order sort their task list before calling and index through it.
+/// Spawns `min(budget, tasks)` scoped workers. Each runs under a fixed
+/// [`with_parallelism`] share of the budget — `budget / workers`, plus one
+/// for the first `budget % workers` workers — and claims task indices in
+/// ascending order from an atomic counter, running `run(task)` for each.
+/// Callers that want a different claim order sort their task list before
+/// calling and index through it.
 ///
 /// The loop is *scheduling only*: which worker runs which task, and with
 /// how many threads, cannot affect what the task computes. Task bodies
@@ -262,225 +201,46 @@ pub fn with_elastic_parallelism<T>(
 /// otherwise order-free), never append to shared state in completion
 /// order.
 ///
-/// Returns once every task has run. If a task panics, its grant is
-/// released during unwinding (the pool identity holds) and the panic
-/// propagates out of the enclosing thread scope once the other workers
-/// drain the queue; callers that must survive task panics catch them
-/// inside `run` (as `pgb-serve`'s fault isolation does).
-pub fn run_elastic<F>(budget: usize, tasks: usize, run: F)
+/// Returns once every task has run. If a task panics, the panic propagates
+/// out of the enclosing thread scope once the other workers drain the
+/// queue; callers that must survive task panics catch them inside `run`
+/// (as `pgb-serve`'s fault isolation does).
+pub fn run_pool<F>(budget: usize, tasks: usize, run: F)
 where
     F: Fn(usize) + Sync,
 {
     let budget = if budget == 0 { available_parallelism() } else { budget };
-    let workers = budget.min(tasks).max(1);
-    let ledger = Arc::new(BudgetLedger::new(budget, workers, tasks));
-    spawn_workers(workers, 0, || loop {
-        // The fault point sits *before* the claim so a simulated worker
-        // crash never strands a claimed grant.
+    let workers = budget.min(tasks);
+    let next = AtomicUsize::new(0);
+    let share = |w: usize| budget / workers + usize::from(w < budget % workers);
+    spawn_workers(workers, share, || loop {
+        // Before the claim, so a simulated worker crash never strands a
+        // claimed task.
         fault::point("exec.claim", &[fault::FaultAction::Panic]);
-        let Some((task, grant)) = ledger.claim() else { break };
-        let ((), grant) = with_elastic_parallelism(Arc::clone(&ledger), grant, || run(task));
-        ledger.release(grant);
+        let task = next.fetch_add(1, Ordering::Relaxed);
+        if task >= tasks {
+            break;
+        }
+        run(task);
     });
 }
 
-/// [`run_elastic`] with collected outputs: runs `f` once per index of
-/// `0..len` over the elastic pool and returns the outputs **in index
-/// order**, regardless of which worker computed which index when.
-pub fn run_elastic_collect<T, F>(budget: usize, len: usize, f: F) -> Vec<T>
+/// [`run_pool`] with collected outputs: runs `f` once per index of
+/// `0..len` over the pool and returns the outputs **in index order**,
+/// regardless of which worker computed which index when.
+pub fn run_pool_collect<T, F>(budget: usize, len: usize, f: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
     let slots: Vec<OnceLock<T>> = (0..len).map(|_| OnceLock::new()).collect();
-    run_elastic(budget, len, |i| {
-        assert!(slots[i].set(f(i)).is_ok(), "the ledger hands out each task once");
+    run_pool(budget, len, |i| {
+        assert!(slots[i].set(f(i)).is_ok(), "the claim counter hands out each task once");
     });
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("every claimed task publishes its slot"))
         .collect()
-}
-
-/// An elastic thread-budget ledger shared by the workers of a task pool.
-///
-/// The benchmark runner's workers used to split the total thread budget
-/// once at spawn (`budget / workers` each), which strands threads on the
-/// tail of a grid: when the task queue drains below the worker count,
-/// finished workers' threads sit idle while the remaining tasks keep their
-/// small static share. The ledger instead tracks the *live* state — how
-/// many tasks are still unclaimed and how many threads finished workers
-/// have returned to the pool — and each worker recomputes its intra-task
-/// budget per **claimed** task:
-///
-/// * [`claim`](BudgetLedger::claim) atomically pops the next task index and
-///   grants `ceil(available / claimants)` pooled threads, where
-///   `claimants = min(workers, remaining tasks)` — on the tail the divisor
-///   shrinks, so late tasks inherit the threads earlier tasks released.
-/// * A worker whose claim finds an empty pool still runs (a [`Grant`] is
-///   always ≥ 1 thread), so the *transient* oversubscription is bounded:
-///   at most one unpooled thread per worker beyond the first, i.e. the sum
-///   of outstanding grants never exceeds `budget + workers − 1`.
-/// * [`release`](BudgetLedger::release) returns the pooled part of a grant,
-///   so `available + Σ outstanding pooled ≡ budget` at all times and the
-///   ledger drains back to exactly `budget` once every grant is released.
-/// * [`regrant`](BudgetLedger::regrant) grows a *held* grant from the live
-///   pool mid-task (grow-only). [`with_elastic_parallelism`] re-polls it on
-///   every [`current_parallelism`] read, so the last running tasks absorb
-///   threads released after their claim instead of finishing on the share
-///   computed when the pool was crowded.
-///
-/// Grants are *scheduling only*: callers run their task under
-/// [`with_elastic_parallelism`], and the derived-stream
-/// discipline makes the task's output identical for every grant size. The
-/// same goes for the *order* tasks are handed out in: the ledger pops
-/// indices `0, 1, 2, …` over whatever task list the caller built, so a
-/// caller that wants expensive tasks claimed first simply sorts its task
-/// list by a cost key before creating the ledger.
-#[derive(Debug)]
-pub struct BudgetLedger {
-    budget: usize,
-    workers: usize,
-    tasks: usize,
-    inner: Mutex<LedgerInner>,
-}
-
-#[derive(Debug)]
-struct LedgerInner {
-    /// Next unclaimed task index (`tasks` ⇒ queue drained).
-    next: usize,
-    /// Threads currently in the pool (≤ `budget`).
-    available: usize,
-}
-
-/// A thread grant held by a worker for the duration of one claimed task.
-///
-/// `threads` is what the worker may use ([`with_parallelism`] budget);
-/// `pooled` is the part accounted against the ledger's pool (`threads`
-/// when the pool could cover the grant, `0` for the minimum-one-thread
-/// grant handed out when the pool was momentarily empty). Return it with
-/// [`BudgetLedger::release`] when the task completes.
-#[derive(Debug)]
-#[must_use = "a grant holds pooled threads until released"]
-pub struct Grant {
-    threads: usize,
-    pooled: usize,
-}
-
-impl Grant {
-    /// The intra-task thread budget this grant authorises (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// How many of the granted threads came out of the shared pool.
-    pub fn pooled(&self) -> usize {
-        self.pooled
-    }
-}
-
-impl BudgetLedger {
-    /// A ledger distributing `budget` threads (≥ 1 enforced) over `tasks`
-    /// tasks claimed by at most `workers` concurrent workers.
-    pub fn new(budget: usize, workers: usize, tasks: usize) -> Self {
-        let budget = budget.max(1);
-        let workers = workers.max(1);
-        BudgetLedger {
-            budget,
-            workers,
-            tasks,
-            inner: Mutex::new(LedgerInner { next: 0, available: budget }),
-        }
-    }
-
-    /// The total thread budget the ledger was created with.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The worker count the oversubscription bound is stated against.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Threads currently sitting in the pool (released and unclaimed).
-    pub fn available(&self) -> usize {
-        self.inner.lock().expect("ledger lock poisoned").available
-    }
-
-    /// Claims the next task, or `None` when the queue is drained. The
-    /// returned grant divides the pool by the number of workers that can
-    /// still be claiming concurrently (`min(workers, remaining tasks)`),
-    /// and is never zero: an empty pool yields a 1-thread grant with
-    /// `pooled = 0`, which is what makes the oversubscription transient
-    /// and bounded rather than a deadlock.
-    pub fn claim(&self) -> Option<(usize, Grant)> {
-        let mut s = self.inner.lock().expect("ledger lock poisoned");
-        if s.next >= self.tasks {
-            return None;
-        }
-        let task = s.next;
-        s.next += 1;
-        // Including this one — `task` was just popped.
-        let remaining = self.tasks - task;
-        let claimants = remaining.min(self.workers).max(1);
-        let pooled = if s.available == 0 { 0 } else { s.available.div_ceil(claimants) };
-        debug_assert!(pooled <= s.available);
-        s.available -= pooled;
-        Some((task, Grant { threads: pooled.max(1), pooled }))
-    }
-
-    /// Grows `grant` from the pool, if the pool has anything to give —
-    /// the mid-task half of elastic granting. The holder's share is
-    /// recomputed against the live state with the holder counted as one
-    /// claimant alongside the still-unclaimed tasks
-    /// (`claimants = min(remaining + 1, workers)`), so a worker on the
-    /// queue's tail absorbs the whole pool while a worker mid-queue takes
-    /// only its fair slice. **Grow-only**: a grant never shrinks — threads
-    /// already promised to a running parallel section stay granted — so
-    /// repeated re-polls are monotone and the pool identity
-    /// `available + Σ outstanding pooled ≡ budget` is preserved.
-    pub fn regrant(&self, grant: &mut Grant) {
-        let mut s = self.inner.lock().expect("ledger lock poisoned");
-        if s.available == 0 {
-            return;
-        }
-        let remaining = self.tasks - s.next;
-        let claimants = (remaining + 1).min(self.workers).max(1);
-        // Fair share of the threads in play *for this holder* — the pool
-        // plus what it already holds, divided over the holder and the
-        // claims that can still arrive. Top up to the share; a grant
-        // already at or above it keeps what it has (never shrinks). With
-        // the queue drained (`claimants == 1`) the share is the whole
-        // pool, so the last running tasks absorb everything released.
-        let target = (s.available + grant.threads).div_ceil(claimants);
-        let extra = target.saturating_sub(grant.threads).min(s.available);
-        if extra == 0 {
-            if grant.pooled == 0 && grant.threads == 1 {
-                // The minimum oversubscribed grant converts to a pooled
-                // thread as soon as one is free, ending its transient
-                // oversubscription without changing its budget.
-                s.available -= 1;
-                grant.pooled = 1;
-            }
-            return;
-        }
-        s.available -= extra;
-        grant.threads += extra;
-        grant.pooled += extra;
-    }
-
-    /// Returns a grant's pooled threads, making them grantable to the next
-    /// claim. Unpooled (oversubscribed) threads simply vanish — they were
-    /// never deducted from the pool.
-    pub fn release(&self, grant: Grant) {
-        let mut s = self.inner.lock().expect("ledger lock poisoned");
-        s.available += grant.pooled;
-        debug_assert!(
-            s.available <= self.budget,
-            "pool overflow: released more threads than the budget holds"
-        );
-    }
 }
 
 /// Derives the deterministic RNG for chunk `index` of a parallel section
@@ -531,22 +291,26 @@ where
     let cursor = AtomicUsize::new(0);
     // A worker *is* the parallelism: anything nested runs serial. Chunk
     // claims charge the caller's token, whichever worker runs them.
-    spawn_workers(workers, 1, || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= ranges.len() {
-            break;
-        }
-        // Cancelled: stop claiming *quietly* — a scoped panic would be
-        // laundered into a payload-free generic by std::thread::scope;
-        // the calling thread raises the typed unwind below instead.
-        if !cancel::charge_current(1) {
-            break;
-        }
-        assert!(
-            slots[i].set(produce(i, ranges[i].clone())).is_ok(),
-            "the atomic cursor hands out each chunk once"
-        );
-    });
+    spawn_workers(
+        workers,
+        |_| 1,
+        || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= ranges.len() {
+                break;
+            }
+            // Cancelled: stop claiming *quietly* — a scoped panic would be
+            // laundered into a payload-free generic by std::thread::scope;
+            // the calling thread raises the typed unwind below instead.
+            if !cancel::charge_current(1) {
+                break;
+            }
+            assert!(
+                slots[i].set(produce(i, ranges[i].clone())).is_ok(),
+                "the atomic cursor hands out each chunk once"
+            );
+        },
+    );
     cancel::bail_if_cancelled();
     slots
         .into_iter()
@@ -835,76 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_saturating_grid_grants_one_each() {
-        // More tasks than budget: every worker starts with exactly 1.
-        let ledger = BudgetLedger::new(4, 4, 100);
-        let grants: Vec<Grant> = (0..4).map(|_| ledger.claim().unwrap().1).collect();
-        assert!(grants.iter().all(|g| g.threads() == 1 && g.pooled() == 1));
-        assert_eq!(ledger.available(), 0);
-        for g in grants {
-            ledger.release(g);
-        }
-        assert_eq!(ledger.available(), 4);
-    }
-
-    #[test]
-    fn ledger_tail_inherits_released_threads() {
-        // 4 workers, budget 4, 6 tasks: the tail tasks (5, 6) are claimed
-        // after earlier grants return, and with remaining < workers the
-        // divisor shrinks — released threads are re-granted, not stranded.
-        let ledger = BudgetLedger::new(4, 4, 6);
-        let head: Vec<(usize, Grant)> = (0..4).map(|_| ledger.claim().unwrap()).collect();
-        for (_, g) in head {
-            ledger.release(g);
-        }
-        // Tail: 2 tasks remain, whole pool back in play ⇒ 4 / 2 = 2 each.
-        let (t, g5) = ledger.claim().unwrap();
-        assert_eq!(t, 4);
-        assert_eq!(g5.threads(), 2);
-        let (_, g6) = ledger.claim().unwrap();
-        assert_eq!(g6.threads(), 2);
-        assert!(ledger.claim().is_none());
-        ledger.release(g5);
-        ledger.release(g6);
-        assert_eq!(ledger.available(), 4);
-    }
-
-    #[test]
-    fn ledger_single_task_gets_whole_budget() {
-        let ledger = BudgetLedger::new(8, 4, 1);
-        let (_, g) = ledger.claim().unwrap();
-        assert_eq!(g.threads(), 8);
-        ledger.release(g);
-        assert_eq!(ledger.available(), 8);
-    }
-
-    #[test]
-    fn ledger_empty_pool_still_grants_one_thread() {
-        // Budget 1, 4 workers: three claims find the pool empty and run
-        // oversubscribed on 1 unpooled thread each — the transient total is
-        // 4 = budget + workers − 1, never more.
-        let ledger = BudgetLedger::new(1, 4, 8);
-        let grants: Vec<Grant> = (0..4).map(|_| ledger.claim().unwrap().1).collect();
-        let outstanding: usize = grants.iter().map(Grant::threads).sum();
-        assert_eq!(outstanding, 4);
-        assert_eq!(grants.iter().map(Grant::pooled).sum::<usize>(), 1);
-        for g in grants {
-            ledger.release(g);
-        }
-        assert_eq!(ledger.available(), 1);
-    }
-
-    #[test]
-    fn ledger_zero_budget_clamped_to_one() {
-        let ledger = BudgetLedger::new(0, 0, 2);
-        assert_eq!(ledger.budget(), 1);
-        assert_eq!(ledger.workers(), 1);
-        let (_, g) = ledger.claim().unwrap();
-        assert_eq!(g.threads(), 1);
-        ledger.release(g);
-    }
-
-    #[test]
     fn tick_totals_are_identical_across_thread_budgets() {
         // 100 elements / chunk 16 ⇒ 7 chunks, charged once each whether
         // they run inline or over 8 workers.
@@ -977,8 +671,10 @@ mod tests {
 
     #[test]
     fn elastic_workers_take_their_grant_not_the_callers_budget() {
+        // Pool workers run under their share of the pool's budget, not
+        // under the caller's: one task takes all 4 threads.
         with_parallelism(1, || {
-            run_elastic(4, 1, |_| assert_eq!(current_parallelism(), 4));
+            assert_eq!(run_pool_collect(4, 1, |_| current_parallelism()), [4]);
         });
     }
 

@@ -25,12 +25,12 @@
 //! triangle pass (via the degree-ordered [`counting::ForwardOrientation`]),
 //! the BFS sweep, and Louvain's degree scan and aggregation row fold are
 //! chunked on `pgb-par`'s fixed-boundary discipline and pick up the
-//! **ambient** [`pgb_par::current_parallelism`] budget — the benchmark runner already
-//! scopes every cell with an elastic `pgb_par` grant, so evaluation
-//! scales with the intra-cell
-//! thread budget without any new plumbing, and every pass is bit-identical
-//! at any thread count (chunk merges are exact-integer or order-preserving
-//! appends only).
+//! **ambient** [`pgb_par::current_parallelism`] budget — the benchmark
+//! runner evaluates every dataset truth and every cell on a `pgb_par` pool
+//! worker scoped to its fixed share of the thread budget, so evaluation
+//! scales with that share without any new plumbing, and every pass is
+//! bit-identical at any thread count (chunk merges are exact-integer or
+//! order-preserving appends only).
 //!
 //! ## RNG-stream discipline
 //!

@@ -18,9 +18,9 @@
 //!   exactly one ε-consuming `measure`, and each request streams its own
 //!   independent `sample`s from derived RNG streams.
 //! * [`Server`] — admission (validation + budget charge, serialized in
-//!   arrival order) followed by execution over the shared elastic
+//!   arrival order) followed by execution over the shared fixed-share
 //!   worker/claim loop (`pgb_core::exec`), so service work and a
-//!   concurrent benchmark grid divide a thread budget the same way.
+//!   benchmark grid divide a thread budget the same way.
 //!
 //! ## The determinism contract
 //!

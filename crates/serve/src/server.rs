@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// What a tenant asks for: `samples` synthetic graphs of `dataset` under
@@ -385,9 +385,9 @@ impl Server {
     ///
     /// 1. admissions fold sequentially over the log (charges and
     ///    rejections are functions of the log prefix);
-    /// 2. admitted requests execute in parallel on the shared elastic
-    ///    worker/claim loop ([`pgb_core::exec::run_elastic`]), writing
-    ///    into per-request slots;
+    /// 2. admitted requests execute in parallel on the shared fixed-share
+    ///    worker/claim loop ([`pgb_core::exec::run_pool_collect`]), which
+    ///    returns their results in admission order;
     /// 3. records assemble in log order.
     ///
     /// The caller provides a server whose tenants are freshly registered;
@@ -402,30 +402,22 @@ impl Server {
 
         // Phase 2 — parallel execution of the admitted requests.
         let admitted: Vec<usize> = (0..log.len()).filter(|&i| admissions[i].is_ok()).collect();
-        let slots: Vec<OnceLock<Result<Vec<Vec<u8>>, ServeError>>> =
-            admitted.iter().map(|_| OnceLock::new()).collect();
-        pgb_core::exec::run_elastic(threads, admitted.len(), |task| {
+        let mut executed = pgb_core::exec::run_pool_collect(threads, admitted.len(), |task| {
             let i = admitted[task];
-            let result = self
-                .execute_guarded(i as u64, &log[i].request)
-                .map(|graphs| graphs.iter().map(csr_bytes).collect());
-            slots[task].set(result).expect("task executed twice");
-        });
+            self.execute_guarded(i as u64, &log[i].request)
+                .map(|graphs| graphs.iter().map(csr_bytes).collect::<Vec<_>>())
+        })
+        .into_iter();
 
         // Phase 3 — assemble records in log order.
-        let mut executed = slots.into_iter();
         let records = log
             .iter()
             .enumerate()
             .map(|(i, entry)| {
                 let admission = admissions[i].clone();
-                let samples = admission.is_ok().then(|| {
-                    executed
-                        .next()
-                        .expect("one slot per admitted request")
-                        .into_inner()
-                        .expect("admitted request executed")
-                });
+                let samples = admission
+                    .is_ok()
+                    .then(|| executed.next().expect("one result per admitted request"));
                 ResponseRecord {
                     id: i as u64,
                     tenant: entry.tenant.clone(),

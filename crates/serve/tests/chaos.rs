@@ -218,7 +218,7 @@ fn seeded_fault_plans_uphold_serving_invariants() {
     );
 }
 
-/// A simulated worker crash in the elastic claim loop (`exec.claim`)
+/// A simulated worker crash in the pool's claim loop (`exec.claim`)
 /// surfaces as a panic out of `replay` — and even then, the sequential
 /// admission phase has fully committed, so the accountant stays
 /// consistent and a fault-free replay of the same log on a fresh server

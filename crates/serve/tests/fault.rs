@@ -187,8 +187,8 @@ fn other_keys_are_unaffected_by_a_panicking_flight() {
 }
 
 /// Replay survives an injected panic even at a worker budget of 1: the
-/// worker's elastic grant is released on the caught panic, the remaining
-/// log entries execute, and the transcript records the failed execution
+/// sole worker catches the panic and goes on claiming, the remaining log
+/// entries execute, and the transcript records the failed execution
 /// *with* its committed admission charge.
 #[test]
 fn replay_carries_a_panicking_request_without_losing_its_worker() {

@@ -6,7 +6,8 @@
 //! crate:
 //!
 //! * [`par`] — the deterministic parallelism foundation (fixed chunking,
-//!   derived RNG streams, scoped thread budgets, the elastic ledger).
+//!   derived RNG streams, scoped thread budgets, the fixed-share worker
+//!   pool).
 //! * [`graph`] — undirected simple-graph substrate.
 //! * [`dp`] — differential-privacy mechanisms and sensitivity machinery.
 //! * [`models`] — classic random-graph constructors (ER, BA, Chung–Lu,
