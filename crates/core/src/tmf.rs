@@ -238,6 +238,10 @@ impl GraphGenerator for TmF {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -304,9 +308,8 @@ mod tests {
         false_pos.sort_unstable();
         false_pos.dedup();
         let total = kept_true.len() + false_pos.len();
-        for (m_tilde, pinned) in
-            [(total - 300, 0x6616_fab1_1592_3cc1), (kept_true.len() / 2, 0x5d12_2b30_df9a_1a24)]
-        {
+        let mut got = Vec::new();
+        for (name, m_tilde) in [("cut-300", total - 300), ("half-true", kept_true.len() / 2)] {
             let synth = TmfSynthesis {
                 n: g.node_count(),
                 m_tilde: m_tilde as u64,
@@ -319,9 +322,9 @@ mod tests {
             let (offsets, neighbors) = out.csr();
             let bytes: Vec<u8> =
                 offsets.iter().chain(neighbors).flat_map(|w| w.to_le_bytes()).collect();
-            let digest = pgb_par::fnv1a(&bytes);
-            assert_eq!(digest, pinned, "m̃={m_tilde}: digest {digest:#018x}");
+            got.push((name.to_string(), pgb_par::fnv1a(&bytes)));
         }
+        pinned::assert_pinned("trimmed_sample_bytes_are_pinned", &got);
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! temporal (`run_temporal_benchmark`) grids, under both
 //! [`MeasureReuse`] modes, at 3 repetitions per cell, each digest checked
 //! at thread budgets {1, 2, 8, 0}. A change to how the grid is scheduled
-//! must leave every digest where it is.
+//! must leave every digest where it is. The digests live in
+//! `tests/golden/pins/grid_bytes_are_pinned.txt` at the workspace root.
+
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
 
 use pgb_core::benchmark::{run_benchmark, run_temporal_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::{Der, Dgg, DpDk, GraphGenerator, PrivGraph, TmF};
@@ -73,22 +77,19 @@ fn temporal_csv(reuse: MeasureReuse, threads: usize) -> String {
 #[test]
 fn grid_bytes_are_pinned() {
     type Grid = fn(MeasureReuse, usize) -> String;
-    let pinned: [(&str, Grid, MeasureReuse, u64); 4] = [
-        ("static", static_csv, MeasureReuse::PerRep, 0x41a0_6af8_1aef_adc9),
-        ("static", static_csv, MeasureReuse::PerCell, 0x1cbe_8b6f_e294_9aaa),
-        ("temporal", temporal_csv, MeasureReuse::PerRep, 0x1659_7703_030b_d07a),
-        ("temporal", temporal_csv, MeasureReuse::PerCell, 0x0d94_1dd2_3ea1_507f),
+    let grids: [(&str, Grid, MeasureReuse); 4] = [
+        ("static", static_csv, MeasureReuse::PerRep),
+        ("static", static_csv, MeasureReuse::PerCell),
+        ("temporal", temporal_csv, MeasureReuse::PerRep),
+        ("temporal", temporal_csv, MeasureReuse::PerCell),
     ];
-    let mut drifted = Vec::new();
-    for (grid, csv, reuse, digest) in pinned {
+    let mut got = Vec::new();
+    for (grid, csv, reuse) in grids {
         for threads in [1, 2, 8, 0] {
             let csv = csv(reuse, threads);
             assert!(csv.lines().skip(1).all(|row| row.ends_with(",3")), "a repetition failed");
-            let got = fnv1a(csv.as_bytes());
-            if got != digest {
-                drifted.push(format!("{grid} {reuse:?} threads = {threads}: {got:#018x}"));
-            }
+            got.push((format!("{grid}/{reuse:?}"), fnv1a(csv.as_bytes())));
         }
     }
-    assert!(drifted.is_empty(), "grid bytes drifted:\n{}", drifted.join("\n"));
+    pinned::assert_pinned("grid_bytes_are_pinned", &got);
 }

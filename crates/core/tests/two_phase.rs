@@ -12,6 +12,12 @@
 //!   reports exactly the requested ε, invalid ε is rejected with the
 //!   offending bit pattern, and `sample` cannot fail — on any graph the
 //!   intermediate was measured from, including degenerate ones.
+//!
+//! Every mechanism's measure → sample bytes are also pinned as digests in
+//! `tests/golden/pins/` at the workspace root.
+
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
 
 use pgb_core::{
     standard_suite, Der, Dgg, DkVariant, DpDk, GenerateError, GraphGenerator, PrivGraph, PrivHrg,
@@ -203,59 +209,6 @@ fn csr_digest(g: &Graph) -> u64 {
     pgb_par::fnv1a(&bytes)
 }
 
-#[test]
-fn privhrg_output_bytes_are_pinned() {
-    // The golden CSV covers TmF, DER and DGG only; this pins PrivHRG's
-    // full measure → sample path (MCMC, Laplace noise, edge realisation)
-    // at its default chain length, so any drift in its bytes fails here.
-    // A BA graph, a road-like grid (most moves have no edge at the
-    // parent's level, as on Minnesota) and a denser ER graph.
-    let graphs = [
-        pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024)),
-        pgb_models::lattice::irregular_grid(20, 20, 0.1, 20, &mut StdRng::seed_from_u64(2029)),
-        pgb_models::erdos_renyi_gnp(300, 0.05, &mut StdRng::seed_from_u64(2027)),
-    ];
-    let pinned = [
-        [(0.5, 0x91a7_4058_062d_5426), (2.0, 0xd8de_6bda_2c15_1fed)],
-        [(0.5, 0xbe3e_d652_9766_14df), (2.0, 0xc57b_c2f3_0266_5542)],
-        [(0.5, 0x4342_ecb3_ea4f_bcf1), (2.0, 0xa68e_8dfc_5d5b_0457)],
-    ];
-    for (g, runs) in graphs.iter().zip(pinned) {
-        for (epsilon, pinned) in runs {
-            let mut rng = StdRng::seed_from_u64(7);
-            let m = PrivHrg::default().measure(g, epsilon, &mut rng).unwrap();
-            let digest = csr_digest(&m.sample(&mut rng));
-            let n = g.node_count();
-            assert_eq!(digest, pinned, "PrivHRG on n={n} at ε={epsilon}: digest {digest:#018x}");
-        }
-    }
-}
-
-#[test]
-fn privgraph_output_bytes_are_pinned() {
-    // PrivGraph's measure → sample path end to end: the noisy super-graph,
-    // its weighted Louvain, the exponential-mechanism adjustment round and
-    // the Chung–Lu reconstruction. A small and a mid-sized BA graph, two
-    // budgets each.
-    let graphs = [
-        pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024)),
-        pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025)),
-    ];
-    let pinned = [
-        [(0.5, 0xdd97_620f_4cea_bd00), (2.0, 0xf718_cd6b_006c_00b9)],
-        [(0.5, 0xbfea_8427_1e75_e03b), (2.0, 0x39a3_7be6_b407_1c84)],
-    ];
-    for (g, runs) in graphs.iter().zip(pinned) {
-        for (epsilon, pinned) in runs {
-            let mut rng = StdRng::seed_from_u64(7);
-            let m = PrivGraph::default().measure(g, epsilon, &mut rng).unwrap();
-            let digest = csr_digest(&m.sample(&mut rng));
-            let n = g.node_count();
-            assert_eq!(digest, pinned, "PrivGraph on n={n} at ε={epsilon}: digest {digest:#018x}");
-        }
-    }
-}
-
 /// Runs `f` at thread budget `threads` (0 ⇒ the ambient budget).
 fn at_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     if threads == 0 {
@@ -265,25 +218,59 @@ fn at_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Asserts that `algo`'s measure → sample digest on each graph matches its
-/// pinned value at every budget and every thread budget in {1, 2, 8, 0}.
-fn assert_pinned_at_every_budget(algo: &dyn GraphGenerator, cases: &[(&Graph, [(f64, u64); 2])]) {
-    for &(g, runs) in cases {
-        for (epsilon, pinned) in runs {
-            for threads in [1usize, 2, 8, 0] {
+/// `algo`'s measure → sample digest on each named graph at ε 0.5 and 2,
+/// at each thread budget, named `graph@ε`. Every budget must give the
+/// same digest, which the pin helper checks.
+fn digests(
+    algo: &dyn GraphGenerator,
+    graphs: &[(&str, &Graph)],
+    budgets: &[usize],
+) -> Vec<(String, u64)> {
+    let mut got = Vec::new();
+    for &(name, g) in graphs {
+        for epsilon in [0.5, 2.0] {
+            for &threads in budgets {
                 let digest = at_budget(threads, || {
                     let mut rng = StdRng::seed_from_u64(7);
                     let m = algo.measure(g, epsilon, &mut rng).unwrap();
                     csr_digest(&m.sample(&mut rng))
                 });
-                let (name, n) = (algo.name(), g.node_count());
-                assert_eq!(
-                    digest, pinned,
-                    "{name} on n={n} at ε={epsilon}, threads={threads}: digest {digest:#018x}"
-                );
+                got.push((format!("{name}@{epsilon}"), digest));
             }
         }
     }
+    got
+}
+
+/// The thread budgets the parallel mechanisms' pins are checked at.
+const BUDGETS: [usize; 4] = [1, 2, 8, 0];
+
+#[test]
+fn privhrg_output_bytes_are_pinned() {
+    // The golden CSV covers TmF, DER and DGG only; this pins PrivHRG's
+    // full measure → sample path (MCMC, Laplace noise, edge realisation)
+    // at its default chain length, so any drift in its bytes fails here.
+    // A BA graph, a road-like grid (most moves have no edge at the
+    // parent's level, as on Minnesota) and a denser ER graph.
+    let ba = pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024));
+    let grid =
+        pgb_models::lattice::irregular_grid(20, 20, 0.1, 20, &mut StdRng::seed_from_u64(2029));
+    let er = pgb_models::erdos_renyi_gnp(300, 0.05, &mut StdRng::seed_from_u64(2027));
+    let graphs = [("ba300", &ba), ("grid20x20", &grid), ("er300", &er)];
+    let got = digests(&PrivHrg::default(), &graphs, &[0]);
+    pinned::assert_pinned("privhrg_output_bytes_are_pinned", &got);
+}
+
+#[test]
+fn privgraph_output_bytes_are_pinned() {
+    // PrivGraph's measure → sample path end to end: the noisy super-graph,
+    // its weighted Louvain, the exponential-mechanism adjustment round and
+    // the Chung–Lu reconstruction. A small and a mid-sized BA graph, two
+    // budgets each.
+    let small = pgb_models::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(2024));
+    let mid = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
+    let got = digests(&PrivGraph::default(), &[("ba300", &small), ("ba3000", &mid)], &[0]);
+    pinned::assert_pinned("privgraph_output_bytes_are_pinned", &got);
 }
 
 #[test]
@@ -294,13 +281,9 @@ fn privskg_output_bytes_are_pinned() {
     // directly), two budgets each, at every thread budget.
     let subsampled = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
     let direct = pgb_models::barabasi_albert(1_024, 4, &mut StdRng::seed_from_u64(2026));
-    assert_pinned_at_every_budget(
-        &PrivSkg::default(),
-        &[
-            (&subsampled, [(0.5, 0x2f38_4268_32e6_8f91), (2.0, 0x2800_18a0_48ce_6e0b)]),
-            (&direct, [(0.5, 0x73a9_fa2b_893b_a28b), (2.0, 0x6cd4_928c_7a8e_551f)]),
-        ],
-    );
+    let graphs = [("ba3000", &subsampled), ("ba1024", &direct)];
+    let got = digests(&PrivSkg::default(), &graphs, &BUDGETS);
+    pinned::assert_pinned("privskg_output_bytes_are_pinned", &got);
 }
 
 #[test]
@@ -310,14 +293,10 @@ fn dpdk_output_bytes_are_pinned() {
     // removes. Both variants, two budgets each, at every thread budget.
     let ba = pgb_models::barabasi_albert(1_000, 3, &mut StdRng::seed_from_u64(2027));
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
-    assert_pinned_at_every_budget(
-        &DpDk { variant: DkVariant::Dk1, ..DpDk::default() },
-        &[(&ba, [(0.5, 0x6b1b_54cb_106c_fff4), (2.0, 0x22ef_8149_54fe_9abf)])],
-    );
-    assert_pinned_at_every_budget(
-        &DpDk { variant: DkVariant::Dk2, ..DpDk::default() },
-        &[(&er, [(0.5, 0xa08b_5fbd_b628_5e19), (2.0, 0x81fd_3acb_dd0a_578b)])],
-    );
+    let dk = |variant| DpDk { variant, ..DpDk::default() };
+    let mut got = digests(&dk(DkVariant::Dk1), &[("dk1/ba1000", &ba)], &BUDGETS);
+    got.extend(digests(&dk(DkVariant::Dk2), &[("dk2/er500", &er)], &BUDGETS));
+    pinned::assert_pinned("dpdk_output_bytes_are_pinned", &got);
 }
 
 #[test]
@@ -327,13 +306,8 @@ fn tmf_output_bytes_are_pinned() {
     // The BA graph has more than 2^15 kept pairs at both budgets.
     let ba = pgb_models::barabasi_albert(9_000, 4, &mut StdRng::seed_from_u64(2028));
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
-    assert_pinned_at_every_budget(
-        &TmF::default(),
-        &[
-            (&ba, [(0.5, 0xe815_b3a8_00f5_39d2), (2.0, 0xc2ea_fb56_f119_2ea6)]),
-            (&er, [(0.5, 0x6c9c_e0cd_eb0d_f79b), (2.0, 0x1408_da97_c8ae_72a4)]),
-        ],
-    );
+    let got = digests(&TmF::default(), &[("ba9000", &ba), ("er500", &er)], &BUDGETS);
+    pinned::assert_pinned("tmf_output_bytes_are_pinned", &got);
 }
 
 #[test]
@@ -342,13 +316,8 @@ fn dgg_output_bytes_are_pinned() {
     // affinity blocks plus its Chung–Lu phase.
     let ba = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
-    assert_pinned_at_every_budget(
-        &Dgg::default(),
-        &[
-            (&ba, [(0.5, 0x3fc4_952e_79cb_33d0), (2.0, 0x33f6_9b17_1aea_72e9)]),
-            (&er, [(0.5, 0x3e41_e5fe_e673_80b2), (2.0, 0x8401_55bb_e3ed_9f88)]),
-        ],
-    );
+    let got = digests(&Dgg::default(), &[("ba3000", &ba), ("er500", &er)], &BUDGETS);
+    pinned::assert_pinned("dgg_output_bytes_are_pinned", &got);
 }
 
 #[test]
@@ -357,13 +326,8 @@ fn der_output_bytes_are_pinned() {
     // uniform reconstruction.
     let ba = pgb_models::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(2025));
     let er = pgb_models::erdos_renyi_gnp(500, 0.02, &mut StdRng::seed_from_u64(2027));
-    assert_pinned_at_every_budget(
-        &Der::default(),
-        &[
-            (&ba, [(0.5, 0x2335_1ac7_0ae0_9e1e), (2.0, 0x9c48_1a43_c84f_7867)]),
-            (&er, [(0.5, 0x2870_d780_232d_7534), (2.0, 0x53f4_7b57_3871_1cb3)]),
-        ],
-    );
+    let got = digests(&Der::default(), &[("ba3000", &ba), ("er500", &er)], &BUDGETS);
+    pinned::assert_pinned("der_output_bytes_are_pinned", &got);
 }
 
 #[test]

@@ -16,9 +16,6 @@
 //! * [`window`] — sliding-window composition for temporal releases: a
 //!   per-window ε split ([`WindowComposition`]) whose spends are checked
 //!   against both the window share and the overall grant.
-//! * [`testing`] — statistical assertion helpers (moment checks with
-//!   standard-error tolerances, Pearson χ²) the mechanism tests verify
-//!   their closed forms with.
 //!
 //! All sampling is generic over [`rand::Rng`] so benchmark runs are
 //! reproducible from a seed.
@@ -41,7 +38,6 @@ pub mod exponential;
 pub mod laplace;
 pub mod randomized_response;
 pub mod sensitivity;
-pub mod testing;
 pub mod window;
 
 pub use budget::{BudgetAccountant, BudgetError};

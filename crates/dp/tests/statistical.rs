@@ -1,14 +1,17 @@
 //! Statistical conformance of the DP primitives against their closed
-//! forms, via the shared `pgb_dp::testing` harness. Seeds are fixed and
-//! every bound allows 5 standard errors of the relevant estimator (see the
-//! tolerance discipline in `pgb_dp::testing`), so failures indicate real
-//! distributional drift, not unlucky draws.
+//! forms, via the assertion helpers in `tests/support/testing.rs`. Seeds
+//! are fixed and every bound allows 5 standard errors of the relevant
+//! estimator (see the tolerance discipline in that module), so failures
+//! indicate real distributional drift, not unlucky draws.
+
+#[path = "support/testing.rs"]
+mod testing;
 
 use pgb_dp::exponential::{exponential_mechanism, exponential_mechanism_sparse};
 use pgb_dp::laplace::sample_laplace;
-use pgb_dp::testing::{assert_chi_square, assert_mean, assert_variance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use testing::{assert_chi_square, assert_mean, assert_variance};
 
 const Z: f64 = 5.0;
 

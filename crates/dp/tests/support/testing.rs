@@ -1,4 +1,6 @@
-//! Statistical assertion helpers for testing randomised mechanisms.
+//! Statistical assertion helpers for testing randomised mechanisms: the
+//! test oracle of `tests/statistical.rs`, which includes this file through
+//! `#[path]`.
 //!
 //! The DP mechanisms in this crate have closed-form moments (Laplace:
 //! `Var = 2b²`) and closed-form selection probabilities (exponential mechanism: softmax in

@@ -27,7 +27,7 @@
 //!   payload [`CancelUnwind`] via `panic_any`, which survives to whatever
 //!   `catch_unwind` boundary owns the request;
 //! * the boundary inspects [`CancelToken::cause`] to map the unwind to a
-//!   structured error (tick deadline vs. wall clock vs. manual).
+//!   structured error (tick deadline vs. manual).
 //!
 //! ## Tick shielding
 //!
@@ -35,27 +35,17 @@
 //! behalf of coalesced waiters — must not bill ticks to whichever request
 //! happened to lead, or the cancellation decision would depend on cache
 //! state and worker interleaving. [`shield_ticks`] suspends tick charging
-//! (the cancelled flag and wall clock are still polled) for its scope.
-//!
-//! ## The wall-clock escape hatch
-//!
-//! A token may also carry a wall-clock deadline for real deployments.
-//! Wall cancellation is explicitly **excluded from the determinism
-//! contract**: it exists so an operator can bound latency, and its
-//! rejections are structurally reported but not byte-stable.
+//! (the cancelled flag is still polled) for its scope.
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Why a token was cancelled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelCause {
     /// The deterministic work-tick budget was exceeded.
     Ticks,
-    /// The wall-clock deadline passed (excluded from determinism).
-    Wall,
     /// [`CancelToken::cancel`] was called (operator abort, injected
     /// fault).
     Manual,
@@ -63,15 +53,12 @@ pub enum CancelCause {
 
 const CAUSE_LIVE: u8 = 0;
 const CAUSE_TICKS: u8 = 1;
-const CAUSE_WALL: u8 = 2;
-const CAUSE_MANUAL: u8 = 3;
+const CAUSE_MANUAL: u8 = 2;
 
 #[derive(Debug)]
 struct TokenState {
     /// Tick budget; `u64::MAX` ⇒ unmetered.
     limit: u64,
-    /// Wall-clock deadline, if any.
-    wall: Option<Instant>,
     /// Ticks charged so far. Monotone; the final value is racy once the
     /// token cancels (in-flight workers may each charge once more), which
     /// is why reports carry the deterministic `limit`, never this.
@@ -80,21 +67,19 @@ struct TokenState {
     cause: AtomicU8,
 }
 
-/// A shareable cancellation token: a tick budget, an optional wall-clock
-/// deadline, and a latched cancel flag. Clones share state.
+/// A shareable cancellation token: a tick budget and a latched cancel
+/// flag. Clones share state.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Arc<TokenState>,
 }
 
 impl CancelToken {
-    /// A token with an optional tick budget (`None` ⇒ unmetered) and an
-    /// optional wall-clock deadline measured from now.
-    pub fn new(tick_limit: Option<u64>, wall: Option<Duration>) -> Self {
+    /// A token with an optional tick budget (`None` ⇒ unmetered).
+    pub fn new(tick_limit: Option<u64>) -> Self {
         CancelToken {
             inner: Arc::new(TokenState {
                 limit: tick_limit.unwrap_or(u64::MAX),
-                wall: wall.map(|d| Instant::now() + d),
                 ticks: AtomicU64::new(0),
                 cause: AtomicU8::new(CAUSE_LIVE),
             }),
@@ -103,7 +88,7 @@ impl CancelToken {
 
     /// A token that never cancels on its own (manual cancel still works).
     pub fn unlimited() -> Self {
-        Self::new(None, None)
+        Self::new(None)
     }
 
     /// The tick budget, if the token is metered.
@@ -127,7 +112,6 @@ impl CancelToken {
     pub fn cause(&self) -> Option<CancelCause> {
         match self.inner.cause.load(Ordering::Relaxed) {
             CAUSE_TICKS => Some(CancelCause::Ticks),
-            CAUSE_WALL => Some(CancelCause::Wall),
             CAUSE_MANUAL => Some(CancelCause::Manual),
             _ => None,
         }
@@ -146,20 +130,14 @@ impl CancelToken {
     }
 
     /// Charges `n` ticks. Returns `false` (latching a cause) when the
-    /// token is cancelled, the wall deadline has passed, or the charge
-    /// crosses the tick budget. Deterministic for metered tokens: the
-    /// counter is a shared monotone sum, so whether the budget is crossed
-    /// depends on the total charged, not on which thread charges when.
+    /// token is cancelled or the charge crosses the tick budget.
+    /// Deterministic for metered tokens: the counter is a shared monotone
+    /// sum, so whether the budget is crossed depends on the total charged,
+    /// not on which thread charges when.
     pub fn charge(&self, n: u64) -> bool {
         let s = &self.inner;
         if s.cause.load(Ordering::Relaxed) != CAUSE_LIVE {
             return false;
-        }
-        if let Some(wall) = s.wall {
-            if Instant::now() >= wall {
-                self.set_cause(CAUSE_WALL);
-                return false;
-            }
         }
         let before = s.ticks.fetch_add(n, Ordering::Relaxed);
         if before.saturating_add(n) > s.limit {
@@ -169,20 +147,10 @@ impl CancelToken {
         true
     }
 
-    /// Polls the cancelled flag and wall deadline without charging ticks.
-    /// Returns `true` while live.
+    /// Polls the cancelled flag without charging ticks. Returns `true`
+    /// while live.
     pub fn poll(&self) -> bool {
-        let s = &self.inner;
-        if s.cause.load(Ordering::Relaxed) != CAUSE_LIVE {
-            return false;
-        }
-        if let Some(wall) = s.wall {
-            if Instant::now() >= wall {
-                self.set_cause(CAUSE_WALL);
-                return false;
-            }
-        }
-        true
+        self.inner.cause.load(Ordering::Relaxed) == CAUSE_LIVE
     }
 }
 
@@ -205,9 +173,9 @@ pub fn with_token<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
     )
 }
 
-/// Runs `f` with tick charging suspended (the cancelled flag and wall
-/// deadline are still polled at every would-be charge). Used for work
-/// whose attribution is a scheduling artifact — see the module docs.
+/// Runs `f` with tick charging suspended (the cancelled flag is still
+/// polled at every would-be charge). Used for work whose attribution is a
+/// scheduling artifact — see the module docs.
 pub fn shield_ticks<T>(f: impl FnOnce() -> T) -> T {
     crate::scoped(|c| c.shielded = true, f)
 }
@@ -223,8 +191,8 @@ pub fn charge_current(n: u64) -> bool {
     })
 }
 
-/// Whether the current token has been cancelled (flag and wall poll only;
-/// no charge). `false` when no token is installed.
+/// Whether the current token has been cancelled (flag poll only; no
+/// charge). `false` when no token is installed.
 pub fn current_cancelled() -> bool {
     crate::current(|c| c.token.as_ref().is_some_and(|token| !token.poll()))
 }
@@ -265,7 +233,7 @@ mod tests {
 
     #[test]
     fn charge_crosses_the_budget_exactly_once() {
-        let t = CancelToken::new(Some(3), None);
+        let t = CancelToken::new(Some(3));
         assert!(t.charge(1));
         assert!(t.charge(2));
         assert!(!t.charge(1), "fourth tick crosses the budget of 3");
@@ -286,24 +254,16 @@ mod tests {
 
     #[test]
     fn first_cause_wins() {
-        let t = CancelToken::new(Some(0), None);
+        let t = CancelToken::new(Some(0));
         assert!(!t.charge(1));
         t.cancel();
         assert_eq!(t.cause(), Some(CancelCause::Ticks));
     }
 
     #[test]
-    fn wall_deadline_cancels_polls() {
-        let t = CancelToken::new(None, Some(Duration::from_millis(0)));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(!t.poll());
-        assert_eq!(t.cause(), Some(CancelCause::Wall));
-    }
-
-    #[test]
     fn with_token_scopes_and_restores() {
         assert!(charge_current(1), "no token installed: charges are free");
-        let t = CancelToken::new(Some(1), None);
+        let t = CancelToken::new(Some(1));
         with_token(&t, || {
             assert!(charge_current(1));
             assert!(!charge_current(1));
@@ -314,7 +274,7 @@ mod tests {
 
     #[test]
     fn shield_suspends_charging_but_polls_the_flag() {
-        let t = CancelToken::new(Some(2), None);
+        let t = CancelToken::new(Some(2));
         with_token(&t, || {
             shield_ticks(|| {
                 for _ in 0..100 {
@@ -329,7 +289,7 @@ mod tests {
 
     #[test]
     fn checkpoint_raises_the_typed_payload() {
-        let t = CancelToken::new(Some(0), None);
+        let t = CancelToken::new(Some(0));
         let err = catch_unwind(AssertUnwindSafe(|| with_token(&t, || checkpoint(1))))
             .expect_err("budget of 0 cancels the first checkpoint");
         assert!(err.is::<CancelUnwind>(), "payload must be the typed marker");

@@ -81,18 +81,10 @@ pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
     crate::scoped(|c| c.plan = Some(armed), f)
 }
 
-/// The decision hash: same mixer family as [`crate::derive_stream`].
+/// The decision hash: [`crate::stream_seed`] of the point name's
+/// [`crate::fnv1a`] mixed with the plan seed, at hit `hit`.
 fn mix(seed: u64, name: &str, hit: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h ^= seed ^ 0x2545_F491_4F6C_DD1D;
-    h ^= hit.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
-    h = h.wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    h ^= h >> 32;
-    h
+    crate::stream_seed(crate::fnv1a(name.as_bytes()) ^ seed, hit)
 }
 
 /// Rolls point `name`'s next hit against the armed plan. `Some(h)` with

@@ -244,17 +244,26 @@ where
 }
 
 /// Derives the deterministic RNG for chunk `index` of a parallel section
-/// whose single caller draw was `base` — the same xorshift-multiply mixer
-/// family as the runner's per-cell and the query suite's per-intermediate
-/// derivations, so streams are independent across chunks and of the
-/// caller's subsequent draws.
+/// whose single caller draw was `base`: a `StdRng` seeded with
+/// [`stream_seed`]`(base, index)`.
 pub fn derive_stream(base: u64, index: u64) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(base, index))
+}
+
+/// The seed of [`derive_stream`]`(base, index)` — the same
+/// xorshift-multiply mixer family as the runner's per-cell and the query
+/// suite's per-intermediate derivations, so streams are independent
+/// across chunks and of the caller's subsequent draws. The server and the
+/// fault layer use it as a plain 64-bit mix of two words.
+pub fn stream_seed(base: u64, index: u64) -> u64 {
     let mut h = base ^ 0x2545_F491_4F6C_DD1D;
     h ^= index.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
     h = h.wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    h ^= h >> 32;
-    StdRng::seed_from_u64(h)
+    h ^ (h >> 32)
 }
+
+/// The FNV-1a offset basis, where [`fnv1a`] starts.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// 64-bit FNV-1a over a byte slice: the serve transcript renders it per
 /// sample so a diff stays human-sized while still pinning every CSR byte,
@@ -263,7 +272,13 @@ pub fn derive_stream(base: u64, index: u64) -> StdRng {
 /// standard FNV prime 2^40 + 0x1b3; every transcript and pinned digest was
 /// taken with it, so it stays.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+    fnv1a_from(FNV_BASIS, bytes)
+}
+
+/// [`fnv1a`] continuing from state `h`, so a digest can run over several
+/// slices: `fnv1a_from(fnv1a(a), b) == fnv1a(&[a, b].concat())`.
+pub fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
 }
 
 /// The fixed chunk decomposition of `0..len`: every chunk has exactly
@@ -619,7 +634,7 @@ mod tests {
         // chunks > budget, at every thread budget, with the typed payload.
         for threads in [1usize, 2, 8, 0] {
             for (limit, cancelled) in [(6u64, true), (7, false), (8, false)] {
-                let token = cancel::CancelToken::new(Some(limit), None);
+                let token = cancel::CancelToken::new(Some(limit));
                 let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     cancel::with_token(&token, || {
                         with_parallelism(threads, || {
@@ -686,5 +701,13 @@ mod tests {
             (0..4).map(|_| s0.next_u64()).collect::<Vec<_>>(),
             (0..4).map(|_| s1.next_u64()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn fnv1a_from_continues_a_digest() {
+        let whole = fnv1a(b"dataset\xffmechanism");
+        assert_eq!(fnv1a_from(fnv1a(b"dataset"), b"\xffmechanism"), whole);
+        assert_eq!(fnv1a_from(FNV_BASIS, b"dataset\xffmechanism"), whole);
+        assert_eq!(fnv1a(b""), FNV_BASIS);
     }
 }

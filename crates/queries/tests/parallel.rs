@@ -16,15 +16,21 @@
 //! forests, `K2` components, isolated nodes) where it folds degree-1
 //! sources into their neighbours. Its output bytes on a fixed set of
 //! graphs are also pinned as digests, so a change to it cannot move Q7–Q9
-//! unseen.
+//! unseen; the digests live in
+//! `tests/golden/pins/path_stats_bytes_are_pinned.txt` at the workspace
+//! root.
+
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
 
 use pgb_graph::degree::degree_histogram;
 use pgb_graph::traversal::{bfs_distances_into, UNREACHABLE};
 use pgb_graph::Graph;
-use pgb_par::with_parallelism;
+use pgb_par::{with_parallelism, FNV_BASIS};
 use pgb_queries::counting::{triangle_count, triangles_per_node, wedge_count};
 use pgb_queries::path::{path_stats, PathStats};
 use pgb_queries::{PathMode, Query, QueryParams, QuerySuite};
+use pinned::fnv1a_std;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -546,26 +552,15 @@ fn sweep_matches_oracle_on_leafy_graphs() {
     }
 }
 
-/// 64-bit FNV-1a with the standard prime 2^40 + 0x1b3, continuing from
-/// `h`. Not `pgb_par::fnv1a`, whose multiplier differs: the digests below
-/// were pinned with this one.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Digest of the three path statistics' bits plus the caller RNG's next
 /// draw (which pins how many draws source sampling consumed).
 fn path_digest(s: &PathStats, next_draw: u64) -> u64 {
-    let mut h = fnv1a(0xCBF2_9CE4_8422_2325, &s.diameter.to_le_bytes());
-    h = fnv1a(h, &s.average_length.to_bits().to_le_bytes());
+    let mut h = fnv1a_std(FNV_BASIS, &s.diameter.to_le_bytes());
+    h = fnv1a_std(h, &s.average_length.to_bits().to_le_bytes());
     for p in &s.distance_distribution {
-        h = fnv1a(h, &p.to_bits().to_le_bytes());
+        h = fnv1a_std(h, &p.to_bits().to_le_bytes());
     }
-    fnv1a(h, &next_draw.to_le_bytes())
+    fnv1a_std(h, &next_draw.to_le_bytes())
 }
 
 /// The graphs whose Q7–Q9 bytes are pinned: a BA graph, a sparse ER graph
@@ -590,40 +585,17 @@ const PINNED_MODES: [PathMode; 5] = [
     PathMode::Sampled { sources: 200 },
 ];
 
-/// Digests of [`path_stats`] on [`pinned_graphs`] × [`PINNED_MODES`],
-/// taken from the per-source sweep this crate shipped before the
-/// bit-parallel one; they must never move.
-const PINNED_DIGESTS: [[u64; 5]; 4] = [
-    [
-        0xeb8b15985bad7452,
-        0x1c93d2d1c9e8b6f5,
-        0x2c9c58699f856f7e,
-        0x1328a9d239f24d34,
-        0x4862e3b87a44d9c5,
-    ],
-    [
-        0xd3903712610603e2,
-        0xf888470313d7cca1,
-        0x10b96860c31befbf,
-        0xdbed1a51c826d086,
-        0xaafd3d6702d60543,
-    ],
-    [
-        0x3adb0089bc03ac6c,
-        0x4d0957465ed2f761,
-        0xca0a761954d774ab,
-        0x52b45f0129911022,
-        0x48daacdc23fdf1d8,
-    ],
-    [
-        0x388a81b9a97f9d60,
-        0x20e0a73f318ad4e0,
-        0xe7d49f4102d459ef,
-        0xd275f6e0c29f4057,
-        0xd34e4e25ba826b93,
-    ],
-];
+/// A pin name's label for `mode`.
+fn mode_label(mode: PathMode) -> String {
+    match mode {
+        PathMode::Exact => "exact".to_string(),
+        PathMode::Sampled { sources } => format!("sampled{sources}"),
+    }
+}
 
+/// Digests of [`path_stats`] on [`pinned_graphs`] × [`PINNED_MODES`] at
+/// every budget. The pins were taken from the per-source sweep this crate
+/// shipped before the bit-parallel one; they must never move.
 #[test]
 fn path_stats_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -635,18 +607,9 @@ fn path_stats_bytes_are_pinned() {
                     let s = path_stats(&g, mode, &mut rng);
                     path_digest(&s, rng.gen::<u64>())
                 });
-                got.push((name, mode, threads, d));
+                got.push((format!("{name}/{}", mode_label(mode)), d));
             }
         }
     }
-    let want = PINNED_DIGESTS.iter().flatten().flat_map(|&d| [d; BUDGETS.len()]);
-    let moved: Vec<String> = got
-        .into_iter()
-        .zip(want)
-        .filter(|(got, want)| got.3 != *want)
-        .map(|((name, mode, threads, got), want)| {
-            format!("{name} {mode:?} threads = {threads}: {got:#018x} (pinned {want:#018x})")
-        })
-        .collect();
-    assert!(moved.is_empty(), "Q7-Q9 bytes moved:\n{}", moved.join("\n"));
+    pinned::assert_pinned("path_stats_bytes_are_pinned", &got);
 }

@@ -37,6 +37,7 @@
 use crate::error::ServeError;
 use pgb_core::PrivateSynthesis;
 use pgb_par::cancel::{self, CancelUnwind};
+use pgb_par::{fnv1a_from, FNV_BASIS};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,20 +82,15 @@ impl CacheKey {
     /// every measurement of this key — first flight, post-eviction
     /// re-measure, any worker — draws identical randomness.
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(self.dataset.as_bytes());
-        eat(&[0xff]);
-        eat(self.mechanism.as_bytes());
-        eat(&[0xff]);
-        eat(&self.epsilon_bits.to_le_bytes());
-        eat(&self.seed.to_le_bytes());
-        h
+        let fields: [&[u8]; 6] = [
+            self.dataset.as_bytes(),
+            &[0xff],
+            self.mechanism.as_bytes(),
+            &[0xff],
+            &self.epsilon_bits.to_le_bytes(),
+            &self.seed.to_le_bytes(),
+        ];
+        fields.iter().fold(FNV_BASIS, |h, bytes| fnv1a_from(h, bytes))
     }
 }
 
@@ -113,10 +109,11 @@ struct Entry {
 enum FlightOutcome {
     /// The leader finished: a shared success or a shared structured error.
     Done(Result<Arc<dyn PrivateSynthesis>, ServeError>),
-    /// The leader was *cancelled* (its own tick or wall deadline, not a
-    /// mechanism fault). The leader's deadline says nothing about the
-    /// waiters' requests — which request leads is a scheduling artifact —
-    /// so waiters retry the whole lookup instead of inheriting the error.
+    /// The leader was *cancelled* (its own tick deadline or a manual
+    /// cancel, not a mechanism fault). The leader's deadline says nothing
+    /// about the waiters' requests — which request leads is a scheduling
+    /// artifact — so waiters retry the whole lookup instead of inheriting
+    /// the error.
     /// The retry loop terminates: each request leads at most once, and a
     /// cancelled request bails on its own token before re-waiting.
     Abandoned,

@@ -62,8 +62,8 @@ pub enum ServeError {
         /// The request's declared tick budget.
         ticks: u64,
     },
-    /// The request was cancelled for a non-deterministic reason (wall
-    /// clock, operator). Excluded from the determinism contract; the
+    /// The request's token was cancelled without crossing its tick budget:
+    /// an operator abort or the fault layer's `Cancel` action. The
     /// admission charge stands.
     Cancelled,
     /// A coalesced waiter gave up on a measurement flight whose leader

@@ -11,7 +11,7 @@ use crate::wal::{Wal, WalContents, WalCorrupt};
 use pgb_core::{GraphGenerator, PrivateSynthesis};
 use pgb_graph::Graph;
 use pgb_par::cancel::{self, CancelCause, CancelToken, CancelUnwind};
-use pgb_par::{derive_stream, fault, fnv1a};
+use pgb_par::{derive_stream, fault, fnv1a, stream_seed};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -66,11 +66,6 @@ pub struct ServerConfig {
     /// leader killed by `abort` (not unwind); wall-clock, so outside the
     /// determinism contract.
     pub flight_timeout: Duration,
-    /// Optional wall-clock deadline applied to every request's execution.
-    /// `None` (the default) keeps the server fully deterministic; `Some`
-    /// trades that for bounded latency in real deployments
-    /// ([`ServeError::Cancelled`] rejections are *not* replay-stable).
-    pub wall_deadline: Option<Duration>,
     /// Append an accountant checkpoint to the WAL every this many
     /// admissions (0 ⇒ never). Checkpoints are verification records:
     /// recovery cross-checks them against the replayed admission fold.
@@ -80,13 +75,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         // 64 MiB of intermediates, machine-sized thread budget, generous
-        // flight timeout, deterministic (tick-only) deadlines, no
-        // checkpoint cadence until a WAL is attached and tuned.
+        // flight timeout, no checkpoint cadence until a WAL is attached
+        // and tuned.
         Self {
             cache_bytes: 64 << 20,
             threads: 0,
             flight_timeout: Duration::from_secs(30),
-            wall_deadline: None,
             wal_checkpoint_every: 0,
         }
     }
@@ -264,7 +258,7 @@ impl Server {
     fn execute(&self, id: u64, req: &GenerateRequest) -> Result<Vec<Graph>, ServeError> {
         let key = CacheKey::new(&req.dataset, &req.mechanism, req.epsilon, req.seed);
         let synthesis = self.measure_cached(&key)?;
-        let sample_base = mix64(key.hash64(), id);
+        let sample_base = stream_seed(key.hash64(), id);
         let mut graphs = Vec::with_capacity(req.samples);
         for j in 0..req.samples {
             cancel::checkpoint(1);
@@ -281,7 +275,7 @@ impl Server {
     /// The measure runs under [`cancel::shield_ticks`]: which request
     /// happens to lead a flight is a scheduling artifact, so the leader
     /// must not bill the measure's internal chunk claims to its own tick
-    /// deadline (the shield still honors wall clocks and cancellations).
+    /// deadline (the shield still honors cancellations).
     fn measure_cached(&self, key: &CacheKey) -> Result<Arc<dyn PrivateSynthesis>, ServeError> {
         self.cache.get_or_measure(key, || {
             fault::point("cache.measure", &[fault::FaultAction::Panic, fault::FaultAction::Cancel]);
@@ -316,10 +310,7 @@ impl Server {
     /// [`ServeError::SamplePanicked`]. The admission charge stands in every
     /// case (conservative DP).
     fn execute_guarded(&self, id: u64, req: &GenerateRequest) -> Result<Vec<Graph>, ServeError> {
-        let token = CancelToken::new(
-            (req.deadline_ticks != 0).then_some(req.deadline_ticks),
-            self.config.wall_deadline,
-        );
+        let token = CancelToken::new((req.deadline_ticks != 0).then_some(req.deadline_ticks));
         let outcome = cancel::with_token(&token, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(id, req)))
         });
@@ -546,17 +537,6 @@ impl std::fmt::Debug for Server {
             .field("config", &self.config)
             .finish()
     }
-}
-
-/// The same xorshift-multiply mixer family as [`derive_stream`], used to
-/// combine a cache key's digest with a request id into the base of that
-/// request's private sample-stream family.
-fn mix64(base: u64, index: u64) -> u64 {
-    let mut h = base ^ 0x2545_F491_4F6C_DD1D;
-    h ^= index.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
-    h = h.wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    h ^= h >> 32;
-    h
 }
 
 /// Canonical byte serialization of a graph's CSR: a `u64` LE offsets

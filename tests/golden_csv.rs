@@ -7,14 +7,14 @@
 //! The grid deliberately runs under `threads: 0` (auto parallelism): the
 //! bytes must be reproducible on any machine at any core count, which is
 //! exactly the derived-stream guarantee the runner and `pgb_par`
-//! make. To regenerate after an *intentional* change, re-bless with:
+//! make. To regenerate after an *intentional* change, re-bless it together
+//! with every pinned digest under `tests/golden/pins/` with:
 //!
 //! ```sh
-//! PGB_BLESS=1 cargo test --test golden_csv
+//! PGB_BLESS=1 cargo test
 //! ```
 //!
-//! and review the diff of `tests/golden/small_grid.csv` like any other
-//! code change.
+//! and review the diff of `tests/golden` like any other code change.
 
 use pgb::prelude::*;
 use pgb_core::benchmark::run_benchmark;
@@ -60,7 +60,7 @@ fn benchmark_csv_matches_golden_file() {
         return;
     }
     let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with PGB_BLESS=1 cargo test --test golden_csv");
+        .expect("golden file missing — regenerate with PGB_BLESS=1 cargo test");
     // 2 datasets × 3 algorithms × 2 ε × 4 queries + header.
     assert_eq!(golden.lines().count(), 49, "golden file has unexpected shape");
     assert_eq!(
