@@ -117,7 +117,7 @@ impl HarnessArgs {
                     out.window_eps = value_of("--window-eps")?
                         .split(',')
                         .map(|w| match w.trim().parse::<f64>() {
-                            // The predicate `WindowComposition::weighted` enforces.
+                            // The predicate `TemporalGenerator::measure` enforces.
                             Ok(w) if w > 0.0 && w.is_finite() => Ok(w),
                             Ok(w) => {
                                 Err(format!("--window-eps weight {w} must be positive and finite"))

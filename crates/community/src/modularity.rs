@@ -1,7 +1,9 @@
 //! Newman modularity (query Q13 of the benchmark).
 
+use crate::weighted::Adjacency;
 use crate::{Partition, WeightedGraph};
 use pgb_graph::Graph;
+use std::collections::HashMap;
 
 /// Modularity of `partition` on the unweighted graph `g`:
 /// `Q = Σ_c (e_c / m − (d_c / 2m)²)`, where `e_c` is the number of
@@ -10,66 +12,43 @@ use pgb_graph::Graph;
 /// evaluation code).
 pub fn modularity(g: &Graph, partition: &Partition) -> f64 {
     assert_eq!(g.node_count(), partition.len(), "partition/graph size mismatch");
-    let m = g.edge_count() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
-    let mut intra: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    let mut degree: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for (u, v) in g.edges() {
-        let (cu, cv) = (partition.label(u), partition.label(v));
-        if cu == cv {
-            *intra.entry(cu).or_insert(0.0) += 1.0;
-        }
-    }
-    for u in g.nodes() {
-        *degree.entry(partition.label(u)).or_insert(0.0) += g.degree(u) as f64;
-    }
-    // Sum community terms in label order: float addition is not
-    // associative, so reducing in HashMap iteration order would make the
-    // last bits of Q vary between otherwise identical runs.
-    let mut communities: Vec<(u32, f64)> = degree.into_iter().collect();
-    communities.sort_unstable_by_key(|&(c, _)| c);
-    communities
-        .into_iter()
-        .map(|(c, d)| {
-            let e = intra.get(&c).copied().unwrap_or(0.0);
-            e / m - (d / (2.0 * m)).powi(2)
-        })
-        .sum()
+    modularity_of(g, partition.labels())
 }
 
 /// Weighted modularity over a [`WeightedGraph`] (used by Louvain's
 /// aggregated levels): same formula with weights in place of counts.
 pub fn modularity_weighted(g: &WeightedGraph, labels: &[u32]) -> f64 {
     assert_eq!(g.node_count(), labels.len(), "label/graph size mismatch");
+    modularity_of(g, labels)
+}
+
+/// Modularity over any [`Adjacency`]. On a [`Graph`] every sum is a count
+/// below 2^53, so it is exact in any order and `2m / 2` is `m`: a graph
+/// and its [`WeightedGraph::from_graph`] lift give the same bits.
+fn modularity_of<G: Adjacency>(g: &G, labels: &[u32]) -> f64 {
     let two_m = g.total_weight();
     if two_m <= 0.0 {
         return 0.0;
     }
-    let mut intra: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    let mut degree: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Per community: (total degree, intra-community weight).
+    let mut sums: HashMap<u32, (f64, f64)> = HashMap::new();
     for u in 0..g.node_count() as u32 {
         let cu = labels[u as usize];
-        *degree.entry(cu).or_insert(0.0) += g.weighted_degree(u);
-        *intra.entry(cu).or_insert(0.0) += g.self_loop(u); // w counted once per loop
-        for &(v, w) in g.neighbors(u) {
+        let (degree, intra) = sums.entry(cu).or_insert((0.0, 0.0));
+        *degree += g.weighted_degree(u);
+        *intra += g.self_loop(u); // w counted once per loop
+        for (v, w) in g.weighted_neighbors(u) {
             if v > u && labels[v as usize] == cu {
-                *intra.entry(cu).or_insert(0.0) += w;
+                *intra += w.into();
             }
         }
     }
-    // Label-ordered reduction for run-to-run determinism (see
-    // `modularity`).
-    let mut communities: Vec<(u32, f64)> = degree.into_iter().collect();
+    // Sum community terms in label order: float addition is not
+    // associative, so reducing in HashMap iteration order would make the
+    // last bits of Q vary between otherwise identical runs.
+    let mut communities: Vec<(u32, (f64, f64))> = sums.into_iter().collect();
     communities.sort_unstable_by_key(|&(c, _)| c);
-    communities
-        .into_iter()
-        .map(|(c, d)| {
-            let e = intra.get(&c).copied().unwrap_or(0.0);
-            e / (two_m / 2.0) - (d / two_m).powi(2)
-        })
-        .sum()
+    communities.into_iter().map(|(_, (d, e))| e / (two_m / 2.0) - (d / two_m).powi(2)).sum()
 }
 
 #[cfg(test)]

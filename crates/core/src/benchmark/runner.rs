@@ -235,7 +235,7 @@ pub(crate) trait Grid: Sync {
 /// returns their rows in grid order: dataset-major, then algorithm, then ε.
 ///
 /// True values are computed first, one task of
-/// [`crate::exec::run_pool_collect`] per dataset on the `ai = usize::MAX`
+/// [`pgb_par::run_pool_collect`] per dataset on the `ai = usize::MAX`
 /// stream no real cell occupies. Each cell is then one task of a second
 /// pool: workers claim cells in grid order and run each under their fixed
 /// share of `config.threads`. A cell runs its repetitions in order on the
@@ -254,7 +254,7 @@ pub(crate) fn run_grid<G: Grid>(
 ) -> Vec<G::Row> {
     let budget =
         if config.threads == 0 { pgb_par::available_parallelism() } else { config.threads };
-    let truths = crate::exec::run_pool_collect(budget, datasets, |di| {
+    let truths = pgb_par::run_pool_collect(budget, datasets, |di| {
         grid.truth(di, &mut cell_rng(config.seed, di, usize::MAX, 0, 0))
     });
     let epsilons = config.epsilons.len();
@@ -263,7 +263,7 @@ pub(crate) fn run_grid<G: Grid>(
             (0..algorithms).flat_map(move |ai| (0..epsilons).map(move |ei| (di, ai, ei)))
         })
         .collect();
-    let rows = crate::exec::run_pool_collect(budget, cells.len(), |c| {
+    let rows = pgb_par::run_pool_collect(budget, cells.len(), |c| {
         let cell @ (di, ai, ei) = cells[c];
         let shared = (config.reuse == MeasureReuse::PerCell)
             .then(|| grid.measure(cell, &mut cell_rng(config.seed, di, ai, ei, usize::MAX)));

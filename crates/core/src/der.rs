@@ -9,9 +9,7 @@
 //! sequentially) — and reconstructs by spreading each leaf's noisy count
 //! uniformly over its cells.
 
-use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
-};
+use crate::generator::{vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
@@ -125,7 +123,7 @@ impl GraphGenerator for Der {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
             return Ok(Box::new(DerSynthesis { n, leaves: Vec::new(), epsilon }));
@@ -135,7 +133,6 @@ impl GraphGenerator for Der {
         let depth = depth_needed.min(self.max_depth.max(1));
         // The depth levels compose sequentially (regions within a level are
         // disjoint, so a level is one parallel-composition share).
-        let mut acc = BudgetAccountant::new(epsilon)?;
         let eps_explore = acc.spend_remaining("quadtree region counts");
         let eps_level = eps_explore / depth as f64;
 

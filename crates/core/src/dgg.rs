@@ -10,9 +10,7 @@
 //! under the central model so it is comparable with the rest of the suite
 //! (§V-A2), which is exactly what this module does.
 
-use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
-};
+use crate::generator::{vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_dp::laplace::laplace_mechanism;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
@@ -67,7 +65,6 @@ impl GraphGenerator for Dgg {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
         let mut acc = BudgetAccountant::new(epsilon)?;
         let eps_deg = acc.spend_remaining("degree sequence");
         let n = graph.node_count();

@@ -12,7 +12,7 @@
 //!   and realised with the dK-2 stub-wiring constructor.
 
 use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis,
+    vec_heap_bytes, GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis,
 };
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::sensitivity::{dk2_local_sensitivity_at, smooth_sensitivity, SmoothParams};
@@ -191,7 +191,6 @@ impl GraphGenerator for DpDk {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
         let mut acc = BudgetAccountant::new(epsilon)?;
         let series = match self.variant {
             DkVariant::Dk1 => {

@@ -1,6 +1,7 @@
 //! The [`GraphGenerator`] trait every PGB mechanism implements, and the
 //! error type shared by them.
 
+use pgb_dp::BudgetError;
 use pgb_graph::{Graph, NodeId};
 use rand::{Rng, RngCore};
 use std::fmt;
@@ -18,8 +19,10 @@ pub enum GenerateError {
         /// Nodes in the input.
         actual: usize,
     },
-    /// Internal budget accounting failed (a bug in the mechanism's split).
-    Budget(pgb_dp::BudgetError),
+    /// Budget accounting failed: a bug in the mechanism's split, or
+    /// temporal window weights of the wrong count or not positive and
+    /// finite ([`BudgetError::InvalidSplit`]).
+    Budget(BudgetError),
 }
 
 impl fmt::Display for GenerateError {
@@ -36,9 +39,15 @@ impl fmt::Display for GenerateError {
 
 impl std::error::Error for GenerateError {}
 
-impl From<pgb_dp::BudgetError> for GenerateError {
-    fn from(e: pgb_dp::BudgetError) -> Self {
-        GenerateError::Budget(e)
+/// An invalid ε from the accountant is the caller's invalid budget, so
+/// `BudgetAccountant::new(epsilon)?` is every mechanism's ε check; any
+/// other accounting error is a mechanism bug.
+impl From<BudgetError> for GenerateError {
+    fn from(e: BudgetError) -> Self {
+        match e {
+            BudgetError::InvalidEpsilon(eps) => GenerateError::InvalidEpsilon(eps),
+            other => GenerateError::Budget(other),
+        }
     }
 }
 
@@ -119,15 +128,6 @@ pub(crate) fn vec_heap_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
-/// Validates the privacy budget common to all mechanisms.
-pub(crate) fn check_epsilon(epsilon: f64) -> Result<(), GenerateError> {
-    if epsilon > 0.0 && epsilon.is_finite() {
-        Ok(())
-    } else {
-        Err(GenerateError::InvalidEpsilon(epsilon))
-    }
-}
-
 /// A uniform `n`-node subsample of `0..total` as a relabelling table: a
 /// kept node maps to its rank among the kept nodes, a dropped one to
 /// `NodeId::MAX`. It is the projection PrivSKG and DP-dK apply when a
@@ -179,6 +179,7 @@ impl NodeSubsample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgb_dp::BudgetAccountant;
 
     #[test]
     fn node_subsample_keeps_n_nodes_ranked_in_id_order() {
@@ -197,11 +198,17 @@ mod tests {
 
     #[test]
     fn epsilon_validation() {
-        assert!(check_epsilon(0.5).is_ok());
-        assert!(check_epsilon(0.0).is_err());
-        assert!(check_epsilon(-1.0).is_err());
-        assert!(check_epsilon(f64::NAN).is_err());
-        assert!(check_epsilon(f64::INFINITY).is_err());
+        // The accountant's ε check surfaces as the caller's invalid budget.
+        assert!(BudgetAccountant::new(0.5).is_ok());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = GenerateError::from(BudgetAccountant::new(bad).unwrap_err());
+            assert!(
+                matches!(err, GenerateError::InvalidEpsilon(e) if e.to_bits() == bad.to_bits()),
+                "ε = {bad}: {err}"
+            );
+        }
+        let exhausted = BudgetError::Exhausted { requested: 1.0, remaining: 0.0 };
+        assert!(matches!(GenerateError::from(exhausted), GenerateError::Budget(_)));
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod benchmark;
 pub mod der;
 pub mod dgg;
 pub mod dpdk;
-pub mod exec;
 pub mod generator;
 pub mod privgraph;
 pub mod privhrg;

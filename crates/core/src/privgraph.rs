@@ -27,9 +27,7 @@
 //! which reads only the noisy statistics — PrivGraph is the suite's
 //! clearest example of the measure-then-realise split.
 
-use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
-};
+use crate::generator::{vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_community::{louvain_weighted, LouvainParams, Partition, WeightedGraph};
 use pgb_dp::exponential::exponential_mechanism_sparse;
 use pgb_dp::laplace::sample_laplace;
@@ -151,7 +149,7 @@ impl GraphGenerator for PrivGraph {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
             return Ok(Box::new(PrivGraphSynthesis {
@@ -162,7 +160,6 @@ impl GraphGenerator for PrivGraph {
                 epsilon,
             }));
         }
-        let mut acc = BudgetAccountant::new(epsilon)?;
         let refine = self.refine_rounds > 0;
         let (eps1, eps2, eps3) = if refine {
             let shares = acc.split(&[

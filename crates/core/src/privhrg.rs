@@ -9,9 +9,7 @@
 //! one `E_r` by 1, so the vector's L1 sensitivity is 1). Construction:
 //! edges are drawn from the noisy connection probabilities.
 
-use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
-};
+use crate::generator::{vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
@@ -80,12 +78,11 @@ impl GraphGenerator for PrivHrg {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
             return Ok(Box::new(HrgSynthesis { n, dendrogram: None, probs: Vec::new(), epsilon }));
         }
-        let mut acc = BudgetAccountant::new(epsilon)?;
         let eps1 = acc
             .spend("dendrogram MCMC", epsilon * self.structure_budget_fraction.clamp(0.05, 0.95))?;
         let eps2 = acc.spend_remaining("connection probabilities");

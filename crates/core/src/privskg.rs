@@ -10,9 +10,7 @@
 //! targets are pre-scaled by the matching subsampling factors, so the
 //! subsample's expected moments hit the noisy targets).
 
-use crate::generator::{
-    check_epsilon, GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis,
-};
+use crate::generator::{GenerateError, GraphGenerator, NodeSubsample, PrivateSynthesis};
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::sensitivity::{
     smooth_sensitivity, triangle_local_sensitivity_at, wedge_local_sensitivity_at, SmoothParams,
@@ -173,12 +171,11 @@ impl GraphGenerator for PrivSkg {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
             return Ok(Box::new(SkgSynthesis { n, model: None, epsilon }));
         }
-        let mut acc = BudgetAccountant::new(epsilon)?;
         let shares =
             acc.split(&[("edge count", 1.0), ("wedge count", 1.0), ("triangle count", 1.0)])?;
         let (eps_m, eps_w, eps_t) = (shares[0], shares[1], shares[2]);

@@ -6,10 +6,14 @@
 //! per-window TmF *is* static TmF applied to each window's snapshot. What
 //! the wrapper adds is the two contracts a longitudinal release needs:
 //!
-//! * **budget composition** — the grant is split across windows through
-//!   [`WindowComposition`] (evenly by default, or by explicit weights for
-//!   `--window-eps`), and each window's measure drains exactly its share,
-//!   so Σ window spends ≡ ε by sequential composition;
+//! * **budget composition** — one [`BudgetAccountant`] holds the grant,
+//!   and window `w` is charged `ε · w / Σw` (even weights by default, or
+//!   explicit ones for `--window-eps`), clamped to what the accountant has
+//!   left so rounding never overdraws it. Σ window spends ≡ ε by
+//!   sequential composition. The clamp can shave the last window's share
+//!   by an ulp (4 even windows at ε = 0.1 give a last share of
+//!   0.024999999999999994), so this drain is not
+//!   [`BudgetAccountant::split`], which charges the unclamped quotient;
 //! * **RNG discipline** — `measure` and `sample` each draw exactly one
 //!   `u64` from the caller and hand every window its own
 //!   [`derive_stream`](pgb_par::derive_stream) substream. The caller's RNG
@@ -17,13 +21,13 @@
 //!   derived per (window, cell) and results are independent of window
 //!   evaluation order and thread budget.
 //!
-//! With a single window the composition hands back the grant bit-for-bit
+//! With a single window the drain hands back the grant bit-for-bit
 //! (`ε · 1/1`), so a one-window temporal run reproduces the static
 //! pipeline exactly on matched streams — the degenerate-case regression
 //! in `tests/temporal.rs` pins that.
 
-use crate::generator::{check_epsilon, GenerateError, GraphGenerator, PrivateSynthesis};
-use pgb_dp::{BudgetError, WindowComposition};
+use crate::generator::{GenerateError, GraphGenerator, PrivateSynthesis};
+use pgb_dp::{BudgetAccountant, BudgetError};
 use pgb_graph::temporal::SnapshotSequence;
 use pgb_graph::Graph;
 use rand::RngCore;
@@ -58,7 +62,9 @@ impl TemporalGenerator {
 
     /// Replaces the even split with an explicit per-window weight vector
     /// (the `--window-eps` flag); shares are `ε · w / Σw`. The length must
-    /// match the sequence's window count at `measure` time.
+    /// match the sequence's window count at `measure` time and every weight
+    /// must be positive and finite, or `measure` fails with
+    /// [`BudgetError::InvalidSplit`].
     pub fn with_window_weights(mut self, weights: Vec<f64>) -> Self {
         self.window_weights = Some(weights);
         self
@@ -75,31 +81,34 @@ impl TemporalGenerator {
         self.inner.delta()
     }
 
-    /// Measures every window of `seq` under its share of `epsilon`,
-    /// returning the per-window private intermediates. Draws exactly one
-    /// `u64` from `rng`; window `w` measures on `derive_stream(base, w)`.
+    /// Measures every window of `seq` under its share of `epsilon`, charged
+    /// in window order to one [`BudgetAccountant`], and returns the
+    /// per-window private intermediates. Draws exactly one `u64` from
+    /// `rng`; window `w` measures on `derive_stream(base, w)`.
     pub fn measure(
         &self,
         seq: &SnapshotSequence,
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<TemporalSynthesis, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let windows = seq.window_count();
-        let mut comp = match &self.window_weights {
-            None => WindowComposition::even(epsilon, windows)?,
-            Some(w) if w.len() == windows => WindowComposition::weighted(epsilon, w)?,
-            Some(_) => return Err(GenerateError::Budget(BudgetError::InvalidSplit)),
-        };
+        let weights = self.window_weights.clone().unwrap_or_else(|| vec![1.0; windows]);
+        if weights.len() != windows
+            || weights.is_empty()
+            || weights.iter().any(|&w| !(w > 0.0 && w.is_finite()))
+        {
+            return Err(GenerateError::Budget(BudgetError::InvalidSplit));
+        }
+        let sum: f64 = weights.iter().sum();
         let base = rng.next_u64();
         let mut syntheses = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let share = comp.spend_window_remaining(w, "window measure");
-            if share <= 0.0 {
-                // Unreachable for positive weights, but a zero share must
-                // not silently reach the inner mechanism.
-                return Err(GenerateError::InvalidEpsilon(share));
-            }
+        for (w, weight) in weights.iter().enumerate() {
+            // Clamped to the remainder so accumulated rounding never
+            // overdraws the grant; a zero share fails the spend as an
+            // invalid ε before it can reach the inner mechanism.
+            let share =
+                acc.spend("window measure", (epsilon * weight / sum).min(acc.remaining()))?;
             let mut wrng = pgb_par::derive_stream(base, w as u64);
             syntheses.push(self.inner.measure(seq.snapshot(w), share, &mut wrng)?);
         }
@@ -203,6 +212,42 @@ mod tests {
         let syn = tgen.measure(&seq(2), 1.0, &mut rng).unwrap();
         assert!((syn.window(0).epsilon_spent() - 0.25).abs() < 1e-9);
         assert!((syn.window(1).epsilon_spent() - 0.75).abs() < 1e-9);
+    }
+
+    /// Window `w`'s share, as charged to the inner mechanism.
+    fn shares(tgen: &TemporalGenerator, windows: usize, epsilon: f64) -> Vec<f64> {
+        let syn = tgen.measure(&seq(windows), epsilon, &mut StdRng::seed_from_u64(8)).unwrap();
+        (0..windows).map(|w| syn.window(w).epsilon_spent()).collect()
+    }
+
+    #[test]
+    fn the_clamp_trims_the_last_of_four_even_windows() {
+        // 0.1 / 4 is 0.025, but three of them leave 0.025 less an ulp.
+        let tgen = TemporalGenerator::new(Box::new(TmF::default()));
+        assert_eq!(shares(&tgen, 4, 0.1), [0.025, 0.025, 0.025, 0.024999999999999994]);
+    }
+
+    #[test]
+    fn the_clamp_trims_the_last_weighted_window() {
+        let tgen = TemporalGenerator::new(Box::new(TmF::default()))
+            .with_window_weights(vec![1.0, 2.0, 1.0]);
+        assert_eq!(shares(&tgen, 3, 0.1)[2], 0.024999999999999994);
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_weights_error() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let tgen = TemporalGenerator::new(Box::new(TmF::default()))
+                .with_window_weights(vec![1.0, bad]);
+            let mut rng = StdRng::seed_from_u64(3);
+            assert!(
+                matches!(
+                    tgen.measure(&seq(2), 1.0, &mut rng),
+                    Err(GenerateError::Budget(BudgetError::InvalidSplit))
+                ),
+                "weight {bad}"
+            );
+        }
     }
 
     #[test]

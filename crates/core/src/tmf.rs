@@ -11,9 +11,7 @@
 //! subsample of the true edges. This implementation realises exactly that
 //! distribution in `O(m + m̃)`.
 
-use crate::generator::{
-    check_epsilon, vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis,
-};
+use crate::generator::{vec_heap_bytes, GenerateError, GraphGenerator, PrivateSynthesis};
 use pgb_dp::laplace::sample_laplace;
 use pgb_dp::BudgetAccountant;
 use pgb_graph::Graph;
@@ -149,12 +147,11 @@ impl GraphGenerator for TmF {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn PrivateSynthesis>, GenerateError> {
-        check_epsilon(epsilon)?;
+        let mut acc = BudgetAccountant::new(epsilon)?;
         let n = graph.node_count();
         if n < 2 {
             return Ok(Box::new(TmfSynthesis::empty(n, epsilon)));
         }
-        let mut acc = BudgetAccountant::new(epsilon)?;
         let eps1 =
             acc.spend("adjacency cells", epsilon * self.cell_budget_fraction.clamp(0.05, 0.95))?;
         let eps2 = acc.spend_remaining("edge count");

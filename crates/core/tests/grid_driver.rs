@@ -9,11 +9,10 @@
 //!   evenly.
 
 use pgb_core::benchmark::{run_benchmark, BenchmarkConfig, MeasureReuse};
-use pgb_core::exec::run_pool_collect;
 use pgb_core::generator::GenerateError;
 use pgb_core::{GraphGenerator, PrivateSynthesis, TmF};
 use pgb_graph::Graph;
-use pgb_par::available_parallelism;
+use pgb_par::{available_parallelism, run_pool_collect};
 use pgb_queries::Query;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

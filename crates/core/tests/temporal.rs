@@ -8,7 +8,9 @@
 //! * degenerate windows flow through: a burst event log (empty trailing
 //!   windows) still generates and evaluates, and a single-window temporal
 //!   run reproduces the static mechanism bit-for-bit at the full ε;
-//! * the complete-grid `runs = 0` guarantee holds for failing mechanisms.
+//! * the complete-grid `runs = 0` guarantee holds for failing mechanisms;
+//! * each window is charged, bit for bit, the share of a clamped drain of
+//!   the grant (proptest over weights and ε against a reference drain).
 
 use pgb_core::benchmark::{run_temporal_benchmark, BenchmarkConfig, MeasureReuse};
 use pgb_core::generator::GenerateError;
@@ -69,6 +71,35 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    /// `measure` charges window `w` the share `ε · w / Σw`, clamped to what
+    /// is left of the grant, in window order; every share is positive and
+    /// the shares drain the grant.
+    #[test]
+    fn window_shares_match_a_clamped_drain(
+        epsilon in 0.01f64..10.0,
+        weights in proptest::collection::vec(0.1f64..10.0, 1..8),
+    ) {
+        let windows = weights.len();
+        let seq = SnapshotSequence::build(40, &ring_events(40, 1), windows).unwrap();
+        let tgen =
+            TemporalGenerator::new(Box::new(TmF::default())).with_window_weights(weights.clone());
+        let syn = tgen.measure(&seq, epsilon, &mut StdRng::seed_from_u64(2)).unwrap();
+
+        let sum: f64 = weights.iter().sum();
+        let mut spent = 0.0f64;
+        for (w, weight) in weights.iter().enumerate() {
+            let expected = (epsilon * weight / sum).min((epsilon - spent).max(0.0));
+            spent += expected;
+            let charged = syn.window(w).epsilon_spent();
+            prop_assert_eq!(charged.to_bits(), expected.to_bits(), "window {}", w);
+            prop_assert!(charged > 0.0);
+        }
+        prop_assert!((spent - epsilon).abs() < 1e-9, "drained {} of {}", spent, epsilon);
+        prop_assert!(spent <= epsilon * (1.0 + 1e-9));
     }
 }
 

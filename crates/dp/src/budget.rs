@@ -44,9 +44,8 @@ const EPS_SLACK: f64 = 1e-9;
 
 /// The floating-point slack a spend may exceed `bound` by: [`EPS_SLACK`],
 /// scaled down with bounds below 1 so a tiny grant cannot be overdrawn many
-/// times over (shared with the sliding-window composition in
-/// [`crate::window`]).
-pub(crate) fn slack(bound: f64) -> f64 {
+/// times over.
+fn slack(bound: f64) -> f64 {
     EPS_SLACK * bound.min(1.0)
 }
 

@@ -12,10 +12,9 @@
 //!   (used by DP-dK and PrivSKG).
 //! * [`budget`] — the labelled [`BudgetAccountant`]: sequential-composition
 //!   ε accounting that mechanisms' measure phases register their splits
-//!   against.
-//! * [`window`] — sliding-window composition for temporal releases: a
-//!   per-window ε split ([`WindowComposition`]) whose spends are checked
-//!   against both the window share and the overall grant.
+//!   against. It is the only code that validates, splits and charges ε:
+//!   every mechanism opens one, and a temporal release drains one grant
+//!   window by window through it.
 //!
 //! All sampling is generic over [`rand::Rng`] so benchmark runs are
 //! reproducible from a seed.
@@ -38,11 +37,9 @@ pub mod exponential;
 pub mod laplace;
 pub mod randomized_response;
 pub mod sensitivity;
-pub mod window;
 
 pub use budget::{BudgetAccountant, BudgetError};
 pub use exponential::exponential_mechanism;
 pub use laplace::{laplace_mechanism, sample_laplace};
 pub use randomized_response::{randomized_response, rr_flip_probability, rr_keep_probability};
 pub use sensitivity::{smooth_sensitivity, SmoothParams};
-pub use window::WindowComposition;

@@ -4,12 +4,11 @@
 //! defines edge probabilities over `n = 2^k` nodes:
 //! `P[u, v] = Π_level θ[bit_level(u), bit_level(v)]`.
 //!
-//! Besides sampling, this module exposes the closed-form *moments* (expected
-//! edges, wedges, triangles) that PrivSKG's private estimator matches
-//! against noisy graph statistics.
+//! Besides the ball-dropping sampler's two kernels, this module exposes
+//! the closed-form *moments* (expected edges, wedges, triangles) that
+//! PrivSKG's private estimator matches against noisy graph statistics.
 
 use crate::sampling::sample_binomial;
-use pgb_graph::{Graph, GraphBuilder};
 use rand::Rng;
 
 /// A symmetric 2×2 Kronecker initiator with entries in `[0, 1]`.
@@ -113,46 +112,13 @@ impl KroneckerModel {
         ((t - 3.0 * s_pair + 2.0 * s_all) / 6.0).max(0.0)
     }
 
-    /// Samples a graph by exact per-pair Bernoulli trials — `O(n²)`, used
-    /// for tests and small graphs.
-    pub fn sample_exact<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        let n = self.node_count();
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_range(0.0f64..1.0) < self.edge_probability(u, v) {
-                    b.push(u as u32, v as u32);
-                }
-            }
-        }
-        b.build().expect("ids bounded by n")
-    }
-
-    /// Samples a graph with the fast "ball-dropping" method (as in
-    /// graph500 / Leskovec's generator): draw a Binomial number of edge
-    /// placements around the expected ordered-pair mass, route each down
-    /// the Kronecker hierarchy quadrant by quadrant, and simplify.
-    ///
-    /// Duplicate placements collapse, so the realised edge count sits
-    /// slightly below [`KroneckerModel::expected_edges`]; this matches the
-    /// standard generator PrivSKG builds on.
-    pub fn sample_fast<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        let n = self.node_count();
-        if self.initiator.total() <= 0.0 {
-            return Graph::new(n);
-        }
-        let drops = self.sample_drop_count(rng);
-        let mut pairs = Vec::with_capacity(drops as usize);
-        self.sample_drops(drops, rng, &mut pairs);
-        let mut builder = GraphBuilder::with_capacity(n, pairs.len());
-        builder.extend(pairs);
-        builder.build().expect("ids bounded by n")
-    }
-
-    /// Draws the number of ball drops for one [`KroneckerModel::sample_fast`]
-    /// realisation: Binomial-dithered around the expected undirected edge
-    /// count (each drop becomes one undirected edge candidate; duplicates
-    /// collapse later in the builder).
+    /// Draws the number of ball drops for one "ball-dropping" realisation
+    /// (as in graph500 / Leskovec's generator, which PrivSKG builds on):
+    /// Binomial-dithered around the expected undirected edge count. Each
+    /// drop becomes one undirected edge candidate routed by
+    /// [`KroneckerModel::sample_drops`]; duplicates collapse later in the
+    /// builder, so the realised edge count sits slightly below
+    /// [`KroneckerModel::expected_edges`].
     pub fn sample_drop_count<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let n = self.node_count();
         let cells = (n as u64).saturating_mul(n as u64 - 1) / 2;
@@ -163,11 +129,10 @@ impl KroneckerModel {
     /// Routes `count` ball drops down the Kronecker hierarchy quadrant by
     /// quadrant, pushing each non-diagonal landing as a raw node pair.
     ///
-    /// This is the independent per-drop kernel behind
-    /// [`KroneckerModel::sample_fast`], exposed so callers can split the
-    /// drop total into chunks with independent RNG streams (PrivSKG's
-    /// parallel construction phase) — the pushed pairs still need the
-    /// builder's dedup pass.
+    /// This is the independent per-drop kernel of ball dropping: callers
+    /// split the [`KroneckerModel::sample_drop_count`] total into chunks
+    /// with independent RNG streams (PrivSKG's parallel construction
+    /// phase). The pushed pairs still need the builder's dedup pass.
     pub fn sample_drops<R: Rng + ?Sized>(
         &self,
         count: u64,
@@ -205,11 +170,42 @@ impl KroneckerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgb_graph::{Graph, GraphBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn model() -> KroneckerModel {
         KroneckerModel { initiator: Initiator::new(0.9, 0.5, 0.2), k: 8 }
+    }
+
+    /// Samples by exact per-pair Bernoulli trials — `O(n²)`, the oracle
+    /// for the closed-form moments.
+    fn sample_exact<R: Rng + ?Sized>(m: &KroneckerModel, rng: &mut R) -> Graph {
+        let n = m.node_count();
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_range(0.0f64..1.0) < m.edge_probability(u, v) {
+                    b.push(u as u32, v as u32);
+                }
+            }
+        }
+        b.build().expect("ids bounded by n")
+    }
+
+    /// One ball-dropping realisation on a single stream: the drop count,
+    /// then every drop, then the builder's dedup.
+    fn sample_fast<R: Rng + ?Sized>(m: &KroneckerModel, rng: &mut R) -> Graph {
+        let n = m.node_count();
+        if m.initiator.total() <= 0.0 {
+            return Graph::new(n);
+        }
+        let drops = m.sample_drop_count(rng);
+        let mut pairs = Vec::with_capacity(drops as usize);
+        m.sample_drops(drops, rng, &mut pairs);
+        let mut builder = GraphBuilder::with_capacity(n, pairs.len());
+        builder.extend(pairs);
+        builder.build().expect("ids bounded by n")
     }
 
     #[test]
@@ -282,17 +278,36 @@ mod tests {
         let m = model();
         let reps = 5;
         let mean: f64 =
-            (0..reps).map(|_| m.sample_exact(&mut rng).edge_count() as f64).sum::<f64>()
+            (0..reps).map(|_| sample_exact(&m, &mut rng).edge_count() as f64).sum::<f64>()
                 / reps as f64;
         let expected = m.expected_edges();
         assert!((mean - expected).abs() / expected < 0.1, "mean {mean} expected {expected}");
     }
 
     #[test]
+    fn kronecker_moment_consistency_across_parameters() {
+        // The exact sampler's mean edge count matches the closed form
+        // across a grid of initiators.
+        for &(a, b, c) in &[(0.9, 0.5, 0.1), (0.7, 0.3, 0.6), (0.99, 0.4, 0.2), (0.5, 0.5, 0.5)] {
+            let m = KroneckerModel { initiator: Initiator::new(a, b, c), k: 7 };
+            let mut rng = StdRng::seed_from_u64(7);
+            let reps = 8;
+            let mean =
+                (0..reps).map(|_| sample_exact(&m, &mut rng).edge_count() as f64).sum::<f64>()
+                    / reps as f64;
+            let expected = m.expected_edges();
+            assert!(
+                (mean - expected).abs() / expected.max(1.0) < 0.15,
+                "({a},{b},{c}): mean {mean} vs {expected}"
+            );
+        }
+    }
+
+    #[test]
     fn fast_sampler_close_to_exact() {
         let mut rng = StdRng::seed_from_u64(121);
         let m = model();
-        let g = m.sample_fast(&mut rng);
+        let g = sample_fast(&m, &mut rng);
         let expected = m.expected_edges();
         let got = g.edge_count() as f64;
         // Duplicates cost a few percent.
@@ -304,7 +319,7 @@ mod tests {
     fn fast_sampler_scales() {
         let mut rng = StdRng::seed_from_u64(122);
         let m = KroneckerModel { initiator: Initiator::new(0.9, 0.4, 0.25), k: 13 };
-        let g = m.sample_fast(&mut rng);
+        let g = sample_fast(&m, &mut rng);
         assert_eq!(g.node_count(), 8192);
         assert!(g.edge_count() > 1000);
     }
@@ -313,8 +328,8 @@ mod tests {
     fn zero_initiator_gives_empty_graph() {
         let mut rng = StdRng::seed_from_u64(123);
         let m = KroneckerModel { initiator: Initiator::new(0.0, 0.0, 0.0), k: 4 };
-        assert_eq!(m.sample_fast(&mut rng).edge_count(), 0);
-        assert_eq!(m.sample_exact(&mut rng).edge_count(), 0);
+        assert_eq!(sample_fast(&m, &mut rng).edge_count(), 0);
+        assert_eq!(sample_exact(&m, &mut rng).edge_count(), 0);
     }
 
     /// The quadrant `if`/`else` chain `sample_drops` replaced, kept as its

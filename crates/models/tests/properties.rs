@@ -213,22 +213,3 @@ fn hrg_mcmc_long_run_consistency() {
     assert!(empty_q > 0, "no move had a parent without edges");
     assert!(smaller_b > 0, "no move with parent edges had the smaller second child");
 }
-
-#[test]
-fn kronecker_moment_consistency_across_parameters() {
-    use pgb_models::{Initiator, KroneckerModel};
-    // Moments must be monotone in each initiator entry and consistent
-    // between the exact sampler and the closed forms across a grid.
-    for &(a, b, c) in &[(0.9, 0.5, 0.1), (0.7, 0.3, 0.6), (0.99, 0.4, 0.2), (0.5, 0.5, 0.5)] {
-        let m = KroneckerModel { initiator: Initiator::new(a, b, c), k: 7 };
-        let mut rng = StdRng::seed_from_u64(7);
-        let reps = 8;
-        let mean = (0..reps).map(|_| m.sample_exact(&mut rng).edge_count() as f64).sum::<f64>()
-            / reps as f64;
-        let expected = m.expected_edges();
-        assert!(
-            (mean - expected).abs() / expected.max(1.0) < 0.15,
-            "({a},{b},{c}): mean {mean} vs {expected}"
-        );
-    }
-}

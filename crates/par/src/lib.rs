@@ -685,12 +685,53 @@ mod tests {
     }
 
     #[test]
-    fn elastic_workers_take_their_grant_not_the_callers_budget() {
+    fn pool_workers_take_their_share_not_the_callers_budget() {
         // Pool workers run under their share of the pool's budget, not
         // under the caller's: one task takes all 4 threads.
         with_parallelism(1, || {
             assert_eq!(run_pool_collect(4, 1, |_| current_parallelism()), [4]);
         });
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        for budget in [1, 2, 8, 0] {
+            let counts: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
+            run_pool(budget, counts.len(), |i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "budget = {budget}: every task must run exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn collect_preserves_index_order_at_any_budget() {
+        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for budget in [1, 3, 8, 0] {
+            assert_eq!(run_pool_collect(budget, 37, |i| i * i), expected, "budget = {budget}");
+        }
+    }
+
+    #[test]
+    fn zero_tasks_is_a_no_op() {
+        run_pool(4, 0, |_| unreachable!("no task to run"));
+        let out: Vec<u8> = run_pool_collect(4, 0, |_| unreachable!("no task to run"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pool_tasks_see_their_workers_fixed_share() {
+        // Inside a task, `current_parallelism` reads its worker's fixed
+        // share: one task takes the whole budget of 4, eight tasks over 4
+        // workers get 1 thread each, and 5 threads over 2 workers split
+        // 3 + 2.
+        let share = |budget, tasks| run_pool_collect(budget, tasks, |_| current_parallelism());
+        assert_eq!(share(4, 1), [4]);
+        assert_eq!(share(4, 8), [1; 8]);
+        assert!(share(5, 2).iter().all(|&s| s == 2 || s == 3));
     }
 
     #[test]

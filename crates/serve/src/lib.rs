@@ -19,7 +19,7 @@
 //!   independent `sample`s from derived RNG streams.
 //! * [`Server`] — admission (validation + budget charge, serialized in
 //!   arrival order) followed by execution over the shared fixed-share
-//!   worker/claim loop (`pgb_core::exec`), so service work and a
+//!   worker/claim loop (`pgb_par::run_pool`), so service work and a
 //!   benchmark grid divide a thread budget the same way.
 //!
 //! ## The determinism contract

@@ -377,7 +377,7 @@ impl Server {
     /// 1. admissions fold sequentially over the log (charges and
     ///    rejections are functions of the log prefix);
     /// 2. admitted requests execute in parallel on the shared fixed-share
-    ///    worker/claim loop ([`pgb_core::exec::run_pool_collect`]), which
+    ///    worker/claim loop ([`pgb_par::run_pool_collect`]), which
     ///    returns their results in admission order;
     /// 3. records assemble in log order.
     ///
@@ -393,7 +393,7 @@ impl Server {
 
         // Phase 2 — parallel execution of the admitted requests.
         let admitted: Vec<usize> = (0..log.len()).filter(|&i| admissions[i].is_ok()).collect();
-        let mut executed = pgb_core::exec::run_pool_collect(threads, admitted.len(), |task| {
+        let mut executed = pgb_par::run_pool_collect(threads, admitted.len(), |task| {
             let i = admitted[task];
             self.execute_guarded(i as u64, &log[i].request)
                 .map(|graphs| graphs.iter().map(csr_bytes).collect::<Vec<_>>())
