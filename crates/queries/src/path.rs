@@ -3,9 +3,20 @@
 //!
 //! The sweep is a bit-parallel multi-source BFS (MS-BFS; Then et al., "The
 //! More the Merrier", PVLDB 8(4), 2014). Sources are taken in batches of
-//! `LANES` = 128, and bit `i` of a lane word stands for the batch's `i`-th
-//! source, so one pass over a level advances every BFS of the batch at
-//! once. A batch keeps three dense lane arrays:
+//! one lane word's width, and bit `i` of a lane word stands for the
+//! batch's `i`-th source, so one pass over a level advances every BFS of
+//! the batch at once. The word is sized by the number of sources given
+//! lanes:
+//!
+//! * 64 or fewer: a `u64` word. The 64-source samples of graphs above the
+//!   harness's exact limit need no wider one, and at 10⁷ nodes each of the
+//!   batch's three lane arrays costs 8 B a node.
+//! * More: a 256-lane `[u64; 4]` word. An Exact sweep (at most 5,000 nodes
+//!   in the harness, so its arrays stay small) then runs half as many
+//!   batches as with 128-lane words, and so half as many passes over each
+//!   level's edges.
+//!
+//! A batch keeps three dense lane arrays:
 //!
 //! * `seen[v]` — the sources that have reached `v`;
 //! * `visit[v]` — the sources that first reached `v` at level `d`, and
@@ -35,8 +46,9 @@
 //!   if the lane's source shares its component: the batch keeps one mask
 //!   per component it covers, and nodes outside all of them start
 //!   finished, so bottom-up levels skip them and the switch rule does not
-//!   count their volume. A single batch (as in the 64-source sample) skips
-//!   the labelling BFS, which would cost it more than the masks save.
+//!   count their volume. A single batch (as in the 64-source sample, or an
+//!   Exact sweep of at most 256 lanes) skips the labelling BFS, which would
+//!   cost it more than the masks save.
 //! * Isolated sources are dropped: their rows are empty.
 //! * A degree-1 source `v` whose neighbour `u` is a source of degree ≥ 2
 //!   is folded into `u` (Sariyüce et al., "Graph Manipulations for Fast
@@ -62,10 +74,61 @@ use pgb_graph::Graph;
 use rand::Rng;
 
 /// A node's lane word: bit `i` belongs to the `i`-th source of a batch.
-type Lanes = u128;
+/// The sweep needs only these few operations of it.
+trait Lanes: Copy + Eq + Send + Sync {
+    /// Sources per batch, and so per `par_fold_chunks` chunk.
+    const WIDTH: usize;
+    /// The word with no lane set.
+    const ZERO: Self;
+    /// The word with only lane `i` set.
+    fn bit(i: usize) -> Self;
+    fn and(self, other: Self) -> Self;
+    fn or(self, other: Self) -> Self;
+    fn not(self) -> Self;
+    fn count_ones(self) -> u32;
+}
 
-/// Sources per MS-BFS batch, and so per `par_fold_chunks` chunk.
-const LANES: usize = Lanes::BITS as usize;
+impl Lanes for u64 {
+    const WIDTH: usize = u64::BITS as usize;
+    const ZERO: Self = 0;
+    fn bit(i: usize) -> Self {
+        1 << i
+    }
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+    fn not(self) -> Self {
+        !self
+    }
+    fn count_ones(self) -> u32 {
+        u64::count_ones(self)
+    }
+}
+
+impl Lanes for [u64; 4] {
+    const WIDTH: usize = 256;
+    const ZERO: Self = [0; 4];
+    fn bit(i: usize) -> Self {
+        let mut w = [0; 4];
+        w[i / 64] = 1 << (i % 64);
+        w
+    }
+    fn and(self, other: Self) -> Self {
+        std::array::from_fn(|k| self[k] & other[k])
+    }
+    fn or(self, other: Self) -> Self {
+        std::array::from_fn(|k| self[k] | other[k])
+    }
+    fn not(self) -> Self {
+        self.map(|x| !x)
+    }
+    fn count_ones(self) -> u32 {
+        self.iter().map(|x| x.count_ones()).sum()
+    }
+}
 
 /// A level runs bottom-up once its frontier's edge volume times `ALPHA`
 /// exceeds the edge volume of the nodes still missing a lane.
@@ -91,9 +154,9 @@ pub struct PathStats {
 /// Computes the path statistics of `g`.
 ///
 /// * [`PathMode::Exact`] sweeps every source: exact values from at most
-///   `⌈n / LANES⌉` batches, each reading a node's edges at most once per
+///   `⌈n / 256⌉` batches, each reading a node's edges at most once per
 ///   level — `O(m · diameter)` word operations per batch, against
-///   `O(LANES · m)` for one BFS per source, and far fewer where bottom-up
+///   `O(256 · m)` for one BFS per source, and far fewer where bottom-up
 ///   levels stop early or leaves fold into their neighbours.
 /// * [`PathMode::Sampled`] sweeps a uniform source sample: each BFS still
 ///   reaches all nodes, so the estimators are unbiased for the average and
@@ -107,23 +170,39 @@ pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> Pa
     }
     let mut sources = sample_sources(n, mode, rng);
     sources.sort_unstable();
-    let kept = |&v: &u32| g.degree(v) > 0 && !folds(g, &sources, v);
-    let mut swept: Vec<u32> = sources.iter().copied().filter(kept).collect();
-    let label = if swept.len() <= LANES {
+    let swept: Vec<u32> =
+        sources.iter().copied().filter(|&v| g.degree(v) > 0 && !folds(g, &sources, v)).collect();
+    let mut hist = if swept.len() <= u64::WIDTH {
+        sweep::<u64>(g, &sources, swept)
+    } else {
+        sweep::<[u64; 4]>(g, &sources, swept)
+    };
+    while hist.last() == Some(&0) {
+        hist.pop();
+    }
+    finalize(&hist)
+}
+
+/// The distance histogram of the sources in `swept` (the non-isolated,
+/// unfolded members of the sorted `sources`), batched `W::WIDTH` at a
+/// time.
+fn sweep<W: Lanes>(g: &Graph, sources: &[u32], mut swept: Vec<u32>) -> Vec<u64> {
+    let label = if swept.len() <= W::WIDTH {
         // One batch: its masks would only spare bottom-up levels the nodes
         // outside its sources' components, which saves less than the
         // labelling BFS costs. Every node takes all of the batch's lanes.
-        vec![0; n]
+        vec![0; g.node_count()]
     } else {
-        let (label, met) = label_components(g, &sources);
-        swept = met.into_iter().filter(kept).collect();
+        // The labelling BFS meets only non-isolated sources.
+        let (label, met) = label_components(g, sources);
+        swept = met.into_iter().filter(|&v| !folds(g, sources, v)).collect();
         label
     };
-    let mut hist = pgb_par::par_fold_chunks(
+    pgb_par::par_fold_chunks(
         swept.len(),
-        LANES,
+        W::WIDTH,
         Vec::new,
-        |hist, range| add_batch(g, &label, &sources, &swept[range], hist),
+        |hist, range| add_batch::<W>(g, &label, sources, &swept[range], hist),
         |hist, other| {
             if other.len() > hist.len() {
                 hist.resize(other.len(), 0);
@@ -132,11 +211,7 @@ pub fn path_stats<R: Rng + ?Sized>(g: &Graph, mode: PathMode, rng: &mut R) -> Pa
                 *h += o;
             }
         },
-    );
-    while hist.last() == Some(&0) {
-        hist.pop();
-    }
-    finalize(&hist)
+    )
 }
 
 /// Whether `v` is a source folded into its neighbour: `v` has degree 1,
@@ -198,39 +273,40 @@ fn label_components(g: &Graph, sources: &[u32]) -> (Vec<u32>, Vec<u32>) {
 
 /// The lanes of a batch that can reach each node: a node misses exactly
 /// the lanes whose sources share its component.
-struct ComponentMasks<'a> {
+struct ComponentMasks<'a, W> {
     label: &'a [u32],
     /// The label of the batch's first component.
     first: u32,
     /// `masks[c]` — the lanes whose source is in component `first + c`.
-    masks: Vec<Lanes>,
+    masks: Vec<W>,
 }
 
-impl<'a> ComponentMasks<'a> {
+impl<'a, W: Lanes> ComponentMasks<'a, W> {
     /// The masks of `batch`, whose sources are ordered by component, so
     /// it covers a run of consecutive labels.
     fn new(label: &'a [u32], batch: &[u32]) -> Self {
         let first = label[batch[0] as usize];
         let last = label[batch[batch.len() - 1] as usize];
-        let mut masks = vec![0; (last - first) as usize + 1];
+        let mut masks = vec![W::ZERO; (last - first) as usize + 1];
         for (lane, &s) in batch.iter().enumerate() {
-            masks[(label[s as usize] - first) as usize] |= 1 << lane;
+            let m = &mut masks[(label[s as usize] - first) as usize];
+            *m = m.or(W::bit(lane));
         }
         ComponentMasks { label, first, masks }
     }
 
     /// The lanes of component `c`, or none outside the batch.
-    fn of_label(&self, c: u32) -> Lanes {
-        self.masks.get(c.wrapping_sub(self.first) as usize).copied().unwrap_or(0)
+    fn of_label(&self, c: u32) -> W {
+        self.masks.get(c.wrapping_sub(self.first) as usize).copied().unwrap_or(W::ZERO)
     }
 
     /// The lanes that reach `v` by the end of the batch.
-    fn full(&self, v: u32) -> Lanes {
+    fn full(&self, v: u32) -> W {
         self.of_label(self.label[v as usize])
     }
 }
 
-/// Runs one MS-BFS from `batch` (at most [`LANES`] distinct sources,
+/// Runs one MS-BFS from `batch` (at most `W::WIDTH` distinct sources,
 /// ordered by component) and adds to `hist[d]`, for every `d ≥ 1`, the
 /// number of (source, node) pairs at distance `d`, including the pairs of
 /// the sources folded into the batch's (`sources` is the sorted source
@@ -240,36 +316,51 @@ impl<'a> ComponentMasks<'a> {
 /// the frontier's edge volume times [`ALPHA`] is at most the volume of
 /// the nodes still missing a lane, [`bottom_up`] past that. Both leave the
 /// same `next` words, so the histogram does not depend on the choice.
-fn add_batch(g: &Graph, label: &[u32], sources: &[u32], batch: &[u32], hist: &mut Vec<u64>) {
-    debug_assert!(!batch.is_empty() && batch.len() <= LANES);
+///
+/// `par_fold_chunks` calls its fold from two places (its one-worker loop
+/// and its workers). Inlined into both, the two copies compiled
+/// differently, and the one-worker copy of the 256-lane batch ran about
+/// 2.5 times slower than the workers' on a baseline x86-64 build (Xeon).
+/// Out of line, the batch and its two steps compile once per word.
+#[inline(never)]
+fn add_batch<W: Lanes>(
+    g: &Graph,
+    label: &[u32],
+    sources: &[u32],
+    batch: &[u32],
+    hist: &mut Vec<u64>,
+) {
+    debug_assert!(!batch.is_empty() && batch.len() <= W::WIDTH);
     let n = g.node_count();
-    let masks = ComponentMasks::new(label, batch);
+    let masks = ComponentMasks::<W>::new(label, batch);
     let degree = |v: u32| g.degree(v) as u64;
     // planes[j] — the lanes whose source has bit j set in its fold count.
-    let mut planes: Vec<Lanes> = Vec::new();
+    let mut planes: Vec<W> = Vec::new();
     let mut folded = 0;
     for (lane, &s) in batch.iter().enumerate() {
         let w = g.neighbors(s).iter().filter(|&&v| folds(g, sources, v)).count();
         folded += w as u64;
         let bits = (usize::BITS - w.leading_zeros()) as usize;
         if planes.len() < bits {
-            planes.resize(bits, 0);
+            planes.resize(bits, W::ZERO);
         }
         for (j, plane) in planes.iter_mut().enumerate() {
-            *plane |= Lanes::from(w >> j & 1 == 1) << lane;
+            if w >> j & 1 == 1 {
+                *plane = plane.or(W::bit(lane));
+            }
         }
     }
-    let mut seen: Vec<Lanes> = vec![0; n];
-    let mut visit: Vec<Lanes> = vec![0; n];
-    let mut next: Vec<Lanes> = vec![0; n];
+    let mut seen = vec![W::ZERO; n];
+    let mut visit = vec![W::ZERO; n];
+    let mut next = vec![W::ZERO; n];
     let mut frontier: Vec<u32> = Vec::with_capacity(batch.len());
     let mut reached: Vec<u32> = Vec::new();
     let mut frontier_volume = 0;
     let mut unfinished_volume: u64 =
-        (0..n as u32).filter(|&v| masks.full(v) != 0).map(degree).sum();
+        (0..n as u32).filter(|&v| masks.full(v) != W::ZERO).map(degree).sum();
     for (lane, &s) in batch.iter().enumerate() {
-        seen[s as usize] = 1 << lane;
-        visit[s as usize] = 1 << lane;
+        seen[s as usize] = W::bit(lane);
+        visit[s as usize] = W::bit(lane);
         frontier.push(s);
         frontier_volume += degree(s);
         if seen[s as usize] == masks.full(s) {
@@ -291,7 +382,7 @@ fn add_batch(g: &Graph, label: &[u32], sources: &[u32], batch: &[u32], hist: &mu
         // Clear this level's words, so that after the swap `next` is all
         // zero and `visit` holds exactly the new frontier's words.
         for &u in &frontier {
-            visit[u as usize] = 0;
+            visit[u as usize] = W::ZERO;
         }
         std::mem::swap(&mut visit, &mut next);
         std::mem::swap(&mut frontier, &mut reached);
@@ -302,14 +393,14 @@ fn add_batch(g: &Graph, label: &[u32], sources: &[u32], batch: &[u32], hist: &mu
         for &v in &frontier {
             let new = visit[v as usize];
             let s = &mut seen[v as usize];
-            *s |= new;
+            *s = s.or(new);
             if *s == masks.full(v) {
                 unfinished_volume -= degree(v);
             }
             frontier_volume += degree(v);
             count += u64::from(new.count_ones());
             for (j, &plane) in planes.iter().enumerate() {
-                shifted += u64::from((new & plane).count_ones()) << j;
+                shifted += u64::from(new.and(plane).count_ones()) << j;
             }
         }
         add(hist, d, count);
@@ -332,23 +423,25 @@ fn add(hist: &mut Vec<u64>, d: usize, count: u64) {
 /// One top-down level: every frontier node `u` pushes its `visit` word to
 /// its neighbours, keeping the lanes a neighbour has not seen. Each node
 /// that gains its first `next` bit is appended to `reached`.
-fn top_down(
+#[inline(never)]
+fn top_down<W: Lanes>(
     g: &Graph,
     frontier: &[u32],
-    seen: &[Lanes],
-    visit: &[Lanes],
-    next: &mut [Lanes],
+    seen: &[W],
+    visit: &[W],
+    next: &mut [W],
     reached: &mut Vec<u32>,
 ) {
     for &u in frontier {
         let bits = visit[u as usize];
         for &v in g.neighbors(u) {
-            let new = bits & !seen[v as usize];
-            if new != 0 {
-                if next[v as usize] == 0 {
+            let new = bits.and(seen[v as usize].not());
+            if new != W::ZERO {
+                let w = &mut next[v as usize];
+                if *w == W::ZERO {
                     reached.push(v);
                 }
-                next[v as usize] |= new;
+                *w = w.or(new);
             }
         }
     }
@@ -358,28 +451,29 @@ fn top_down(
 /// ORs its neighbours' `visit` words, stopping as soon as it has found
 /// every missing lane, and keeps the missing ones. Nodes that find a lane
 /// are appended to `reached` in id order.
-fn bottom_up(
+#[inline(never)]
+fn bottom_up<W: Lanes>(
     g: &Graph,
-    masks: &ComponentMasks,
-    seen: &[Lanes],
-    visit: &[Lanes],
-    next: &mut [Lanes],
+    masks: &ComponentMasks<W>,
+    seen: &[W],
+    visit: &[W],
+    next: &mut [W],
     reached: &mut Vec<u32>,
 ) {
     for (v, (&c, &s)) in masks.label.iter().zip(seen).enumerate() {
-        let missing = masks.of_label(c) & !s;
-        if missing == 0 {
+        let missing = masks.of_label(c).and(s.not());
+        if missing == W::ZERO {
             continue;
         }
-        let mut found = 0;
+        let mut found = W::ZERO;
         for &u in g.neighbors(v as u32) {
-            found |= visit[u as usize];
-            if found & missing == missing {
+            found = found.or(visit[u as usize]);
+            if found.and(missing) == missing {
                 break;
             }
         }
-        let new = found & missing;
-        if new != 0 {
+        let new = found.and(missing);
+        if new != W::ZERO {
             next[v] = new;
             reached.push(v as u32);
         }
@@ -435,21 +529,25 @@ mod tests {
     /// both steps from the same `(seen, visit)` state: their `next` words
     /// and (as sets) their reached nodes must agree. Returns the number
     /// of levels that reached a node.
-    fn assert_steps_agree(g: &Graph, batch: &[u32], label: &[u32]) -> usize {
+    fn assert_steps_agree<W: Lanes + std::fmt::Debug>(
+        g: &Graph,
+        batch: &[u32],
+        label: &[u32],
+    ) -> usize {
         let n = g.node_count();
-        let masks = ComponentMasks::new(label, batch);
-        let mut seen: Vec<Lanes> = vec![0; n];
-        let mut visit: Vec<Lanes> = vec![0; n];
+        let masks = ComponentMasks::<W>::new(label, batch);
+        let mut seen = vec![W::ZERO; n];
+        let mut visit = vec![W::ZERO; n];
         for (lane, &s) in batch.iter().enumerate() {
-            seen[s as usize] = 1 << lane;
-            visit[s as usize] = 1 << lane;
+            seen[s as usize] = W::bit(lane);
+            visit[s as usize] = W::bit(lane);
         }
         let mut frontier = batch.to_vec();
         let mut levels = 0;
         loop {
-            let (mut down, mut down_reached) = (vec![0; n], Vec::new());
+            let (mut down, mut down_reached) = (vec![W::ZERO; n], Vec::new());
             top_down(g, &frontier, &seen, &visit, &mut down, &mut down_reached);
-            let (mut up, mut up_reached) = (vec![0; n], Vec::new());
+            let (mut up, mut up_reached) = (vec![W::ZERO; n], Vec::new());
             bottom_up(g, &masks, &seen, &visit, &mut up, &mut up_reached);
             assert_eq!(down, up, "next words at level {}", levels + 1);
             down_reached.sort_unstable();
@@ -458,7 +556,7 @@ mod tests {
                 return levels;
             }
             for &v in &down_reached {
-                seen[v as usize] |= down[v as usize];
+                seen[v as usize] = seen[v as usize].or(down[v as usize]);
             }
             visit = down;
             frontier = down_reached;
@@ -480,13 +578,23 @@ mod tests {
         for g in [&er, &clique_path] {
             let n = g.node_count() as u32;
             let (label, _) = label_components(g, &(0..n).collect::<Vec<_>>());
-            for batch in [vec![0], vec![5, 17, 130], (0..128).collect(), (n - 128..n).collect()] {
-                // As the sweep batches them: no isolated sources, ordered
-                // by component.
-                let mut batch: Vec<u32> =
-                    batch.into_iter().filter(|&s| label[s as usize] != UNLABELLED).collect();
-                batch.sort_by_key(|&s| label[s as usize]);
-                assert!(assert_steps_agree(g, &batch, &label) > 0);
+            // Full batches at either end of the ids, at both widths: on
+            // the 300-node graph one of 256 sources.
+            for width in [u64::WIDTH, <[u64; 4]>::WIDTH] {
+                let w = width.min(n as usize) as u32;
+                for batch in [vec![0], vec![5, 17, 130], (0..w).collect(), (n - w..n).collect()] {
+                    // As the sweep batches them: no isolated sources,
+                    // ordered by component.
+                    let mut batch: Vec<u32> =
+                        batch.into_iter().filter(|&s| label[s as usize] != UNLABELLED).collect();
+                    batch.sort_by_key(|&s| label[s as usize]);
+                    let levels = if width == u64::WIDTH {
+                        assert_steps_agree::<u64>(g, &batch, &label)
+                    } else {
+                        assert_steps_agree::<[u64; 4]>(g, &batch, &label)
+                    };
+                    assert!(levels > 0);
+                }
             }
         }
     }
@@ -507,8 +615,8 @@ mod tests {
 
         // Each node misses only the lanes of its own component; nodes
         // outside the batch's components miss none.
-        let masks = ComponentMasks::new(&label, &[1, 2, 3, 8, 10, 11]);
-        let full: Vec<Lanes> = (0..12).map(|v| masks.full(v)).collect();
+        let masks = ComponentMasks::<u64>::new(&label, &[1, 2, 3, 8, 10, 11]);
+        let full: Vec<u64> = (0..12).map(|v| masks.full(v)).collect();
         assert_eq!(
             full,
             [
@@ -516,8 +624,8 @@ mod tests {
                 0b11_0000
             ]
         );
-        let masks = ComponentMasks::new(&label, &[3, 8]);
-        let full: Vec<Lanes> = (0..12).map(|v| masks.full(v)).collect();
+        let masks = ComponentMasks::<u64>::new(&label, &[3, 8]);
+        let full: Vec<u64> = (0..12).map(|v| masks.full(v)).collect();
         assert_eq!(full, [0, 0, 0, 0b1, 0b1, 0b1, 0b1, 0b10, 0b10, 0b10, 0, 0]);
 
         // Sampled: a source component is labelled from its smallest

@@ -218,13 +218,14 @@ proptest! {
 
     #[test]
     fn bfs_sweep_matches_seq_at_all_budgets(
-        n in 2usize..300,
+        n in 2usize..600,
         p in 0u64..120,
         seed in 0u64..1 << 32,
-        sources in 1usize..300,
+        sources in 1usize..600,
     ) {
-        // n and the sample size both range across several 64- and
-        // 128-source batches.
+        // n and the sample size both range across the switch from one
+        // 64-lane word to 256-lane words, and across several 256-source
+        // batches.
         let g = random_graph(n, p, seed);
         for mode in [PathMode::Exact, PathMode::Sampled { sources }] {
             let reference = path_stats_oracle(&g, mode, &mut StdRng::seed_from_u64(seed));
@@ -409,12 +410,13 @@ fn path_graph(n: usize) -> Graph {
 
 #[test]
 fn sweep_matches_oracle_across_lane_boundaries() {
-    // Source counts on either side of 64, 128 and 256 (one and two
-    // batches of 64 or 128 lanes), both as Exact sweeps over exactly that
-    // many nodes and as sampled sweeps over a larger graph.
+    // Source counts on either side of 64 (where the 64-lane word gives way
+    // to the 256-lane one), 128, 256 and 512 (one, two and three 256-lane
+    // batches), both as Exact sweeps over exactly that many nodes and as
+    // sampled sweeps over a larger graph.
     let mut rng = StdRng::seed_from_u64(313);
-    let big = pgb_models::erdos_renyi_gnp(400, 0.01, &mut rng);
-    for k in [63usize, 64, 65, 127, 128, 129, 255, 256, 257] {
+    let big = pgb_models::erdos_renyi_gnp(700, 0.006, &mut rng);
+    for k in [63usize, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513] {
         let g = pgb_models::erdos_renyi_gnp(k, 0.04, &mut rng);
         assert_sweep_matches_oracle(&g, PathMode::Exact, k as u64);
         assert_sweep_matches_oracle(&big, PathMode::Sampled { sources: k }, k as u64);
