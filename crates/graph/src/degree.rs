@@ -12,9 +12,10 @@ pub fn degree_sequence(g: &Graph) -> Vec<u32> {
     g.degrees().collect()
 }
 
-/// Nodes per chunk for the parallel degree scan: coarse enough that small
-/// graphs take the inline path outright, fine enough that an 8-way budget
-/// load-balances a 10⁵-node graph.
+/// Nodes per chunk for the parallel degree scan: coarse enough that a
+/// graph below 16,384 nodes is one chunk, folded on the calling thread
+/// with no worker spawned, fine enough that an 8-way budget load-balances
+/// a 10⁵-node graph.
 const DEGREE_CHUNK: usize = 16_384;
 
 /// Degree histogram: `hist[d]` = number of nodes with degree `d`.

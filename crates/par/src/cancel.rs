@@ -19,11 +19,11 @@
 //! primitives charge it one tick per chunk (and every chunk claim polls
 //! the cancelled flag). When a charge fails:
 //!
-//! * worker threads inside [`crate::par_collect`]-family sections stop
-//!   claiming chunks **quietly** — `std::thread::scope` replaces scoped
-//!   panic payloads with a generic message, so workers must not carry the
-//!   signal themselves;
-//! * after the scope joins, the *calling* thread raises the typed unwind
+//! * the claimer, in the one claim loop behind every chunk primitive
+//!   ([`crate::par_fold_chunks`]), stops claiming chunks **quietly** —
+//!   `std::thread::scope` replaces scoped panic payloads with a generic
+//!   message, so workers must not carry the signal themselves;
+//! * once every claimer stops, the *calling* thread raises the typed unwind
 //!   payload [`CancelUnwind`] via `panic_any`, which survives to whatever
 //!   `catch_unwind` boundary owns the request;
 //! * the boundary inspects [`CancelToken::cause`] to map the unwind to a
@@ -216,10 +216,10 @@ pub fn checkpoint(n: u64) {
     }
 }
 
-/// Raises [`CancelUnwind`] if the current token is cancelled (poll only —
-/// called by `run_chunks` on the calling thread after its scope joins, so
-/// the typed payload is not laundered through `std::thread::scope`'s
-/// generic scoped-thread panic).
+/// Raises [`CancelUnwind`] if the current token is cancelled (poll only,
+/// no charge) — for a thread that notices a cancellation while waiting
+/// rather than while claiming work, such as a cache waiter blocked on
+/// another request's flight.
 pub fn bail_if_cancelled() {
     if current_cancelled() {
         panic_any(CancelUnwind);

@@ -31,12 +31,16 @@
 //! Deterministic scans (histograms, triangle counting, BFS merging, graph
 //! coarsening) need the chunking discipline but no randomness, so they use
 //! [`par_map_chunks`] (chunk outputs concatenated in chunk order) and
-//! [`par_fold_chunks`] (per-chunk accumulators merged in chunk order).
-//! Bit-identity across thread budgets then rests on the *merge algebra*,
-//! not on scheduling: a merge that only appends in chunk order or combines
-//! exact integers is identical however chunks are grouped, which is why the
-//! query-suite passes keep every floating-point reduction out of the
-//! chunk-merge step (see `par_fold_chunks`' contract).
+//! [`par_fold_chunks`] (accumulators merged in chunk order). All three
+//! primitives run on one chunk engine: `par_fold_chunks`' claim loop,
+//! which the calling thread runs itself at a budget of 1 and each scoped
+//! worker runs at more, folding consecutive claims into one accumulator.
+//! Which chunks share an accumulator is therefore a scheduling accident,
+//! and bit-identity across thread budgets rests on the *merge algebra*: a
+//! merge that only appends in chunk order or combines exact integers is
+//! identical however chunks are grouped, which is why the query-suite
+//! passes keep every floating-point reduction out of the chunk-merge step
+//! (see `par_fold_chunks`' contract).
 //!
 //! ## The run context
 //!
@@ -86,8 +90,9 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::panic::panic_any;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default indices per chunk for fine-grained index work (per-edge or
 /// per-drop loops): large enough to amortise stream derivation and task
@@ -281,137 +286,71 @@ pub fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
 }
 
-/// The fixed chunk decomposition of `0..len`: every chunk has exactly
-/// `chunk` indices except a shorter final one. Depends only on the inputs,
-/// never on the thread count — this is what makes chunk streams stable.
-///
-/// # Panics
-/// Panics if `chunk == 0`.
-pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
-    assert!(chunk > 0, "chunk size must be positive");
-    (0..len).step_by(chunk).map(|start| start..(start + chunk).min(len)).collect()
-}
-
-/// Runs `produce` once per chunk over [`current_parallelism`] workers with
-/// a dynamic cursor and returns the per-chunk outputs **in chunk order**.
-/// The shared engine behind [`par_collect`], [`par_map_chunks`], and
-/// [`par_fold_chunks`]; callers have already handled the `workers <= 1`
-/// inline case.
-fn run_chunks<T, F>(ranges: &[Range<usize>], workers: usize, produce: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    let slots: Vec<OnceLock<T>> = (0..ranges.len()).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    // A worker *is* the parallelism: anything nested runs serial. Chunk
-    // claims charge the caller's token, whichever worker runs them.
-    spawn_workers(
-        workers,
-        |_| 1,
-        || loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= ranges.len() {
-                break;
-            }
-            // Cancelled: stop claiming *quietly* — a scoped panic would be
-            // laundered into a payload-free generic by std::thread::scope;
-            // the calling thread raises the typed unwind below instead.
-            if !cancel::charge_current(1) {
-                break;
-            }
-            assert!(
-                slots[i].set(produce(i, ranges[i].clone())).is_ok(),
-                "the atomic cursor hands out each chunk once"
-            );
-        },
-    );
-    cancel::bail_if_cancelled();
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every claimed chunk publishes its slot"))
-        .collect()
-}
-
 /// Runs `f` once per chunk of `0..len` and returns all chunk outputs
-/// concatenated in chunk order.
+/// concatenated in chunk order: [`par_map_chunks`] with a stream per chunk.
 ///
 /// Draws exactly one `u64` from `rng` (regardless of `len`, `chunk`, or
 /// the thread budget) and hands chunk `i` the stream
-/// [`derive_stream`]`(base, i)` plus an output vector to push into. Chunks
-/// are distributed over [`current_parallelism`] workers with a dynamic
-/// cursor, so unequal chunk costs load-balance; a budget of 1 (or a single
-/// chunk) runs inline with no thread spawn. Output, by construction, does
-/// not depend on the worker count.
+/// [`derive_stream`]`(base, i)` plus an output vector to push into. Output,
+/// by construction, does not depend on the worker count.
 pub fn par_collect<T, F>(len: usize, chunk: usize, rng: &mut dyn RngCore, f: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(Range<usize>, &mut StdRng, &mut Vec<T>) + Sync,
 {
     let base = rng.next_u64();
-    let ranges = chunk_ranges(len, chunk);
-    let workers = current_parallelism().min(ranges.len());
-    if workers <= 1 {
-        let mut out = Vec::new();
-        for (i, r) in ranges.into_iter().enumerate() {
-            // Same tick per chunk as the parallel path charges per claim,
-            // so the cancellation decision is budget-invariant.
-            cancel::checkpoint(1);
-            f(r, &mut derive_stream(base, i as u64), &mut out);
-        }
-        return out;
-    }
-    let parts = run_chunks(&ranges, workers, |i, r| {
-        let mut out = Vec::new();
-        f(r, &mut derive_stream(base, i as u64), &mut out);
-        out
-    });
-    concat(parts)
+    par_map_chunks(len, chunk, |range, out| {
+        let stream = &mut derive_stream(base, (range.start / chunk) as u64);
+        f(range, stream, out)
+    })
 }
 
 /// RNG-free sibling of [`par_collect`]: runs `f` once per chunk of
-/// `0..len` and returns all chunk outputs concatenated in chunk order.
+/// `0..len` and returns all chunk outputs concatenated in chunk order — a
+/// [`par_fold_chunks`] whose merge appends.
 ///
 /// For deterministic per-index maps (degree extraction, adjacency
-/// filtering, per-node feature vectors): the chunk decomposition is fixed
-/// by `(len, chunk)` and outputs concatenate in chunk order, so the result
-/// is identical at any thread budget — each element is computed
-/// independently and lands at the same position regardless of scheduling.
+/// filtering, per-node feature vectors): each element is computed
+/// independently and lands at the same position regardless of scheduling,
+/// so the result is identical at any thread budget.
 pub fn par_map_chunks<T, F>(len: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(Range<usize>, &mut Vec<T>) + Sync,
 {
-    let ranges = chunk_ranges(len, chunk);
-    let workers = current_parallelism().min(ranges.len());
-    if workers <= 1 {
-        let mut out = Vec::new();
-        for r in ranges {
-            cancel::checkpoint(1);
-            f(r, &mut out);
-        }
-        return out;
-    }
-    let parts = run_chunks(&ranges, workers, |_, r| {
-        let mut out = Vec::new();
-        f(r, &mut out);
-        out
-    });
-    concat(parts)
+    par_fold_chunks(
+        len,
+        chunk,
+        Vec::new,
+        |out, range| f(range, out),
+        |out, mut run| out.append(&mut run),
+    )
 }
 
-/// Parallel chunked fold: `fold` accumulates each chunk of `0..len` into
-/// an accumulator from `init`, and accumulators are combined **in chunk
-/// order** with `merge`. Returns `init()` when `len == 0`.
+/// Parallel chunked fold — the one chunk engine behind every primitive
+/// above. `fold` accumulates chunks of `0..len` into accumulators from
+/// `init`, and accumulators are combined **in chunk order** with `merge`.
+/// Returns `init()` when `len == 0`.
+///
+/// ## The claim loop
+///
+/// The chunk decomposition is fixed by `(len, chunk)`: every chunk has
+/// exactly `chunk` indices except a shorter final one. Up to
+/// [`current_parallelism`] claimers take chunk indices from one atomic
+/// cursor, charging one cancellation tick per claim, and fold consecutive
+/// claims into one accumulator (a *run*); a gap in a claimer's indices
+/// starts a new run. At one claimer the calling thread runs the loop
+/// itself, under its own context, so every chunk lands in a single
+/// accumulator with no spawn and no merge; at more, each scoped worker
+/// runs the same loop under budget 1, and the runs are merged in chunk
+/// order. A failed charge stops claiming quietly; the calling thread then
+/// raises [`cancel::CancelUnwind`].
 ///
 /// ## Bit-identity contract
 ///
-/// A thread budget of 1 folds every chunk into a *single* accumulator (no
-/// per-chunk allocation, no merge — the sequential pass, verbatim), while
-/// a parallel run folds per-chunk accumulators and merges them in chunk
-/// order. Results are therefore byte-identical across thread budgets iff
-/// fold-then-merge regroups freely, which holds for the accumulators the
-/// query-suite passes use:
+/// How chunks group into runs depends on scheduling, so results are
+/// byte-identical across thread budgets iff fold-then-merge regroups
+/// freely, which holds for the accumulators the query-suite passes use:
 ///
 /// * exact-integer arithmetic (`u64` histogram counts, triangle credits,
 ///   `u128` distance totals, `max` reductions) — associative and
@@ -421,9 +360,11 @@ where
 ///
 /// Keep floating-point *summation* out of `merge`: `(a + b) + c` and
 /// `a + (b + c)` may differ in the last ulp, so a float accumulator would
-/// make the 1-thread and n-thread groupings drift. The query-suite passes
-/// instead carry floats through appends and do the arithmetic afterwards
-/// in a fixed order.
+/// drift between groupings. The query-suite passes instead carry floats
+/// through appends and do the arithmetic afterwards in a fixed order.
+///
+/// # Panics
+/// Panics if `chunk == 0`.
 pub fn par_fold_chunks<A, I, F, M>(len: usize, chunk: usize, init: I, fold: F, mut merge: M) -> A
 where
     A: Send + Sync,
@@ -431,36 +372,77 @@ where
     F: Fn(&mut A, Range<usize>) + Sync,
     M: FnMut(&mut A, A),
 {
-    let ranges = chunk_ranges(len, chunk);
-    let workers = current_parallelism().min(ranges.len());
-    if workers <= 1 {
-        let mut acc = init();
-        for r in ranges {
-            cancel::checkpoint(1);
-            fold(&mut acc, r);
-        }
-        return acc;
+    assert!(chunk > 0, "chunk size must be positive");
+    let claimers = current_parallelism().min(len.div_ceil(chunk));
+    let (cursor, stopped) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let claim = || claim_runs(len, chunk, &cursor, &stopped, &init, &fold);
+    let mut runs = if claimers <= 1 {
+        claim()
+    } else {
+        // A worker *is* the parallelism: anything nested runs serial.
+        let runs = Mutex::new(Vec::new());
+        spawn_workers(
+            claimers,
+            |_| 1,
+            || {
+                let mine = claim();
+                runs.lock().expect("no worker panics while holding the run list").extend(mine);
+            },
+        );
+        runs.into_inner().expect("no worker panics while holding the run list")
+    };
+    // Workers stop quietly — std::thread::scope would launder a worker's
+    // panic payload into a generic one — so the typed unwind is raised
+    // here, and only when a charge failed.
+    if stopped.into_inner() {
+        panic_any(cancel::CancelUnwind);
     }
-    let parts = run_chunks(&ranges, workers, |_, r| {
-        let mut acc = init();
-        fold(&mut acc, r);
-        acc
-    });
-    let mut parts = parts.into_iter();
-    let mut acc = parts.next().expect("workers > 1 implies at least one chunk");
-    for part in parts {
-        merge(&mut acc, part);
+    runs.sort_unstable_by_key(|&(first, _)| first);
+    let mut runs = runs.into_iter().map(|(_, acc)| acc);
+    let Some(mut acc) = runs.next() else { return init() };
+    for run in runs {
+        merge(&mut acc, run);
     }
     acc
 }
 
-/// Concatenates chunk outputs in chunk order.
-fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        out.extend(part);
+/// The claim loop of [`par_fold_chunks`]: claims chunk indices from
+/// `cursor` until they run out or a tick charge fails (which sets
+/// `stopped`), and returns this claimer's runs as `(first chunk,
+/// accumulator)`. Kept out of line so `fold` has one call site, and so
+/// one machine-code copy, at every budget.
+#[inline(never)]
+fn claim_runs<A, I, F>(
+    len: usize,
+    chunk: usize,
+    cursor: &AtomicUsize,
+    stopped: &AtomicBool,
+    init: &I,
+    fold: &F,
+) -> Vec<(usize, A)>
+where
+    I: Fn() -> A,
+    F: Fn(&mut A, Range<usize>),
+{
+    let mut runs: Vec<(usize, A)> = Vec::new();
+    let mut next = None;
+    loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let start = i.saturating_mul(chunk);
+        if start >= len {
+            return runs;
+        }
+        if !cancel::charge_current(1) {
+            stopped.store(true, Ordering::Relaxed);
+            return runs;
+        }
+        if next != Some(i) {
+            runs.push((i, init()));
+        }
+        let (_, acc) = runs.last_mut().expect("a run is open");
+        fold(acc, start..(start + chunk).min(len));
+        next = Some(i + 1);
     }
-    out
 }
 
 #[cfg(test)]
@@ -470,16 +452,35 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_exactly() {
-        assert_eq!(chunk_ranges(10, 4), vec![0..4, 4..8, 8..10]);
-        assert_eq!(chunk_ranges(8, 4), vec![0..4, 4..8]);
-        assert_eq!(chunk_ranges(3, 10), vec![0..3]);
-        assert!(chunk_ranges(0, 4).is_empty());
+        // The ranges handed to `f` are the fixed decomposition — `chunk`
+        // indices each but a shorter last one — at every budget.
+        for threads in [1, 2, 8, 0] {
+            let ranges = |len, chunk| {
+                with_parallelism(threads, || par_map_chunks(len, chunk, |r, out| out.push(r)))
+            };
+            assert_eq!(ranges(10, 4), [0..4, 4..8, 8..10], "threads = {threads}");
+            assert_eq!(ranges(8, 4), [0..4, 4..8], "threads = {threads}");
+            assert_eq!(ranges(3, 10), [Range { start: 0, end: 3 }], "threads = {threads}");
+            assert!(ranges(0, 4).is_empty(), "threads = {threads}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
-        chunk_ranges(5, 0);
+        // Every primitive rejects a zero chunk, an empty range included.
+        let map = || drop(par_map_chunks(5, 0, |_, _: &mut Vec<u8>| {}));
+        let collect =
+            || drop(par_collect(0, 0, &mut StdRng::seed_from_u64(0), |_, _, _: &mut Vec<u8>| {}));
+        for section in [&map as &dyn Fn(), &collect] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(section))
+                .expect_err("a zero chunk must panic");
+            // Not `assert_eq!`: its failure message would quote the
+            // expected text and so satisfy `should_panic` by itself.
+            let payload = err.downcast_ref::<&str>().copied();
+            assert!(payload == Some("chunk size must be positive"), "wrong payload {payload:?}");
+        }
+        par_fold_chunks(5, 0, || (), |_, _| {}, |_, _| {});
     }
 
     #[test]
@@ -561,7 +562,7 @@ mod tests {
     #[test]
     fn fold_chunks_integer_accumulators_budget_invariant() {
         // An exact-integer histogram: fold-then-merge regroups freely, so
-        // every budget (including the single-accumulator inline path) must
+        // every budget (including budget 1's single accumulator) must
         // produce identical bytes.
         let run = |threads: usize| {
             with_parallelism(threads, || {
@@ -591,19 +592,26 @@ mod tests {
     #[test]
     fn fold_chunks_append_merge_preserves_chunk_order() {
         // Order-preserving appends: the merged list is the chunk-order
-        // concatenation, i.e. exactly the sequential traversal order.
-        let expected: Vec<usize> = (0..1_000).collect();
-        for threads in [1, 2, 8] {
-            let got = with_parallelism(threads, || {
-                par_fold_chunks(
-                    1_000,
-                    32,
-                    Vec::new,
-                    |acc: &mut Vec<usize>, range| acc.extend(range),
-                    |acc, mut other| acc.append(&mut other),
-                )
-            });
-            assert_eq!(got, expected, "threads = {threads}");
+        // concatenation, i.e. exactly the sequential traversal order — for
+        // a ragged last chunk, for a lone chunk, and for slow chunks that
+        // interleave the workers' claims into many runs.
+        for (len, chunk, pause_us) in [(1_000, 32, 0), (1_000, 7, 0), (5, 32, 0), (64, 4, 200)] {
+            let expected: Vec<usize> = (0..len).collect();
+            for threads in [1, 2, 3, 8, 0] {
+                let got = with_parallelism(threads, || {
+                    par_fold_chunks(
+                        len,
+                        chunk,
+                        Vec::new,
+                        |acc: &mut Vec<usize>, range| {
+                            std::thread::sleep(std::time::Duration::from_micros(pause_us));
+                            acc.extend(range)
+                        },
+                        |acc, mut other| acc.append(&mut other),
+                    )
+                });
+                assert_eq!(got, expected, "len = {len}, chunk = {chunk}, threads = {threads}");
+            }
         }
     }
 
@@ -611,6 +619,48 @@ mod tests {
     fn fold_chunks_empty_range_returns_init() {
         let acc = par_fold_chunks(0, 16, || 42u64, |_, _| unreachable!(), |_, _| unreachable!());
         assert_eq!(acc, 42);
+        // Nothing is claimed, so nothing is charged: an already-cancelled
+        // token does not turn an empty section into a cancellation.
+        let token = cancel::CancelToken::new(Some(0));
+        token.cancel();
+        let acc = cancel::with_token(&token, || {
+            par_fold_chunks(0, 16, || 7u64, |_, _| unreachable!(), |_, _| unreachable!())
+        });
+        assert_eq!(acc, 7);
+    }
+
+    #[test]
+    fn one_budget_folds_every_chunk_into_one_accumulator() {
+        // `triangles_per_node`'s `init` allocates two n-entry arrays, so a
+        // budget of 1 must pay for it once, not once per chunk.
+        let inits = AtomicUsize::new(0);
+        let merges = std::cell::Cell::new(0);
+        let total = with_parallelism(1, || {
+            par_fold_chunks(
+                10_000,
+                16,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |acc, range| *acc += range.len(),
+                |acc, other| {
+                    merges.set(merges.get() + 1);
+                    *acc += other
+                },
+            )
+        });
+        assert_eq!(total, 10_000);
+        assert_eq!((inits.into_inner(), merges.get()), (1, 0), "625 chunks, one run");
+    }
+
+    #[test]
+    fn a_lone_chunk_keeps_the_callers_budget() {
+        // One chunk needs no worker: the calling thread folds it under its
+        // own context, so sections nested in it still see the full budget.
+        let nested =
+            with_parallelism(8, || par_map_chunks(3, 16, |_, out| out.push(current_parallelism())));
+        assert_eq!(nested, [8]);
     }
 
     #[test]
@@ -742,6 +792,22 @@ mod tests {
             (0..4).map(|_| s0.next_u64()).collect::<Vec<_>>(),
             (0..4).map(|_| s1.next_u64()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn chunk_i_draws_from_derived_stream_i() {
+        // Chunk i gets `derive_stream(base, i)` — indexed by chunk, not by
+        // its first element — with `base` the caller's one draw.
+        let base = StdRng::seed_from_u64(5).next_u64();
+        let expected: Vec<u64> = (0..4).map(|i| derive_stream(base, i).next_u64()).collect();
+        for threads in [1, 2, 8] {
+            let got = with_parallelism(threads, || {
+                par_collect(100, 32, &mut StdRng::seed_from_u64(5), |_, rng, out| {
+                    out.push(rng.next_u64())
+                })
+            });
+            assert_eq!(got, expected, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -317,12 +317,13 @@ impl<'a, W: Lanes> ComponentMasks<'a, W> {
 /// the nodes still missing a lane, [`bottom_up`] past that. Both leave the
 /// same `next` words, so the histogram does not depend on the choice.
 ///
-/// `par_fold_chunks` calls its fold from two places (its one-worker loop
-/// and its workers). Inlined into both, the two copies compiled
-/// differently, and the one-worker copy of the 256-lane batch ran about
-/// 2.5 times slower than the workers' on a baseline x86-64 build (Xeon).
-/// Out of line, the batch and its two steps compile once per word.
-#[inline(never)]
+/// The two steps are kept out of line and the batch is not. At one thread
+/// on a 2-vCPU Xeon (baseline x86-64 build, best of 70 interleaved runs),
+/// inlining either step slowed the 64-source sweep of the eight Table VI
+/// graphs by 5–7%, and inlining [`bottom_up`] slowed the 256-lane exact
+/// sweep of the 104 seed-0 grid-temporal graphs by 4%; keeping the batch
+/// out of line made that exact sweep 8% slower and moved the sampled one
+/// by 1%. Gaps this small can come from code placement alone.
 fn add_batch<W: Lanes>(
     g: &Graph,
     label: &[u32],

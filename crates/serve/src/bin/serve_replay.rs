@@ -51,7 +51,8 @@ struct Args {
     fault_rate: u16,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the flags that follow the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         threads: 0,
         script: None,
@@ -72,7 +73,7 @@ fn parse_args() -> Result<Args, String> {
     {
         v.parse().map_err(|e| format!("{name}: {e}"))
     }
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.into_iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -114,6 +115,11 @@ fn parse_args() -> Result<Args, String> {
     if args.fault_seed.is_some() && !args.drive {
         return Err("--fault-seed only applies to --drive".into());
     }
+    // A fault fires when a hash mod 1000 falls below the rate, so a rate
+    // above 1000 would silently act as 1000.
+    if args.fault_rate > 1000 {
+        return Err(format!("--fault-rate: {} is above 1000 permille", args.fault_rate));
+    }
     Ok(args)
 }
 
@@ -150,7 +156,7 @@ fn write_out(out: &str, text: &str) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     let text = match &args.script {
         Some(path) => std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
         None => SMOKE_SCRIPT.to_string(),
@@ -223,5 +229,22 @@ fn main() -> ExitCode {
             eprintln!("serve_replay: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn fault_rate_is_at_most_a_thousand_permille() {
+        let drive = ["--drive", "--wal", "x.wal", "--fault-seed", "7", "--fault-rate"];
+        let rate = |r| parse(&[&drive[..], &[r]].concat()).map(|a| a.fault_rate);
+        assert_eq!(rate("1000"), Ok(1000));
+        assert_eq!(rate("1001"), Err("--fault-rate: 1001 is above 1000 permille".into()));
     }
 }
